@@ -32,14 +32,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SeriesTooShort, WavetrendError
+from .errors import WavetrendError
 from .filters import EXTREMAL_PHASE, canonical_family, wavelet_filter
 from .lacv import lacv_from_spectrum
 from .plots import BY_LEVEL, GLOBAL, lacf_figure, spectrum_figure, trend_figure
 from .scenarios import scenario, scenario_names
 from .simulate import tlsw_sim
 from .spectrum import MEAN, NONE, SpectrumEstimate, estimate_spectrum
-from .transforms import DECIMATED, NONDECIMATED
+from .transforms import DECIMATED, NONDECIMATED, as_series
 from .trend import (
     ANALYTIC,
     BOOT_NORMAL,
@@ -197,10 +197,7 @@ def read_trend(path: str | Path) -> tuple[np.ndarray, np.ndarray | None, np.ndar
 def _load_series(cfg: RunConfig) -> np.ndarray:
     if not cfg.input:
         raise WavetrendError(f"{cfg.command} needs an input series file")
-    x = read_series(cfg.input)
-    if x.size < 16:
-        raise SeriesTooShort(f"estimation needs at least 16 observations, got {x.size}")
-    return x
+    return as_series(read_series(cfg.input), 16)
 
 
 def _spectrum_for(cfg: RunConfig, x: np.ndarray) -> SpectrumEstimate:

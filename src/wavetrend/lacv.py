@@ -59,12 +59,14 @@ def lacv_from_spectrum(
         lag_max = default_lag_max(n)
     if lag_max < 0:
         raise DimensionMismatch("lag_max must be nonnegative")
-    taus = np.arange(lag_max + 1)
-    psi = np.array([[acw.at(j, int(tau)) for tau in taus] for j in range(1, levels + 1)])
+    psi = np.zeros((levels, lag_max + 1))
+    for j, row in enumerate(acw.values[:levels]):
+        tail = row[row.size // 2 :][: lag_max + 1]  # tau = 0, 1, ... up to the radius
+        psi[j, : tail.size] = tail
     lacv = S.T @ psi
     var = lacv[:, :1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lacr = np.where(var > 0, lacv / var, np.nan)
+    # np.divide into a NaN-filled array: np.where would hold one more (n, lags) array
+    lacr = np.divide(lacv, var, out=np.full_like(lacv, np.nan), where=var > 0)
     if np.any(var <= 0):
         warnings.warn(
             "nonpositive variance estimates; autocorrelation set to NaN there",

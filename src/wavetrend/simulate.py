@@ -165,7 +165,7 @@ def tlsw_sim(
     filter_number: int = 4,
     family: str = "extremal_phase",
     innovations: Callable[[np.random.Generator, int], np.ndarray] | None = None,
-    seed: int | None = None,
+    seed: int | np.random.SeedSequence | None = None,
     filt: WaveletFilter | None = None,
 ) -> np.ndarray:
     """Draw one realisation of trend plus locally stationary wavelet noise.

@@ -25,14 +25,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    InvalidBinwidth,
-    MatrixMismatch,
-    ScaleTooDeep,
-    SeriesTooShort,
-)
+from .errors import InvalidBinwidth, MatrixMismatch, ScaleTooDeep
 from .filters import WaveletFilter, wavelet_filter
-from .transforms import TREND_REFLECT, extend_series, ndwt_forward
+from .transforms import TREND_REFLECT, as_series, extend_series, ndwt_forward
 from .wavelets import (
     AutocorrelationWavelet,
     CorrectionMatrix,
@@ -173,12 +168,8 @@ def wavelet_periodogram(
     itself.  diff = (lag, order) differences first (normalised so the
     matching difference operator corrects the result exactly).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise SeriesTooShort("expected a one dimensional series")
+    x = as_series(x, 2)
     n = x.size
-    if n < 2:
-        raise SeriesTooShort("need at least 2 observations")
     if levels < 1:
         raise ScaleTooDeep("need at least one analysis level")
     cap = max_levels(n)
@@ -191,20 +182,17 @@ def wavelet_periodogram(
         # smoothly across the seam, whereas reflecting an already
         # differenced (noise dominated) series injects a level jump that
         # inflates boundary coefficients several-fold.
-        ext, desc = extend_series(x, TREND_REFLECT)
-        y = difference_series(ext, lag, order) if order else ext
-        pyr = ndwt_forward(y, filt, levels)
+        y, desc = extend_series(x, TREND_REFLECT)
         start = desc.offset - lost // 2
         window = slice(start, start + n)
-        raw = np.stack([pyr.detail(j)[window] for j in range(1, levels + 1)])
-        raw = raw**2
     else:
-        y = difference_series(x, lag, order) if order else x
-        pyr = ndwt_forward(y, filt, levels)
-        raw = np.stack([pyr.detail(j) for j in range(1, levels + 1)])
-        raw = raw**2
-        if lost:
-            raw = _embed_columns(raw, n, lost)
+        y, window = x, slice(None)
+    if order:
+        y = difference_series(y, lag, order)
+    pyr = ndwt_forward(y, filt, levels)
+    raw = np.stack([pyr.detail(j)[window] for j in range(1, levels + 1)]) ** 2
+    if lost and not boundary:
+        raw = _embed_columns(raw, n, lost)
     return Periodogram(
         raw=raw,
         diff_lag=lag,
@@ -338,9 +326,7 @@ def estimate_spectrum(
     passed to skip rebuilding it across replicates; it must match the
     filter, depth, and differencing or MatrixMismatch is raised.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 16:
-        raise SeriesTooShort(f"need at least 16 observations, got {x.size}")
+    x = as_series(x, 16)
     n = x.size
     if filt is None:
         filt = wavelet_filter(family, filter_number)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ModeMismatch, NonDyadicLength, ScaleTooDeep, SeriesTooShort
+from .errors import ModeMismatch, NonDyadicLength, ScaleTooDeep, SeriesTooShort, WavetrendError
 from .filters import WaveletFilter
 from .wavelets import support_length
 
@@ -40,6 +40,7 @@ __all__ = [
     "DECIMATED",
     "ExtensionDescriptor",
     "CoefficientPyramid",
+    "as_series",
     "extend_series",
     "ndwt_forward",
     "ndwt_average_basis",
@@ -62,6 +63,18 @@ def next_pow2(m: int) -> int:
     return 1 << (m - 1).bit_length()
 
 
+def as_series(x, min_length: int) -> np.ndarray:
+    """x as a finite one dimensional float array of at least min_length values."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise SeriesTooShort("expected a one dimensional series")
+    if x.size < min_length:
+        raise SeriesTooShort(f"need at least {min_length} observations, got {x.size}")
+    if not np.isfinite(x).all():
+        raise WavetrendError("series values must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class ExtensionDescriptor:
     """Where the original data sits inside an extended series."""
@@ -77,12 +90,8 @@ class ExtensionDescriptor:
 
 def extend_series(x: np.ndarray, policy: str) -> tuple[np.ndarray, ExtensionDescriptor]:
     """Extend a series to a dyadic length with the original segment centred."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise SeriesTooShort("expected a one dimensional series")
+    x = as_series(x, 2)
     n = x.size
-    if n < 2:
-        raise SeriesTooShort("need at least 2 observations to extend")
     if policy == TREND_REFLECT:
         base = x
         target = next_pow2(2 * n)
@@ -139,31 +148,68 @@ def _check_levels(n: int, levels: int) -> None:
         raise ScaleTooDeep(f"{levels} levels need at least {2**levels} observations")
 
 
+def _windows(n: int, offset: int, stride: int):
+    """(out, src) slice pairs that read x[(stride * i + offset) % n] into out[i].
+
+    Covers i < n // stride in two pieces, before and after the read position
+    wraps past the end of the row; offset must lie in [0, n).
+    """
+    head = -(-(n - offset) // stride)
+    yield slice(0, head), slice(offset, n, stride)
+    if offset:
+        yield slice(head, n // stride), slice((offset - n) % stride, offset, stride)
+
+
+def _analysis_step(
+    approx: np.ndarray, filt: WaveletFilter, step: int, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Circular correlation of a row with the highpass and lowpass filters.
+
+    detail[i] = sum_m g[m] approx[(stride i + step m) % n] and smooth likewise
+    with h: taps step apart, every stride-th output position kept.
+    """
+    n = approx.size
+    detail = np.zeros(n // stride)
+    smooth = np.zeros(n // stride)
+    for m, (g, h) in enumerate(zip(filt.highpass, filt.lowpass)):
+        for out, src in _windows(n, step * m % n, stride):
+            window = approx[src]
+            # accumulate through views; `row[out] += ...` would also copy back
+            d, a = detail[out], smooth[out]
+            d += g * window
+            a += h * window
+    return detail, smooth
+
+
+def _synthesis_step(
+    approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter, step: int
+) -> np.ndarray:
+    """Adjoint of _analysis_step at stride 1 applied to both rows, summed."""
+    n = approx.size
+    nxt = np.zeros(n)
+    for m, (g, h) in enumerate(zip(filt.highpass, filt.lowpass)):
+        for out, src in _windows(n, -step * m % n, 1):
+            acc = nxt[out]
+            acc += h * approx[src]
+            acc += g * detail[src]
+    return nxt
+
+
 def ndwt_forward(x: np.ndarray, filt: WaveletFilter, levels: int) -> CoefficientPyramid:
     """Nondecimated transform with centre-aligned coefficient rows."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    _check_levels(n, levels)
-    h = filt.lowpass
-    g = filt.highpass
+    _check_levels(x.size, levels)
     approx = x
     details: list[np.ndarray] = []
     for j in range(1, levels + 1):
-        step = 2 ** (j - 1)
-        detail = np.zeros(n)
-        nxt = np.zeros(n)
-        for m in range(filt.length):
-            rolled = np.roll(approx, -step * m)
-            detail += g[m] * rolled
-            nxt += h[m] * rolled
+        detail, approx = _analysis_step(approx, filt, 2 ** (j - 1), 1)
         details.append(np.roll(detail, centre_shift(filt.length, j)))
-        approx = nxt
     scaling = np.roll(approx, centre_shift(filt.length, levels))
     return CoefficientPyramid(
         mode=NONDECIMATED,
         filter=filt,
         levels=levels,
-        length=n,
+        length=x.size,
         details=tuple(details),
         scaling=scaling,
     )
@@ -173,18 +219,11 @@ def ndwt_average_basis(pyr: CoefficientPyramid) -> np.ndarray:
     """Basis-averaged inverse of a nondecimated pyramid."""
     if pyr.mode != NONDECIMATED:
         raise ModeMismatch("pyramid was not produced by ndwt_forward")
-    filt = pyr.filter
-    h = filt.lowpass
-    g = filt.highpass
-    approx = np.roll(pyr.scaling, -centre_shift(filt.length, pyr.levels))
+    length = pyr.filter.length
+    approx = np.roll(pyr.scaling, -centre_shift(length, pyr.levels))
     for j in range(pyr.levels, 0, -1):
-        detail = np.roll(pyr.detail(j), -centre_shift(filt.length, j))
-        step = 2 ** (j - 1)
-        nxt = np.zeros(pyr.length)
-        for m in range(filt.length):
-            nxt += h[m] * np.roll(approx, step * m)
-            nxt += g[m] * np.roll(detail, step * m)
-        approx = 0.5 * nxt
+        detail = np.roll(pyr.detail(j), -centre_shift(length, j))
+        approx = 0.5 * _synthesis_step(approx, detail, pyr.filter, 2 ** (j - 1))
     return approx
 
 
@@ -195,20 +234,11 @@ def dwt_forward(x: np.ndarray, filt: WaveletFilter, levels: int) -> CoefficientP
     if n < 2 or n & (n - 1):
         raise NonDyadicLength(f"decimated transform needs a power-of-two length, got {n}")
     _check_levels(n, levels)
-    h = filt.lowpass
-    g = filt.highpass
     approx = x
     details: list[np.ndarray] = []
     for _ in range(levels):
-        m = approx.size
-        corr_h = np.zeros(m)
-        corr_g = np.zeros(m)
-        for t in range(filt.length):
-            rolled = np.roll(approx, -t)
-            corr_h += h[t] * rolled
-            corr_g += g[t] * rolled
-        details.append(corr_g[0::2])
-        approx = corr_h[0::2]
+        detail, approx = _analysis_step(approx, filt, 1, 2)
+        details.append(detail)
     return CoefficientPyramid(
         mode=DECIMATED,
         filter=filt,
@@ -223,28 +253,17 @@ def dwt_inverse(pyr: CoefficientPyramid) -> np.ndarray:
     """Exact inverse (the adjoint) of dwt_forward."""
     if pyr.mode != DECIMATED:
         raise ModeMismatch("pyramid was not produced by dwt_forward")
-    filt = pyr.filter
-    h = filt.lowpass
-    g = filt.highpass
     approx = pyr.scaling
     for j in range(pyr.levels, 0, -1):
-        detail = pyr.detail(j)
-        m = 2 * approx.size
-        up_a = np.zeros(m)
-        up_d = np.zeros(m)
-        up_a[0::2] = approx
-        up_d[0::2] = detail
-        nxt = np.zeros(m)
-        for t in range(filt.length):
-            nxt += h[t] * np.roll(up_a, t)
-            nxt += g[t] * np.roll(up_d, t)
-        approx = nxt
+        up = np.zeros((2, 2 * approx.size))
+        up[0, 0::2], up[1, 0::2] = approx, pyr.detail(j)
+        approx = _synthesis_step(up[0], up[1], pyr.filter, 1)
     return approx
 
 
 def detail_support(
-    mode: str, filter_length: int, level: int, index: int
-) -> tuple[int, int]:
+    mode: str, filter_length: int, level: int, index: int | np.ndarray
+) -> tuple[int | np.ndarray, int]:
     """(start, length) of the data window a detail coefficient draws on.
 
     Start is reported in unwrapped transform coordinates and may be negative

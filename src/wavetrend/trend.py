@@ -31,8 +31,8 @@ from .errors import (
     MethodMismatch,
     MissingSpectrum,
     NegativeThreshold,
-    SeriesTooShort,
     TooFewReps,
+    WavetrendError,
 )
 from .filters import EXTREMAL_PHASE, WaveletFilter, wavelet_filter
 from .lacv import LacvEstimate
@@ -43,18 +43,15 @@ from .transforms import (
     NONDECIMATED,
     SYMMETRIC_TRIPLE,
     ExtensionDescriptor,
-    centre_shift,
+    as_series,
+    detail_support,
     dwt_forward,
     dwt_inverse,
     extend_series,
     ndwt_average_basis,
     ndwt_forward,
 )
-from .wavelets import (
-    autocorrelation_wavelets,
-    cross_a_matrix,
-    support_length,
-)
+from .wavelets import autocorrelation_wavelets, cross_a_matrix
 
 LINEAR = "linear"
 NONLINEAR = "nonlinear"
@@ -133,27 +130,6 @@ def threshold(values, lam, kind: str = HARD):
     return out
 
 
-def _prepare(
-    x: np.ndarray, boundary: bool
-) -> tuple[np.ndarray, ExtensionDescriptor]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise SeriesTooShort("expected a one dimensional series")
-    if boundary:
-        return extend_series(x, SYMMETRIC_TRIPLE)
-    desc = ExtensionDescriptor(
-        policy="none", original_length=x.size, extended_length=x.size, offset=0
-    )
-    return x, desc
-
-
-def _detail_starts(mode: str, filter_length: int, level: int, count: int) -> np.ndarray:
-    idx = np.arange(count)
-    if mode == DECIMATED:
-        return (1 << level) * idx
-    return idx - centre_shift(filter_length, level)
-
-
 def _interior_mask(
     mode: str, filter_length: int, level: int, count: int, desc: ExtensionDescriptor
 ) -> np.ndarray:
@@ -161,17 +137,38 @@ def _interior_mask(
     total = desc.extended_length
     if desc.original_length == total:
         return np.ones(count, dtype=bool)
-    length = support_length(filter_length, level)
-    start = _detail_starts(mode, filter_length, level, count) % total
-    lo = desc.offset
-    hi = desc.offset + desc.original_length
-    return (start + length <= total) & (start >= lo) & (start + length <= hi)
+    start, length = detail_support(mode, filter_length, level, np.arange(count))
+    start = start % total
+    end = desc.offset + desc.original_length  # never past total
+    return (start >= desc.offset) & (start + length <= end)
 
 
-def _invert(pyr, transform: str) -> np.ndarray:
+def _edited_fit(
+    x: np.ndarray,
+    filt: WaveletFilter,
+    levels: int,
+    transform: str,
+    boundary: bool,
+    edit,
+) -> np.ndarray:
+    """Extend, transform, edit every detail row, invert, cut back to the data.
+
+    edit(mode, level, detail, desc) returns the replacement detail row.
+    """
+    if boundary:
+        ext, desc = extend_series(x, SYMMETRIC_TRIPLE)
+    else:
+        ext, desc = x, ExtensionDescriptor(
+            policy="none", original_length=x.size, extended_length=x.size, offset=0
+        )
     if transform == DECIMATED:
-        return dwt_inverse(pyr)
-    return ndwt_average_basis(pyr)
+        forward, inverse = dwt_forward, dwt_inverse
+    else:
+        forward, inverse = ndwt_forward, ndwt_average_basis
+    pyr = forward(ext, filt, levels)
+    details = tuple(edit(pyr.mode, j, pyr.detail(j), desc) for j in range(1, levels + 1))
+    # a copy, so the fit does not keep the whole extended reconstruction alive
+    return inverse(pyr.with_details(details))[desc.window()].copy()
 
 
 def linear_trend(
@@ -191,19 +188,14 @@ def linear_trend(
     """
     if filt is None:
         filt = wavelet_filter(family, filter_number)
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    x = as_series(x, 2)
     if levels is None:
-        levels = default_levels(n)
-    ext, desc = _prepare(x, boundary)
-    forward = dwt_forward if transform == DECIMATED else ndwt_forward
-    pyr = forward(ext, filt, levels)
-    details = []
-    for j in range(1, levels + 1):
-        d = pyr.detail(j).copy()
-        d[_interior_mask(pyr.mode, filt.length, j, d.size, desc)] = 0.0
-        details.append(d)
-    fitted = _invert(pyr.with_details(tuple(details)), transform)[desc.window()]
+        levels = default_levels(x.size)
+
+    def zero_interior(mode, level, d, desc):
+        return np.where(_interior_mask(mode, filt.length, level, d.size, desc), 0.0, d)
+
+    fitted = _edited_fit(x, filt, levels, transform, boundary, zero_interior)
     config = EstimatorConfig(
         method=LINEAR,
         transform=transform,
@@ -276,7 +268,7 @@ def nonlinear_trend(
         raise MissingSpectrum("nonlinear trend needs a spectrum estimate")
     if filt is None:
         filt = wavelet_filter(family, filter_number)
-    x = np.asarray(x, dtype=np.float64)
+    x = as_series(x, 2)
     n = x.size
     if spectrum.length != n:
         raise MatrixMismatch(
@@ -284,23 +276,18 @@ def nonlinear_trend(
         )
     if levels is None:
         levels = default_levels(n)
-    ext, desc = _prepare(x, boundary)
-    forward = dwt_forward if transform == DECIMATED else ndwt_forward
-    pyr = forward(ext, filt, levels)
     sigma = np.sqrt(variance_matrix(spectrum, filt, levels))
     lam_scale = policy.scale(n)
-    details = []
-    for j in range(1, levels + 1):
-        d = pyr.detail(j)
-        if pyr.mode == DECIMATED:
-            half = (support_length(filt.length, j) - 1) // 2
-            centres = (1 << j) * np.arange(d.size) + half
-        else:
-            centres = np.arange(d.size)
+
+    def shrink(mode, level, d, desc):
+        centres = np.arange(d.size)
+        if mode == DECIMATED:
+            start, length = detail_support(mode, filt.length, level, centres)
+            centres = start + (length - 1) // 2
         times = np.clip(centres - desc.offset, 0, n - 1)
-        lam = lam_scale * sigma[j - 1, times]
-        details.append(threshold(d, lam, policy.kind))
-    fitted = _invert(pyr.with_details(tuple(details)), transform)[desc.window()]
+        return threshold(d, lam_scale * sigma[level - 1, times], policy.kind)
+
+    fitted = _edited_fit(x, filt, levels, transform, boundary, shrink)
     config = EstimatorConfig(
         method=NONLINEAR,
         transform=transform,
@@ -347,6 +334,11 @@ def estimate_trend(
 _ANALYTIC_MAX_N = 8192
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:  # also rejects NaN
+        raise WavetrendError(f"significance level must lie in (0, 1), got {alpha}")
+
+
 def analytic_ci(
     x: np.ndarray,
     trend: TrendEstimate,
@@ -360,6 +352,7 @@ def analytic_ci(
     estimate's lag_max.  Only the decimated linear estimator is supported;
     for anything else use the bootstrap.
     """
+    _check_alpha(alpha)
     if trend.config.method != LINEAR or trend.config.transform != DECIMATED:
         raise MethodMismatch("analytic interval needs the linear decimated estimator")
     x = np.asarray(x, dtype=np.float64)
@@ -414,9 +407,11 @@ def bootstrap_ci(
     Replicate b adds simulated noise (spectrum floored at zero) to the
     fitted trend, re-estimates with the identical config, and the pointwise
     spread of the re-estimates forms the interval.  Replicate streams are
-    seeded seed XOR b, so results do not depend on evaluation order.  The
-    spectrum is not re-estimated per replicate.
+    the reps children spawned from SeedSequence(seed), so they are
+    independent across replicates and across seeds and do not depend on
+    evaluation order.  The spectrum is not re-estimated per replicate.
     """
+    _check_alpha(alpha)
     if ci_type not in (BOOT_NORMAL, BOOT_PERCENTILE):
         raise MethodMismatch(f"unknown bootstrap interval type {ci_type!r}")
     needed = max(20, math.ceil(2.0 / alpha))
@@ -424,14 +419,12 @@ def bootstrap_ci(
         raise TooFewReps(f"need at least {needed} replicates for alpha = {alpha}")
     if spectrum is None or not isinstance(spectrum, SpectrumEstimate):
         raise MissingSpectrum("bootstrap needs a spectrum estimate")
-    base = int(seed) if seed is not None else 0
+    streams = np.random.SeedSequence(int(seed) if seed is not None else 0).spawn(reps)
     smat = _padded_spectrum(spectrum)
     fits = np.empty((reps, trend.length))
-    for b in range(1, reps + 1):
-        xb = trend.values + tlsw_sim(
-            spec=smat, seed=base ^ b, filt=spectrum.filter
-        )
-        fits[b - 1] = estimate_trend(xb, trend.config, spectrum=spectrum).values
+    for b, stream in enumerate(streams):
+        xb = trend.values + tlsw_sim(spec=smat, seed=stream, filt=spectrum.filter)
+        fits[b] = estimate_trend(xb, trend.config, spectrum=spectrum).values
     if ci_type == BOOT_NORMAL:
         half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * fits.std(axis=0, ddof=1)
         lo, hi = trend.values - half, trend.values + half

@@ -205,6 +205,16 @@ def test_bad_series_file_exits_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ci", ["analytic", "normal"])
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
+def test_bad_significance_level_exits_2(tmp_path, capsys, alpha, ci):
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(0).standard_normal(64))
+    assert run("trend", src, "--out-dir", tmp_path, "--t-transform", "dec",
+               "--ci", ci, "--t-sig-lvl", alpha) == 2
+    assert "significance level" in capsys.readouterr().err
+
+
 def test_unknown_flag_raises_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("trend", tmp_path / "x.csv", "--bogus")

@@ -19,6 +19,7 @@ from wavetrend.transforms import (
     ndwt_forward,
     next_pow2,
 )
+from wavetrend.wavelets import discrete_wavelets
 
 EP4 = wavelet_filter(EXTREMAL_PHASE, 4)
 
@@ -91,6 +92,25 @@ def test_ndwt_matches_dwt_subsample(number, family):
         assert np.array_equal(aligned, dec.detail(j))
 
 
+@pytest.mark.parametrize("number,family", [(1, EXTREMAL_PHASE), (4, EXTREMAL_PHASE),
+                                           (10, EXTREMAL_PHASE), (8, LEAST_ASYMMETRIC)])
+@pytest.mark.parametrize("n", [64, 96, 100])
+def test_ndwt_matches_cascade_wavelets(number, family, n):
+    # oracle outside the filter bank: the cascade psi_j correlated with the
+    # data by an explicit circular sum; deep EP10 wavelets wrap the row
+    filt = wavelet_filter(family, number)
+    levels = 6
+    x = np.random.default_rng(n).standard_normal(n)
+    pyr = ndwt_forward(x, filt, levels)
+    dw = discrete_wavelets(filt, levels)
+    k = np.arange(n)
+    for j in range(1, levels + 1):
+        psi = dw.psi(j)
+        expected = x[(k[:, None] + np.arange(psi.size)) % n] @ psi
+        got = np.roll(pyr.detail(j), -centre_shift(filt.length, j))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
 def test_extend_trend_reflect():
     x = np.arange(10.0)
     ext, desc = extend_series(x, TREND_REFLECT)
@@ -115,3 +135,5 @@ def test_detail_support_shapes():
     start, length = detail_support(NONDECIMATED, 2, 1, 5)
     assert length == 2
     assert start == 5 - centre_shift(2, 1)
+    starts, length = detail_support(DECIMATED, 8, 2, np.arange(4))
+    assert np.array_equal(starts, [0, 4, 8, 12]) and length == 22

@@ -11,6 +11,7 @@ from wavetrend.errors import (
     MissingSpectrum,
     NegativeThreshold,
     TooFewReps,
+    WavetrendError,
 )
 from wavetrend.filters import EXTREMAL_PHASE, LEAST_ASYMMETRIC, wavelet_filter
 from wavetrend.lacv import lacv_from_spectrum
@@ -227,3 +228,33 @@ def test_soft_threshold_contraction_element():
     lam = rng.uniform(0, 2, 100)
     out = threshold(d, lam, SOFT)
     assert np.all(np.abs(out) <= np.abs(d) + 1e-15)
+
+
+@pytest.mark.parametrize("estimator", ["spectrum", "linear", "nonlinear"])
+def test_nonfinite_series_rejected(estimator):
+    x = np.random.default_rng(3).standard_normal(128)
+    sp = estimate_spectrum(x, levels=5, floor_negatives=True)
+    x[40] = np.nan
+    with pytest.raises(WavetrendError, match="finite"):
+        if estimator == "spectrum":
+            estimate_spectrum(x, levels=5)
+        elif estimator == "linear":
+            linear_trend(x)
+        else:
+            nonlinear_trend(x, sp, levels=5)
+
+
+def test_bootstrap_adjacent_seeds_independent():
+    # replicate streams of seeds 0 and 1 must not overlap: their interval
+    # widths differ about as much as those of unrelated seeds
+    x, fit = make_linear_fit(seed=6)
+    sp = estimate_spectrum(x, levels=5)
+
+    def width(seed):
+        out = bootstrap_ci(x, fit, sp, reps=40, ci_type=BOOT_NORMAL, seed=seed)
+        return out.ci_hi - out.ci_lo
+
+    w0 = width(0)
+    adjacent = np.mean(np.abs(width(1) - w0))
+    unrelated = np.mean(np.abs(width(12345) - w0))
+    assert adjacent > 0.5 * unrelated
