@@ -27,24 +27,23 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import WavetrendError
-from .filters import EXTREMAL_PHASE, canonical_family, wavelet_filter
+from .filters import EXTREMAL_PHASE, canonical_family
 from .lacv import lacv_from_spectrum
 from .plots import BY_LEVEL, GLOBAL, lacf_figure, spectrum_figure, trend_figure
 from .scenarios import scenario, scenario_names
 from .simulate import tlsw_sim
-from .spectrum import MEAN, NONE, SpectrumEstimate, estimate_spectrum
+from .spectrum import NONE, SpectrumEstimate, estimate_spectrum
 from .transforms import DECIMATED, NONDECIMATED, as_series
 from .trend import (
     ANALYTIC,
     BOOT_NORMAL,
     BOOT_PERCENTILE,
-    HARD,
     LINEAR,
     NONLINEAR,
     EstimatorConfig,
@@ -57,51 +56,6 @@ from .wavelets import autocorrelation_wavelets
 
 _TRANSFORMS = {"dec": DECIMATED, "nondec": NONDECIMATED}
 _CI_TYPES = {"analytic": ANALYTIC, "normal": BOOT_NORMAL, "percentile": BOOT_PERCENTILE}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved invocation; unknown keys are rejected on build.
-
-    Defaults mirror the reference method's documented argument defaults;
-    None means "derive from the series length at run time".
-    """
-
-    command: str
-    input: str | None = None
-    out_dir: str = "."
-    seed: int | None = None
-    scenario: str | None = None
-    trend_csv: str | None = None
-    spec_csv: str | None = None
-    filter_number: int = 4
-    family: str = EXTREMAL_PHASE
-    s_filter_number: int = 4
-    s_family: str = EXTREMAL_PHASE
-    s_smooth: bool = True
-    s_smooth_type: str = MEAN
-    s_binwidth: int | None = None
-    s_max_scale: int | None = None
-    s_boundary_handle: bool = True
-    s_do_diff: bool = False
-    s_lag: int = 1
-    s_diff_number: int = 1
-    t_filter_number: int = 4
-    t_family: str = EXTREMAL_PHASE
-    t_est_type: str = LINEAR
-    t_transform: str = "nondec"
-    t_boundary_handle: bool = True
-    t_max_scale: int | None = None
-    t_ci: bool = False
-    t_ci_type: str = "normal"
-    t_sig_lvl: float = 0.05
-    t_reps: int = 200
-    t_thresh_type: str = HARD
-    t_thresh_normal: bool = True
-    lag_max: int | None = None
-    plot_type: str = "all"
-    scaling: str = GLOBAL
-    lacf_times: tuple[int, ...] | None = None
 
 
 # ---------------------------------------------------------------- file IO
@@ -135,11 +89,14 @@ def _write_trend(path: Path, values, ci_lo=None, ci_hi=None) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _parse_cells(path: Path) -> list[list[str]]:
-    with path.open(newline="", encoding="utf-8") as fh:
+def _data_rows(path: str | Path) -> list[list[str]]:
+    """Nonblank CSV rows, less a first row with a cell that is not a number (a header)."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if not rows:
         raise WavetrendError(f"{path} is empty")
+    if any(cell.strip() and not _is_number(cell) for cell in rows[0]):
+        rows = rows[1:]
     return rows
 
 
@@ -151,169 +108,156 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+def _floats(path: str | Path, cells: list[str]) -> np.ndarray:
+    try:
+        return np.array([float(cell) for cell in cells])
+    except ValueError as exc:
+        raise WavetrendError(f"{path}: {exc}") from exc
+
+
 def read_series(path: str | Path) -> np.ndarray:
     """Series CSV: a single value column or time,value; header optional."""
-    rows = _parse_cells(Path(path))
-    if not all(_is_number(c) for c in rows[0]):
-        rows = rows[1:]
+    rows = _data_rows(path)
     if not rows or len(rows[0]) not in (1, 2):
         raise WavetrendError(f"{path}: expected one or two columns")
     col = -1 if len(rows[0]) == 2 else 0
-    try:
-        values = np.array([float(r[col]) for r in rows])
-    except (ValueError, IndexError) as exc:
-        raise WavetrendError(f"{path}: {exc}") from exc
+    values = _floats(path, [r[col] for r in rows])
     if not np.all(np.isfinite(values)):
         raise WavetrendError(f"{path}: values must be finite")
     return values
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    rows = _parse_cells(Path(path))
-    if not all(_is_number(c) for c in rows[0]):
-        rows = rows[1:]
-    try:
-        mat = np.array([[float(c) for c in r] for r in rows])
-    except ValueError as exc:
-        raise WavetrendError(f"{path}: {exc}") from exc
-    return mat
+    rows = _data_rows(path)
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
+        raise WavetrendError(f"{path}: expected a nonempty matrix of equal-length rows")
+    width = len(rows[0])
+    return _floats(path, [cell for r in rows for cell in r]).reshape(len(rows), width)
 
 
 def read_trend(path: str | Path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    rows = _parse_cells(Path(path))
-    if rows and rows[0][:2] == ["t", "estimate"]:
-        rows = rows[1:]
-    est = np.array([float(r[1]) for r in rows])
+    """Trend CSV as written by trend/analyze: t,estimate and optional lo,hi."""
+    rows = _data_rows(path)
+    if not rows or min(len(r) for r in rows) < 2:
+        raise WavetrendError(f"{path}: expected t,estimate[,lo,hi] columns")
     has_ci = all(len(r) >= 4 and r[2].strip() and r[3].strip() for r in rows)
-    if has_ci:
-        lo = np.array([float(r[2]) for r in rows])
-        hi = np.array([float(r[3]) for r in rows])
-        return est, lo, hi
-    return est, None, None
+    width = 3 if has_ci else 1
+    cols = _floats(path, [cell for r in rows for cell in r[1 : 1 + width]])
+    est, *ci = cols.reshape(len(rows), width).T
+    lo, hi = ci or (None, None)
+    return est, lo, hi
 
 
 # ------------------------------------------------------------- estimation
 
-def _load_series(cfg: RunConfig) -> np.ndarray:
-    if not cfg.input:
-        raise WavetrendError(f"{cfg.command} needs an input series file")
-    return as_series(read_series(cfg.input), 16)
+# The estimates whose files each estimation command writes.
+_WRITES = {
+    "spec": ("spectrum",),
+    "trend": ("trend",),
+    "lacf": ("lacv",),
+    "analyze": ("spectrum", "trend", "lacv"),
+}
 
 
-def _spectrum_for(cfg: RunConfig, x: np.ndarray) -> SpectrumEstimate:
-    diff = (cfg.s_lag, cfg.s_diff_number) if cfg.s_do_diff else None
-    smoother = cfg.s_smooth_type if cfg.s_smooth else NONE
+def _spectrum_for(args: argparse.Namespace, x: np.ndarray) -> SpectrumEstimate:
+    diff = (args.s_lag, args.s_diff_number) if args.s_do_diff else None
+    smoother = args.s_smooth_type if args.s_smooth else NONE
     return estimate_spectrum(
         x,
-        filter_number=cfg.s_filter_number,
-        family=cfg.s_family,
-        levels=cfg.s_max_scale,
+        filter_number=args.s_filter_number,
+        family=args.s_family,
+        levels=args.s_max_scale,
         smoother=smoother,
-        binwidth=cfg.s_binwidth,
-        boundary=cfg.s_boundary_handle,
+        binwidth=args.s_binwidth,
+        boundary=args.s_boundary_handle,
         diff=diff,
     )
 
 
-def _spectrum_meta(cfg: RunConfig, est: SpectrumEstimate) -> dict:
+def _spectrum_meta(args: argparse.Namespace, est: SpectrumEstimate) -> dict:
     smoother = est.periodogram.smoother
     return {
         "filter_number": est.filter.number,
         "family": est.filter.family,
         "max_scale": est.levels,
-        "smooth": cfg.s_smooth,
+        "smooth": args.s_smooth,
         "smooth_type": smoother.kind,
         "binwidth": smoother.binwidth,
         "binwidth_clamped": est.binwidth_clamped,
-        "boundary_handle": cfg.s_boundary_handle,
-        "do_diff": cfg.s_do_diff,
-        "lag": cfg.s_lag,
-        "diff_number": cfg.s_diff_number,
+        "boundary_handle": args.s_boundary_handle,
+        "do_diff": args.s_do_diff,
+        "lag": args.s_lag,
+        "diff_number": args.s_diff_number,
         "floored": est.floored,
     }
 
 
-def _trend_config(cfg: RunConfig) -> EstimatorConfig:
-    if cfg.t_transform not in _TRANSFORMS:
-        raise WavetrendError(f"unknown transform {cfg.t_transform!r}")
-    policy = ThresholdPolicy(kind=cfg.t_thresh_type, normal_assumption=cfg.t_thresh_normal)
-    return EstimatorConfig(
-        method=cfg.t_est_type,
-        transform=_TRANSFORMS[cfg.t_transform],
-        boundary=cfg.t_boundary_handle,
-        levels=cfg.t_max_scale,
-        filter_number=cfg.t_filter_number,
-        family=canonical_family(cfg.t_family),
-        policy=policy,
+def _lacv_for(args: argparse.Namespace, spectrum: SpectrumEstimate):
+    acw = autocorrelation_wavelets(spectrum.filter, spectrum.levels)
+    return lacv_from_spectrum(spectrum, acw, lag_max=args.lag_max)
+
+
+def _fit_trend(args: argparse.Namespace, x: np.ndarray, spectrum: SpectrumEstimate | None):
+    """Trend fit with its interval, if asked; the analytic interval also yields the lacv."""
+    config = EstimatorConfig(
+        method=args.t_est_type,
+        transform=_TRANSFORMS[args.t_transform],
+        boundary=args.t_boundary_handle,
+        levels=args.t_max_scale,
+        filter_number=args.t_filter_number,
+        family=canonical_family(args.t_family),
+        policy=ThresholdPolicy(kind=args.t_thresh_type, normal_assumption=args.t_thresh_normal),
     )
-
-
-def _pairing_notes(cfg: RunConfig) -> list[str]:
-    notes = []
-    if cfg.t_est_type == NONLINEAR and not cfg.s_do_diff:
-        notes.append("nonlinear trend paired with undifferenced spectrum; differenced recommended")
-    if cfg.t_est_type == LINEAR and cfg.s_do_diff:
-        notes.append("linear trend paired with differenced spectrum; direct recommended")
-    return notes
-
-
-def _estimate_all(cfg: RunConfig, x: np.ndarray, want_spectrum: bool = False):
-    """Shared spectrum/trend/interval estimation for trend and analyze."""
-    config = _trend_config(cfg)
-    needed = want_spectrum or cfg.t_ci or cfg.t_est_type == NONLINEAR
-    spectrum = _spectrum_for(cfg, x) if needed else None
     floored = None
-    if cfg.t_est_type == NONLINEAR:
+    if args.t_est_type == NONLINEAR:
         # an unfloored estimate can zero the threshold in patches and let
         # raw noise through; the thresholder always gets the floored copy
         floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0), floored=True)
     fit = estimate_trend(x, config, spectrum=floored)
-    lag_max = cfg.lag_max
-    lacv = None
-    if cfg.t_ci:
-        if cfg.t_ci_type not in _CI_TYPES:
-            raise WavetrendError(f"unknown interval type {cfg.t_ci_type!r}")
-        ci = _CI_TYPES[cfg.t_ci_type]
-        if ci == ANALYTIC:
-            acw = autocorrelation_wavelets(spectrum.filter, spectrum.levels)
-            lacv = lacv_from_spectrum(spectrum, acw, lag_max=lag_max)
-            fit = analytic_ci(x, fit, lacv, alpha=cfg.t_sig_lvl)
-        else:
-            seed = cfg.seed if cfg.seed is not None else 0
-            fit = bootstrap_ci(
-                x,
-                fit,
-                floored if floored is not None else spectrum,
-                reps=cfg.t_reps,
-                alpha=cfg.t_sig_lvl,
-                ci_type=ci,
-                seed=seed,
-            )
-    return spectrum, fit, lacv
+    if not args.t_ci:
+        return fit, None
+    ci = _CI_TYPES[args.t_ci_type]
+    if ci == ANALYTIC:
+        lacv = _lacv_for(args, spectrum)
+        return analytic_ci(x, fit, lacv, alpha=args.t_sig_lvl), lacv
+    spectrum = floored if floored is not None else spectrum
+    fit = bootstrap_ci(
+        x, fit, spectrum, reps=args.t_reps, alpha=args.t_sig_lvl, ci_type=ci, seed=args.seed
+    )
+    return fit, None
 
 
-def _trend_meta(cfg: RunConfig, fit) -> dict:
+def _trend_meta(args: argparse.Namespace, fit) -> dict:
     return {
-        "est_type": cfg.t_est_type,
-        "transform": cfg.t_transform,
+        "est_type": args.t_est_type,
+        "transform": args.t_transform,
         "filter_number": fit.filter.number,
         "family": fit.filter.family,
         "max_scale": fit.levels,
-        "boundary_handle": cfg.t_boundary_handle,
-        "thresh_type": cfg.t_thresh_type,
-        "thresh_normal": cfg.t_thresh_normal,
-        "spectrum_floored_for_threshold": cfg.t_est_type == NONLINEAR,
-        "ci": cfg.t_ci,
-        "ci_type": cfg.t_ci_type if cfg.t_ci else None,
-        "sig_lvl": cfg.t_sig_lvl if cfg.t_ci else None,
+        "boundary_handle": args.t_boundary_handle,
+        "thresh_type": args.t_thresh_type,
+        "thresh_normal": args.t_thresh_normal,
+        "spectrum_floored_for_threshold": args.t_est_type == NONLINEAR,
+        "ci": args.t_ci,
+        "ci_type": args.t_ci_type if args.t_ci else None,
+        "sig_lvl": args.t_sig_lvl if args.t_ci else None,
         "reps": fit.reps,
     }
 
 
+def _pairing_notes(args: argparse.Namespace) -> list[str]:
+    notes = []
+    if args.t_est_type == NONLINEAR and not args.s_do_diff:
+        notes.append("nonlinear trend paired with undifferenced spectrum; differenced recommended")
+    if args.t_est_type == LINEAR and args.s_do_diff:
+        notes.append("linear trend paired with differenced spectrum; direct recommended")
+    return notes
+
+
 # ---------------------------------------------------------------- commands
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -322,35 +266,35 @@ def _write_metadata(out: Path, meta: dict) -> None:
     _write_atomic(out / "metadata.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_sim(cfg: RunConfig) -> None:
-    out = _out_dir(cfg)
-    meta = {"command": "sim", "seed": cfg.seed, "out_dir": cfg.out_dir}
-    if cfg.scenario:
-        sc = scenario(cfg.scenario)
-        x = sc.simulate(seed=cfg.seed)
+def cmd_sim(args: argparse.Namespace) -> None:
+    out = _out_dir(args)
+    meta = {"command": "sim", "seed": args.seed, "out_dir": args.out_dir}
+    if args.scenario:
+        sc = scenario(args.scenario)
+        x = sc.simulate(seed=args.seed)
         meta.update(
             scenario=sc.name,
             n=sc.length,
             filter_number=sc.filter_number,
             family=sc.family,
         )
-    elif cfg.trend_csv or cfg.spec_csv:
-        trend = read_series(cfg.trend_csv) if cfg.trend_csv else None
-        spec = read_matrix(cfg.spec_csv) if cfg.spec_csv else None
+    elif args.trend_csv or args.spec_csv:
+        trend = read_series(args.trend_csv) if args.trend_csv else None
+        spec = read_matrix(args.spec_csv) if args.spec_csv else None
         x = tlsw_sim(
             trend=trend,
             spec=spec,
-            filter_number=cfg.filter_number,
-            family=cfg.family,
-            seed=cfg.seed,
+            filter_number=args.filter_number,
+            family=args.family,
+            seed=args.seed,
         )
         meta.update(
             scenario=None,
             n=int(x.size),
-            filter_number=cfg.filter_number,
-            family=canonical_family(cfg.family),
-            trend_csv=cfg.trend_csv,
-            spec_csv=cfg.spec_csv,
+            filter_number=args.filter_number,
+            family=canonical_family(args.family),
+            trend_csv=args.trend_csv,
+            spec_csv=args.spec_csv,
         )
     else:
         raise WavetrendError("sim needs --scenario or --trend-csv/--spec-csv")
@@ -358,94 +302,54 @@ def cmd_sim(cfg: RunConfig) -> None:
     _write_metadata(out, meta)
 
 
-def cmd_spec(cfg: RunConfig) -> None:
-    out = _out_dir(cfg)
-    x = _load_series(cfg)
-    est = _spectrum_for(cfg, x)
-    _write_matrix(out / "spectrum.csv", est.S)
-    _write_metadata(out, {
-        "command": "spec",
-        "input": cfg.input,
-        "out_dir": cfg.out_dir,
-        "n": int(x.size),
-        "seed": cfg.seed,
-        "spectrum": _spectrum_meta(cfg, est),
-    })
+def cmd_estimate(args: argparse.Namespace) -> None:
+    """spec, trend, lacf and analyze: estimate what the command writes, then write it."""
+    out = _out_dir(args)
+    x = as_series(read_series(args.input), 16)
+    writes = _WRITES[args.command]
+    spectrum = fit = lacv = None
+    # trend alone needs a spectrum only for an interval or a threshold
+    if writes != ("trend",) or args.t_ci or args.t_est_type == NONLINEAR:
+        spectrum = _spectrum_for(args, x)
+    if "trend" in writes:
+        fit, lacv = _fit_trend(args, x, spectrum)
+    if "lacv" in writes and lacv is None:
+        lacv = _lacv_for(args, spectrum)
 
-
-def cmd_trend(cfg: RunConfig) -> None:
-    out = _out_dir(cfg)
-    x = _load_series(cfg)
-    spectrum, fit, lacv = _estimate_all(cfg, x)
-    _write_trend(out / "trend.csv", fit.values, fit.ci_lo, fit.ci_hi)
     meta = {
-        "command": "trend",
-        "input": cfg.input,
-        "out_dir": cfg.out_dir,
+        "command": args.command,
+        "input": args.input,
+        "out_dir": args.out_dir,
         "n": int(x.size),
-        "seed": cfg.seed,
-        "trend": _trend_meta(cfg, fit),
-        "notes": _pairing_notes(cfg),
+        "seed": args.seed,
     }
     if spectrum is not None:
-        meta["spectrum"] = _spectrum_meta(cfg, spectrum)
+        meta["spectrum"] = _spectrum_meta(args, spectrum)
+    if fit is not None:
+        meta["trend"] = _trend_meta(args, fit)
+        meta["notes"] = _pairing_notes(args)
     if lacv is not None:
         meta["lacv"] = {"lag_max": lacv.lag_max}
+    if "spectrum" in writes:
+        _write_matrix(out / "spectrum.csv", spectrum.S)
+    if "trend" in writes:
+        _write_trend(out / "trend.csv", fit.values, fit.ci_lo, fit.ci_hi)
+    if "lacv" in writes:
+        _write_matrix(out / "lacv.csv", lacv.lacv)
     _write_metadata(out, meta)
 
 
-def cmd_lacf(cfg: RunConfig) -> None:
-    out = _out_dir(cfg)
-    x = _load_series(cfg)
-    est = _spectrum_for(cfg, x)
-    acw = autocorrelation_wavelets(est.filter, est.levels)
-    lacv = lacv_from_spectrum(est, acw, lag_max=cfg.lag_max)
-    _write_matrix(out / "lacv.csv", lacv.lacv)
-    _write_metadata(out, {
-        "command": "lacf",
-        "input": cfg.input,
-        "out_dir": cfg.out_dir,
-        "n": int(x.size),
-        "seed": cfg.seed,
-        "spectrum": _spectrum_meta(cfg, est),
-        "lacv": {"lag_max": lacv.lag_max},
-    })
-
-
-def cmd_analyze(cfg: RunConfig) -> None:
-    out = _out_dir(cfg)
-    x = _load_series(cfg)
-    spectrum, fit, lacv = _estimate_all(cfg, x, want_spectrum=True)
-    if lacv is None:
-        acw = autocorrelation_wavelets(spectrum.filter, spectrum.levels)
-        lacv = lacv_from_spectrum(spectrum, acw, lag_max=cfg.lag_max)
-    _write_matrix(out / "spectrum.csv", spectrum.S)
-    _write_trend(out / "trend.csv", fit.values, fit.ci_lo, fit.ci_hi)
-    _write_matrix(out / "lacv.csv", lacv.lacv)
-    _write_metadata(out, {
-        "command": "analyze",
-        "input": cfg.input,
-        "out_dir": cfg.out_dir,
-        "n": int(x.size),
-        "seed": cfg.seed,
-        "spectrum": _spectrum_meta(cfg, spectrum),
-        "trend": _trend_meta(cfg, fit),
-        "lacv": {"lag_max": lacv.lag_max},
-        "notes": _pairing_notes(cfg),
-    })
-
-
-def cmd_plot(cfg: RunConfig) -> None:
-    out = _out_dir(cfg)
-    wanted = ("trend", "spec", "lacf") if cfg.plot_type == "all" else (cfg.plot_type,)
-    explicit = cfg.plot_type != "all"
+def cmd_plot(args: argparse.Namespace) -> None:
+    out = _out_dir(args)
+    wanted = ("trend", "spec", "lacf") if args.plot_type == "all" else (args.plot_type,)
+    explicit = args.plot_type != "all"
     written = []
 
     trend_path = out / "trend.csv"
     if "trend" in wanted and (explicit or trend_path.exists()):
         est, lo, hi = read_trend(trend_path)
-        if cfg.input:
-            data = read_series(cfg.input)
+        if args.input:
+            data = read_series(args.input)
         elif (out / "series.csv").exists():
             data = read_series(out / "series.csv")
         else:
@@ -456,14 +360,14 @@ def cmd_plot(cfg: RunConfig) -> None:
     spec_path = out / "spectrum.csv"
     if "spec" in wanted and (explicit or spec_path.exists()):
         S = read_matrix(spec_path)
-        _write_atomic(out / "spectrum.svg", spectrum_figure(S, scaling=cfg.scaling))
+        _write_atomic(out / "spectrum.svg", spectrum_figure(S, scaling=args.scaling))
         written.append("spectrum.svg")
 
     lacv_path = out / "lacv.csv"
     if "lacf" in wanted and (explicit or lacv_path.exists()):
         lacv = read_matrix(lacv_path)
         n = lacv.shape[0]
-        times = list(cfg.lacf_times) if cfg.lacf_times else [n // 4, n // 2, 3 * n // 4]
+        times = args.lacf_times or [n // 4, n // 2, 3 * n // 4]
         _write_atomic(out / "lacf.svg", lacf_figure(lacv, times))
         written.append("lacf.svg")
 
@@ -471,14 +375,7 @@ def cmd_plot(cfg: RunConfig) -> None:
         raise FileNotFoundError(f"no result CSVs found in {out}")
 
 
-_COMMANDS = {
-    "sim": cmd_sim,
-    "spec": cmd_spec,
-    "trend": cmd_trend,
-    "lacf": cmd_lacf,
-    "analyze": cmd_analyze,
-    "plot": cmd_plot,
-}
+_COMMANDS = {"sim": cmd_sim, "plot": cmd_plot, **dict.fromkeys(_WRITES, cmd_estimate)}
 
 
 # ------------------------------------------------------------------ parser
@@ -564,27 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    d = vars(ns).copy()
-    diff = d.pop("diff_shortcut", None)
+def _fold_shorthands(args: argparse.Namespace) -> None:
+    """--diff LAG and --ci TYPE set the long options they abbreviate."""
+    diff = vars(args).pop("diff_shortcut", None)
     if diff is not None:
-        d["s_do_diff"] = True
-        d["s_lag"] = diff
-    ci = d.pop("ci_shortcut", None)
+        args.s_do_diff, args.s_lag = True, diff
+    ci = vars(args).pop("ci_shortcut", None)
     if ci is not None:
-        d["t_ci"] = True
-        d["t_ci_type"] = ci
-    if d.get("lacf_times") is not None:
-        d["lacf_times"] = tuple(d["lacf_times"])
-    return RunConfig(**d)
+        args.t_ci, args.t_ci_type = True, ci
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = config_from_args(ns)
+    args = build_parser().parse_args(argv)
+    _fold_shorthands(args)
     try:
-        _COMMANDS[cfg.command](cfg)
+        _COMMANDS[args.command](args)
     except WavetrendError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

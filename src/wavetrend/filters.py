@@ -389,24 +389,3 @@ def wavelet_filter(family: str, number: int) -> WaveletFilter:
     h.setflags(write=False)
     g.setflags(write=False)
     return WaveletFilter(family=fam, number=number, lowpass=h, highpass=g)
-
-
-def _verify_tables() -> None:
-    # guards against transcription errors in the literals above
-    sq2 = np.sqrt(2.0)
-    for fam, table in _TABLES.items():
-        for number, coeffs in table.items():
-            h = np.asarray(coeffs)
-            if abs(h.sum() - sq2) > 1e-12:
-                raise AssertionError(f"{fam}:{number} sum(h) != sqrt(2)")
-            if abs(h @ h - 1.0) > 1e-12:
-                raise AssertionError(f"{fam}:{number} ||h|| != 1")
-            for m in range(1, h.size // 2):
-                if abs(h[: -2 * m] @ h[2 * m :]) > 1e-12:
-                    raise AssertionError(f"{fam}:{number} shift-{2 * m} overlap")
-            g = _mirror_highpass(h)
-            if abs(g.sum()) > 1e-12:
-                raise AssertionError(f"{fam}:{number} sum(g) != 0")
-
-
-_verify_tables()

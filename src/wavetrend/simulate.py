@@ -33,6 +33,7 @@ from .errors import (
     NegativeSpectrum,
     NonDyadicFunctionalSpec,
     SeriesTooShort,
+    WavetrendError,
 )
 from .filters import WaveletFilter, wavelet_filter
 from .wavelets import DiscreteWavelet, discrete_wavelets
@@ -158,6 +159,12 @@ def synthesis_kernel(dw: DiscreteWavelet, level: int, n: int) -> np.ndarray:
     return kernel
 
 
+def check_seed(seed) -> None:
+    """numpy seeds with nonnegative integers; a negative one is a WavetrendError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise WavetrendError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def tlsw_sim(
     trend: TrendLike = None,
     spec: SpecLike | None = None,
@@ -191,6 +198,7 @@ def tlsw_sim(
     if filt is None:
         filt = wavelet_filter(family, filter_number)
     draw = innovations if innovations is not None else gaussian_innovations
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     dw = discrete_wavelets(filt, levels)
     amplitude = np.sqrt(smat)

@@ -33,6 +33,7 @@ from .wavelets import (
     CorrectionMatrix,
     a_matrix,
     autocorrelation_wavelets,
+    check_diff,
     d_matrix,
     difference_series,
 )
@@ -176,6 +177,10 @@ def wavelet_periodogram(
     if levels > cap:
         raise ScaleTooDeep(f"{levels} levels exceeds floor(log2 {n}) = {cap}")
     lag, order = _parse_diff(diff)
+    if order:
+        # on the series itself: the reflected extension is long enough for
+        # any lag, but the data window cut from it would not be
+        check_diff(n, lag, order)
     lost = lag * order
     if boundary:
         # Extend before differencing: the reflected series differences

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .filters import EXTREMAL_PHASE, WaveletFilter, wavelet_filter
 from .lacv import LacvEstimate
-from .simulate import max_scales, tlsw_sim
+from .simulate import check_seed, max_scales, tlsw_sim
 from .spectrum import SpectrumEstimate, default_levels
 from .transforms import (
     DECIMATED,
@@ -419,6 +419,7 @@ def bootstrap_ci(
         raise TooFewReps(f"need at least {needed} replicates for alpha = {alpha}")
     if spectrum is None or not isinstance(spectrum, SpectrumEstimate):
         raise MissingSpectrum("bootstrap needs a spectrum estimate")
+    check_seed(seed)
     streams = np.random.SeedSequence(int(seed) if seed is not None else 0).spawn(reps)
     smat = _padded_spectrum(spectrum)
     fits = np.empty((reps, trend.length))

@@ -259,6 +259,19 @@ def cross_a_matrix(
 _DIFF_NORM = {1: np.sqrt(2.0), 2: np.sqrt(6.0)}
 
 
+def check_diff(n: int, lag: int, order: int) -> None:
+    """A (lag, order) difference must be defined and leave two of n values."""
+    if order not in _DIFF_NORM:
+        raise InvalidDiffSpec(f"difference order must be 1 or 2, got {order}")
+    if lag < 1:
+        raise InvalidDiffSpec("difference lag must be a positive integer")
+    if order == 2 and lag != 1:
+        raise InvalidDiffSpec("second differencing is only defined for lag 1")
+    needed = lag * order + 2
+    if n < needed:
+        raise SeriesTooShort(f"need at least {needed} observations, got {n}")
+
+
 def difference_series(x: np.ndarray, lag: int = 1, order: int = 1) -> np.ndarray:
     """Variance-normalised differencing.
 
@@ -269,15 +282,7 @@ def difference_series(x: np.ndarray, lag: int = 1, order: int = 1) -> np.ndarray
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatch("expected a one dimensional series")
-    if order not in _DIFF_NORM:
-        raise InvalidDiffSpec(f"difference order must be 1 or 2, got {order}")
-    if lag < 1:
-        raise InvalidDiffSpec("difference lag must be a positive integer")
-    if order == 2 and lag != 1:
-        raise InvalidDiffSpec("second differencing is only defined for lag 1")
-    needed = lag * order + 2
-    if x.size < needed:
-        raise SeriesTooShort(f"need at least {needed} observations, got {x.size}")
+    check_diff(x.size, lag, order)
     if order == 1:
         out = x[lag:] - x[:-lag]
     else:

@@ -5,10 +5,16 @@ files it leaves behind rather than internal state; byte comparisons double
 as determinism checks because all writes are atomic and timestamp-free.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavetrend.cli import main, read_series, read_trend
 from wavetrend.scenarios import scenario
@@ -225,3 +231,106 @@ def test_read_series_accepts_two_columns(tmp_path):
     src = tmp_path / "two.csv"
     src.write_text("time,value\n0,1.5\n1,-2.25\n2,0.125\n")
     assert np.array_equal(read_series(src), [1.5, -2.25, 0.125])
+
+
+BASE_KEYS = {"command", "input", "out_dir", "n", "seed"}
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (("spec",), {"spectrum"}),
+    (("lacf",), {"spectrum", "lacv"}),
+    (("analyze",), {"spectrum", "trend", "notes", "lacv"}),
+    (("trend",), {"trend", "notes"}),
+    (("trend", "--est-type", "nonlinear"), {"spectrum", "trend", "notes"}),
+    (("trend", "--t-transform", "dec", "--ci", "analytic"), {"spectrum", "trend", "notes", "lacv"}),
+    (("trend", "--ci", "normal", "--reps", 40), {"spectrum", "trend", "notes"}),
+])
+def test_metadata_keys_per_command(tmp_path, argv, extra):
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(24).standard_normal(64))
+    d = tmp_path / "out"
+    assert run(argv[0], src, "--out-dir", d, *argv[1:]) == 0
+    assert set(json.loads((d / "metadata.json").read_text())) == BASE_KEYS | extra
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{src}", "--ci", "normal", "--reps", 40, "--seed", -1),
+    ("sim", "--scenario", "x1", "--seed", -3),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(25).standard_normal(64))
+    argv = [str(src) if a == "{src}" else a for a in argv]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,kind,text", [
+    ("trend.csv", "trend", "t,estimate,lo,hi\n0,1.5,,\n1,oops,,\n"),
+    ("trend.csv", "trend", "estimate\n1.5\n2.5\n"),
+    ("spectrum.csv", "spec", "a,b\n"),
+])
+def test_plot_malformed_result_exits_2(tmp_path, capsys, name, kind, text):
+    (tmp_path / name).write_text(text)
+    assert run("plot", "--out-dir", tmp_path, "--plot-type", kind) == 2
+    assert "WavetrendError" in capsys.readouterr().err
+
+
+N_PROP = 64
+
+
+def _maybe(*values):
+    """None half the time, else one of values."""
+    return st.sampled_from([None] * len(values) + list(values))
+
+
+@st.composite
+def analyze_flags(draw):
+    """analyze flags over their valid ranges and past them, as strings."""
+    flags = []
+
+    def opt(name, value):
+        if value is not None:
+            flags.extend([name, str(value)])
+
+    opt("--s-binwidth", draw(_maybe(3, 9, 31, N_PROP + 1, -3, 8)))
+    opt("--s-max-scale", draw(_maybe(0, 2, 4, 6, 7)))
+    opt("--t-max-scale", draw(_maybe(0, 2, 4, 6, 7)))
+    opt("--s-filter-number", draw(_maybe(1, 4, 6, 10, 11)))
+    opt("--t-filter-number", draw(_maybe(1, 4, 6, 10, 11)))
+    opt("--s-family", draw(_maybe("extremal_phase", "DaubLeAsymm", "coiflet")))
+    opt("--t-family", draw(_maybe("extremal_phase", "DaubLeAsymm", "coiflet")))
+    opt("--s-smooth-type", draw(_maybe("mean", "median", "epan")))
+    if draw(st.booleans()):
+        flags.append("--s-do-diff")
+        opt("--s-lag", draw(st.none() | st.integers(-1, 2 * N_PROP)))
+        opt("--s-diff-number", draw(_maybe(0, 1, 2, 3)))
+    opt("--lag-max", draw(st.none() | st.integers(-2, 2 * N_PROP)))
+    opt("--est-type", draw(_maybe("linear", "nonlinear")))
+    opt("--t-transform", draw(_maybe("dec", "nondec")))
+    opt("--ci", draw(_maybe("analytic", "normal", "percentile")))
+    opt("--t-sig-lvl", draw(_maybe(float("nan"), 0.0, 0.05, 0.5, 1.5)))
+    opt("--reps", draw(st.sampled_from([0, 40])))
+    opt("--seed", draw(st.none() | st.integers(-3, 3)))
+    for switch in ("--no-s-smooth", "--no-s-boundary-handle", "--no-t-boundary-handle"):
+        if draw(st.booleans()):
+            flags.append(switch)
+    return flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(flags=analyze_flags())
+def test_analyze_flag_combinations_exit_cleanly(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, d = Path(tmp) / "series.csv", Path(tmp) / "out"
+        write_series_csv(src, np.random.default_rng(26).standard_normal(N_PROP))
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = run("analyze", src, "--out-dir", d, *flags)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            assert np.loadtxt(d / "spectrum.csv", delimiter=",", ndmin=2).shape[1] == N_PROP
+            assert read_trend(d / "trend.csv")[0].size == N_PROP
+            assert np.loadtxt(d / "lacv.csv", delimiter=",", ndmin=2).shape[0] == N_PROP

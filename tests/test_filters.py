@@ -33,6 +33,7 @@ def test_highpass_is_quadrature_mirror(family, number):
     h, g = filt.lowpass, filt.highpass
     signs = (-1.0) ** np.arange(h.size)
     assert np.allclose(g, signs * h[::-1], atol=1e-15)
+    assert abs(g.sum()) < 1e-12
 
 
 @pytest.mark.parametrize("family,number", ALL_FILTERS)

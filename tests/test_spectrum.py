@@ -131,6 +131,23 @@ def test_estimate_requires_length():
         estimate_spectrum(np.zeros(15))
 
 
+@pytest.mark.parametrize("boundary", [True, False])
+def test_oversize_diff_lag_rejected(boundary):
+    # lag * order + 2 <= n holds on the series itself, whatever the extension
+    x = np.random.default_rng(6).standard_normal(1000)
+    with pytest.raises(SeriesTooShort):
+        estimate_spectrum(x, diff=(1500, 1), boundary=boundary)
+    with pytest.raises(SeriesTooShort):
+        wavelet_periodogram(x, EP4, 3, boundary=boundary, diff=(999, 1))
+
+
+def test_diff_lag_just_inside_bound():
+    x = np.random.default_rng(6).standard_normal(1000)
+    est = estimate_spectrum(x, diff=(998, 1))
+    assert est.S.shape == (default_levels(1000), 1000)
+    assert np.all(np.isfinite(est.S))
+
+
 def test_scale_equivariance():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(128)
