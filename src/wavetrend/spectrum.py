@@ -25,7 +25,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidBinwidth, MatrixMismatch, ScaleTooDeep
+from .errors import InvalidBinwidth, MatrixMismatch, ScaleTooDeep, SeriesTooShort
 from .filters import WaveletFilter, wavelet_filter
 from .transforms import TREND_REFLECT, as_series, extend_series, ndwt_forward
 from .wavelets import (
@@ -177,11 +177,16 @@ def wavelet_periodogram(
     if levels > cap:
         raise ScaleTooDeep(f"{levels} levels exceeds floor(log2 {n}) = {cap}")
     lag, order = _parse_diff(diff)
+    lost = lag * order
     if order:
         # on the series itself: the reflected extension is long enough for
         # any lag, but the data window cut from it would not be
         check_diff(n, lag, order)
-    lost = lag * order
+        if not boundary and n - lost < 2**levels:
+            raise SeriesTooShort(
+                f"differencing at lag {lag}, order {order} leaves {n - lost} of {n} "
+                f"observations; {levels} levels need at least {2**levels}"
+            )
     if boundary:
         # Extend before differencing: the reflected series differences
         # smoothly across the seam, whereas reflecting an already

@@ -41,6 +41,8 @@ __all__ = [
     "ExtensionDescriptor",
     "CoefficientPyramid",
     "as_series",
+    "extension_descriptor",
+    "extend_rows",
     "extend_series",
     "ndwt_forward",
     "ndwt_average_basis",
@@ -88,35 +90,48 @@ class ExtensionDescriptor:
         return slice(self.offset, self.offset + self.original_length)
 
 
-def extend_series(x: np.ndarray, policy: str) -> tuple[np.ndarray, ExtensionDescriptor]:
-    """Extend a series to a dyadic length with the original segment centred."""
-    x = as_series(x, 2)
-    n = x.size
+def extension_descriptor(n: int, policy: str) -> ExtensionDescriptor:
+    """Where extend_series puts a length-n series."""
     if policy == TREND_REFLECT:
-        base = x
         target = next_pow2(2 * n)
+        offset = (target - n) // 2
     elif policy == SYMMETRIC_TRIPLE:
-        base = np.concatenate([x[::-1], x, x[::-1]])
         target = next_pow2(3 * n)
+        offset = (target - 3 * n) // 2 + n
     else:
         raise ValueError(f"unknown extension policy {policy!r}")
-    pad = target - base.size
-    left = pad // 2
-    right = pad - left
-    ext = np.pad(base, (left, right), mode="reflect", reflect_type="odd")
-    offset = left if policy == TREND_REFLECT else left + n
-    return ext, ExtensionDescriptor(
+    return ExtensionDescriptor(
         policy=policy, original_length=n, extended_length=target, offset=offset
     )
 
 
+def extend_rows(x: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
+    """Extend every row along the last axis of x as desc says; rows are not checked."""
+    left = desc.offset
+    if desc.policy == SYMMETRIC_TRIPLE:
+        x = np.concatenate([x[..., ::-1], x, x[..., ::-1]], axis=-1)
+        left -= desc.original_length
+    right = desc.extended_length - x.shape[-1] - left
+    widths = [(0, 0)] * (x.ndim - 1) + [(left, right)]
+    return np.pad(x, widths, mode="reflect", reflect_type="odd")
+
+
+def extend_series(x: np.ndarray, policy: str) -> tuple[np.ndarray, ExtensionDescriptor]:
+    """Extend a series to a dyadic length with the original segment centred."""
+    x = as_series(x, 2)
+    desc = extension_descriptor(x.size, policy)
+    return extend_rows(x, desc), desc
+
+
 @dataclass(frozen=True)
 class CoefficientPyramid:
-    """Wavelet coefficients of one transform of one series.
+    """Wavelet coefficients of one transform of a series, or of a batch of
+    series along the leading axes.
 
     details[j - 1] holds the level-j detail coefficients; scaling holds the
     deepest-level scaling coefficients.  Nondecimated rows all have the
-    transform length; decimated rows halve per level.
+    transform length; decimated rows halve per level.  length is the
+    transform length, the size of the last axis.
     """
 
     mode: str
@@ -163,53 +178,68 @@ def _windows(n: int, offset: int, stride: int):
 def _analysis_step(
     approx: np.ndarray, filt: WaveletFilter, step: int, stride: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Circular correlation of a row with the highpass and lowpass filters.
+    """Circular correlation of each row with the highpass and lowpass filters.
 
-    detail[i] = sum_m g[m] approx[(stride i + step m) % n] and smooth likewise
-    with h: taps step apart, every stride-th output position kept.
+    detail[..., i] = sum_m g[m] approx[..., (stride i + step m) % n] and
+    smooth likewise with h: taps step apart, every stride-th output position
+    kept.  Rows run along the last axis; every row of a batch gets the same
+    multiply-adds in the same order as a one-row call.
     """
-    n = approx.size
-    detail = np.zeros(n // stride)
-    smooth = np.zeros(n // stride)
+    n = approx.shape[-1]
+    detail = np.zeros(approx.shape[:-1] + (n // stride,))
+    smooth = np.zeros_like(detail)
     for m, (g, h) in enumerate(zip(filt.highpass, filt.lowpass)):
         for out, src in _windows(n, step * m % n, stride):
-            window = approx[src]
+            window = approx[..., src]
             # accumulate through views; `row[out] += ...` would also copy back
-            d, a = detail[out], smooth[out]
+            d, a = detail[..., out], smooth[..., out]
             d += g * window
             a += h * window
     return detail, smooth
 
 
 def _synthesis_step(
-    approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter, step: int
+    approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter, step: int, stride: int
 ) -> np.ndarray:
-    """Adjoint of _analysis_step at stride 1 applied to both rows, summed."""
-    n = approx.size
-    nxt = np.zeros(n)
+    """Adjoint of _analysis_step applied to both rows, summed.
+
+    out[..., (stride i + step m) % (stride k)] += h[m] approx[..., i] +
+    g[m] detail[..., i] for rows of length k.  Each tap writes one phase of
+    the output (every stride-th position), so at stride 2 no multiply-add
+    lands on the zeros of an upsampled row; taps still run in ascending order.
+    """
+    k = approx.shape[-1]
+    nxt = np.zeros(approx.shape[:-1] + (stride * k,))
     for m, (g, h) in enumerate(zip(filt.highpass, filt.lowpass)):
-        for out, src in _windows(n, -step * m % n, 1):
-            acc = nxt[out]
-            acc += h * approx[src]
-            acc += g * detail[src]
+        shift = step * m
+        phase = nxt[..., shift % stride :: stride]
+        for out, src in _windows(k, -(shift // stride) % k, 1):
+            acc = phase[..., out]
+            acc += h * approx[..., src]
+            acc += g * detail[..., src]
     return nxt
 
 
 def ndwt_forward(x: np.ndarray, filt: WaveletFilter, levels: int) -> CoefficientPyramid:
-    """Nondecimated transform with centre-aligned coefficient rows."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_levels(x.size, levels)
+    """Nondecimated transform with centre-aligned coefficient rows.
+
+    x may hold many series along its last axis; the pyramid's rows keep the
+    leading axes.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    n = x.shape[-1]
+    _check_levels(n, levels)
     approx = x
     details: list[np.ndarray] = []
     for j in range(1, levels + 1):
         detail, approx = _analysis_step(approx, filt, 2 ** (j - 1), 1)
-        details.append(np.roll(detail, centre_shift(filt.length, j)))
-    scaling = np.roll(approx, centre_shift(filt.length, levels))
+        details.append(np.roll(detail, centre_shift(filt.length, j), axis=-1))
+    scaling = np.roll(approx, centre_shift(filt.length, levels), axis=-1)
     return CoefficientPyramid(
         mode=NONDECIMATED,
         filter=filt,
         levels=levels,
-        length=x.size,
+        length=n,
         details=tuple(details),
         scaling=scaling,
     )
@@ -220,17 +250,21 @@ def ndwt_average_basis(pyr: CoefficientPyramid) -> np.ndarray:
     if pyr.mode != NONDECIMATED:
         raise ModeMismatch("pyramid was not produced by ndwt_forward")
     length = pyr.filter.length
-    approx = np.roll(pyr.scaling, -centre_shift(length, pyr.levels))
+    approx = np.roll(pyr.scaling, -centre_shift(length, pyr.levels), axis=-1)
     for j in range(pyr.levels, 0, -1):
-        detail = np.roll(pyr.detail(j), -centre_shift(length, j))
-        approx = 0.5 * _synthesis_step(approx, detail, pyr.filter, 2 ** (j - 1))
+        detail = np.roll(pyr.detail(j), -centre_shift(length, j), axis=-1)
+        approx = 0.5 * _synthesis_step(approx, detail, pyr.filter, 2 ** (j - 1), 1)
     return approx
 
 
 def dwt_forward(x: np.ndarray, filt: WaveletFilter, levels: int) -> CoefficientPyramid:
-    """Orthogonal periodic transform; needs a power-of-two length."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    """Orthogonal periodic transform; needs a power-of-two length.
+
+    x may hold many series along its last axis; the pyramid's rows keep the
+    leading axes.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    n = x.shape[-1]
     if n < 2 or n & (n - 1):
         raise NonDyadicLength(f"decimated transform needs a power-of-two length, got {n}")
     _check_levels(n, levels)
@@ -255,9 +289,7 @@ def dwt_inverse(pyr: CoefficientPyramid) -> np.ndarray:
         raise ModeMismatch("pyramid was not produced by dwt_forward")
     approx = pyr.scaling
     for j in range(pyr.levels, 0, -1):
-        up = np.zeros((2, 2 * approx.size))
-        up[0, 0::2], up[1, 0::2] = approx, pyr.detail(j)
-        approx = _synthesis_step(up[0], up[1], pyr.filter, 1)
+        approx = _synthesis_step(approx, pyr.detail(j), pyr.filter, 1, 2)
     return approx
 
 

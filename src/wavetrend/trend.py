@@ -9,13 +9,14 @@ estimated standard deviation, which adapts to inhomogeneous trends at the
 price of needing a spectrum estimate first.
 
 Confidence intervals come in two flavours.  The analytic interval
-materialises the linear estimator as a matrix (one transform per unit
-vector) and propagates the estimated local autocovariance through it; it
-is restricted to the decimated linear estimator, where the operator is
-small enough and the coefficient edits are data independent.  The
-bootstrap interval resimulates noise from the estimated spectrum around
-the fitted trend and re-runs the identical estimator, which works for any
-configuration.
+materialises the linear estimator as a matrix, pushing blocks of identity
+rows through one batched transform pair each (a block holds at most 2**16
+doubles of extended series), and propagates the estimated local
+autocovariance through it; it is restricted to the decimated linear
+estimator, where the operator is small enough and the coefficient edits
+are data independent.  The bootstrap interval resimulates noise from the
+estimated spectrum around the fitted trend and re-runs the identical
+estimator, which works for any configuration.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from .transforms import (
     detail_support,
     dwt_forward,
     dwt_inverse,
-    extend_series,
+    extend_rows,
+    extension_descriptor,
     ndwt_average_basis,
     ndwt_forward,
 )
@@ -143,32 +145,51 @@ def _interior_mask(
     return (start >= desc.offset) & (start + length <= end)
 
 
+def _extension(n: int, boundary: bool) -> ExtensionDescriptor:
+    """Where a length-n series sits in the array the trend estimators transform."""
+    if boundary:
+        return extension_descriptor(n, SYMMETRIC_TRIPLE)
+    return ExtensionDescriptor(policy="none", original_length=n, extended_length=n, offset=0)
+
+
 def _edited_fit(
     x: np.ndarray,
     filt: WaveletFilter,
     levels: int,
     transform: str,
-    boundary: bool,
+    desc: ExtensionDescriptor,
     edit,
 ) -> np.ndarray:
     """Extend, transform, edit every detail row, invert, cut back to the data.
 
-    edit(mode, level, detail, desc) returns the replacement detail row.
+    x holds one series, or a batch of series along its last axis; desc is
+    _extension of the series length.  edit(mode, level, detail) returns the
+    replacement detail rows.
     """
-    if boundary:
-        ext, desc = extend_series(x, SYMMETRIC_TRIPLE)
-    else:
-        ext, desc = x, ExtensionDescriptor(
-            policy="none", original_length=x.size, extended_length=x.size, offset=0
-        )
+    ext = x if desc.policy == "none" else extend_rows(x, desc)
     if transform == DECIMATED:
         forward, inverse = dwt_forward, dwt_inverse
     else:
         forward, inverse = ndwt_forward, ndwt_average_basis
     pyr = forward(ext, filt, levels)
-    details = tuple(edit(pyr.mode, j, pyr.detail(j), desc) for j in range(1, levels + 1))
+    details = tuple(edit(pyr.mode, j, pyr.detail(j)) for j in range(1, levels + 1))
     # a copy, so the fit does not keep the whole extended reconstruction alive
-    return inverse(pyr.with_details(details))[desc.window()].copy()
+    return inverse(pyr.with_details(details))[..., desc.window()].copy()
+
+
+def _zero_interior(filter_length: int, desc: ExtensionDescriptor):
+    """The linear estimator's edit: zero every detail inside the data window.
+
+    Each level's mask is built on first use and reused for later batches.
+    """
+    masks: dict[int, np.ndarray] = {}
+
+    def edit(mode, level, d):
+        if level not in masks:
+            masks[level] = _interior_mask(mode, filter_length, level, d.shape[-1], desc)
+        return np.where(masks[level], 0.0, d)
+
+    return edit
 
 
 def linear_trend(
@@ -191,11 +212,8 @@ def linear_trend(
     x = as_series(x, 2)
     if levels is None:
         levels = default_levels(x.size)
-
-    def zero_interior(mode, level, d, desc):
-        return np.where(_interior_mask(mode, filt.length, level, d.size, desc), 0.0, d)
-
-    fitted = _edited_fit(x, filt, levels, transform, boundary, zero_interior)
+    desc = _extension(x.size, boundary)
+    fitted = _edited_fit(x, filt, levels, transform, desc, _zero_interior(filt.length, desc))
     config = EstimatorConfig(
         method=LINEAR,
         transform=transform,
@@ -208,7 +226,7 @@ def linear_trend(
 
 
 def variance_matrix(
-    spectrum: SpectrumEstimate | np.ndarray,
+    spectrum: SpectrumEstimate,
     analysis: WaveletFilter,
     levels: int,
 ) -> np.ndarray:
@@ -218,18 +236,15 @@ def variance_matrix(
     spectrum through their autocorrelation cross products; negative mixes
     from negative spectrum estimates are floored at zero.
     """
-    if isinstance(spectrum, SpectrumEstimate):
-        S = spectrum.S
-        gen_filter = spectrum.filter
-    else:
+    if not isinstance(spectrum, SpectrumEstimate):
         raise MatrixMismatch("variance_matrix needs a SpectrumEstimate for filter metadata")
     depth = max(levels, spectrum.levels)
     cross = cross_a_matrix(
-        autocorrelation_wavelets(gen_filter, depth),
+        autocorrelation_wavelets(spectrum.filter, depth),
         autocorrelation_wavelets(analysis, depth),
         depth,
     )[:levels, : spectrum.levels]
-    return np.maximum(cross @ S, 0.0)
+    return np.maximum(cross @ spectrum.S, 0.0)
 
 
 def coefficient_variance(
@@ -278,8 +293,9 @@ def nonlinear_trend(
         levels = default_levels(n)
     sigma = np.sqrt(variance_matrix(spectrum, filt, levels))
     lam_scale = policy.scale(n)
+    desc = _extension(n, boundary)
 
-    def shrink(mode, level, d, desc):
+    def shrink(mode, level, d):
         centres = np.arange(d.size)
         if mode == DECIMATED:
             start, length = detail_support(mode, filt.length, level, centres)
@@ -287,7 +303,7 @@ def nonlinear_trend(
         times = np.clip(centres - desc.offset, 0, n - 1)
         return threshold(d, lam_scale * sigma[level - 1, times], policy.kind)
 
-    fitted = _edited_fit(x, filt, levels, transform, boundary, shrink)
+    fitted = _edited_fit(x, filt, levels, transform, desc, shrink)
     config = EstimatorConfig(
         method=NONLINEAR,
         transform=transform,
@@ -332,11 +348,43 @@ def estimate_trend(
 
 
 _ANALYTIC_MAX_N = 8192
+# identity rows per block in analytic_ci: bounds each block's extended
+# series to 2**16 doubles (512 KiB), 32 rows at extended length 2048
+_BLOCK_ELEMENTS = 2**16
 
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:  # also rejects NaN
         raise WavetrendError(f"significance level must lie in (0, 1), got {alpha}")
+
+
+def _check_lengths(x, trend: TrendEstimate, what: str, covered: int) -> int:
+    """Length of x once it, the trend and the noise model all cover the same points."""
+    x = as_series(x, 2)
+    if not x.size == trend.length == covered:
+        raise MatrixMismatch(
+            f"series has {x.size} points, trend {trend.length}, {what} {covered}"
+        )
+    return x.size
+
+
+def _linear_operator(trend: TrendEstimate) -> np.ndarray:
+    """R with trend.values = R @ x for the fit's linear estimator.
+
+    Column s is the estimator applied to unit vector s.  Unit vectors go
+    through _edited_fit as blocks of identity rows of at most
+    _BLOCK_ELEMENTS extended values, so the memory beyond R stays fixed.
+    """
+    n = trend.length
+    desc = _extension(n, trend.config.boundary)
+    edit = _zero_interior(trend.filter.length, desc)
+    block = max(1, _BLOCK_ELEMENTS // desc.extended_length)
+    rows = np.empty((n, n))
+    for s in range(0, n, block):
+        k = min(block, n - s)
+        fits = _edited_fit(np.eye(k, n, s), trend.filter, trend.levels, DECIMATED, desc, edit)
+        rows[:, s : s + k] = fits.T
+    return rows
 
 
 def analytic_ci(
@@ -349,28 +397,24 @@ def analytic_ci(
 
     Var(T_hat_t) = sum_{s,u} r_ts r_tu c(u/n, |u - s|) with the
     autocovariance read at the later time of each pair and truncated at the
-    estimate's lag_max.  Only the decimated linear estimator is supported;
-    for anything else use the bootstrap.
+    estimate's lag_max.  The operator R is built from blocks of identity
+    rows pushed through the estimator together; a block holds at most
+    2**16 doubles of extended series (32 rows at extended length 2048).
+    Only the decimated linear estimator is supported; for anything else use
+    the bootstrap.  x, the trend and the autocovariance must cover the same
+    points.
     """
     _check_alpha(alpha)
     if trend.config.method != LINEAR or trend.config.transform != DECIMATED:
         raise MethodMismatch("analytic interval needs the linear decimated estimator")
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    c = lacv.lacv
+    n = _check_lengths(x, trend, "autocovariance", c.shape[0])
     if n > _ANALYTIC_MAX_N:
         raise MethodMismatch(
             f"analytic interval refused for n = {n} > {_ANALYTIC_MAX_N}; "
             "use bootstrap_ci instead"
         )
-    rows = np.empty((n, n))
-    basis = np.zeros(n)
-    for s in range(n):
-        basis[s] = 1.0
-        rows[:, s] = estimate_trend(basis, trend.config).values
-        basis[s] = 0.0
-    c = lacv.lacv
-    if c.shape[0] != n:
-        raise MatrixMismatch(f"autocovariance covers {c.shape[0]} points, series has {n}")
+    rows = _linear_operator(trend)
     var = np.zeros(n)
     for d in range(min(lacv.lag_max, n - 1) + 1):
         pair = (rows[:, : n - d] * rows[:, d:]) @ c[d:, d]
@@ -419,6 +463,7 @@ def bootstrap_ci(
         raise TooFewReps(f"need at least {needed} replicates for alpha = {alpha}")
     if spectrum is None or not isinstance(spectrum, SpectrumEstimate):
         raise MissingSpectrum("bootstrap needs a spectrum estimate")
+    _check_lengths(x, trend, "spectrum", spectrum.length)
     check_seed(seed)
     streams = np.random.SeedSequence(int(seed) if seed is not None else 0).spawn(reps)
     smat = _padded_spectrum(spectrum)

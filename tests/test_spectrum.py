@@ -141,6 +141,16 @@ def test_oversize_diff_lag_rejected(boundary):
         wavelet_periodogram(x, EP4, 3, boundary=boundary, diff=(999, 1))
 
 
+def test_diff_lag_leaving_too_few_points_named():
+    # without the extension the differenced series itself must hold 2**levels
+    # points; the error names the lag, not only the depth
+    x = np.random.default_rng(6).standard_normal(1000)
+    with pytest.raises(SeriesTooShort, match="lag 998, order 1"):
+        estimate_spectrum(x, diff=(998, 1), boundary=False)
+    est = estimate_spectrum(x, diff=(936, 1), boundary=False)
+    assert est.S.shape == (default_levels(1000), 1000)
+
+
 def test_diff_lag_just_inside_bound():
     x = np.random.default_rng(6).standard_normal(1000)
     est = estimate_spectrum(x, diff=(998, 1))

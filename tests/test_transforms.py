@@ -137,3 +137,58 @@ def test_detail_support_shapes():
     assert start == 5 - centre_shift(2, 1)
     starts, length = detail_support(DECIMATED, 8, 2, np.arange(4))
     assert np.array_equal(starts, [0, 4, 8, 12]) and length == 22
+
+
+FILTERS = [(1, EXTREMAL_PHASE), (4, EXTREMAL_PHASE), (10, EXTREMAL_PHASE),
+           (8, LEAST_ASYMMETRIC)]
+
+
+@pytest.mark.parametrize("number,family", FILTERS)
+@pytest.mark.parametrize("k", [1, 3, 33])
+def test_batched_rows_match_one_row_calls(number, family, k):
+    # a (k, n) call does per row exactly the multiply-adds of a one-row call
+    filt = wavelet_filter(family, number)
+    x = np.random.default_rng(k).standard_normal((k, 64))
+    for forward, inverse in ((dwt_forward, dwt_inverse), (ndwt_forward, ndwt_average_basis)):
+        for levels in (1, 3, 6):
+            batch = forward(x, filt, levels)
+            back = inverse(batch)
+            assert back.shape == x.shape
+            for i, row in enumerate(x):
+                one = forward(row, filt, levels)
+                for j in range(1, levels + 1):
+                    assert np.array_equal(batch.detail(j)[i], one.detail(j))
+                assert np.array_equal(batch.scaling[i], one.scaling)
+                assert np.array_equal(back[i], inverse(one))
+
+
+def zero_upsampled_inverse(pyr):
+    """dwt_inverse as the stride-1 synthesis of zero-upsampled rows, tap by tap."""
+    approx = pyr.scaling
+    for j in range(pyr.levels, 0, -1):
+        up = np.zeros((2, 2 * approx.size))
+        up[0, 0::2], up[1, 0::2] = approx, pyr.detail(j)
+        approx = np.zeros(up.shape[1])
+        for m, (g, h) in enumerate(zip(pyr.filter.highpass, pyr.filter.lowpass)):
+            approx += h * np.roll(up[0], m)
+            approx += g * np.roll(up[1], m)
+    return approx
+
+
+@pytest.mark.parametrize("number,family", FILTERS)
+@pytest.mark.parametrize("n", [2, 32, 128, 2048])
+def test_polyphase_inverse_matches_zero_upsampled(number, family, n):
+    # same taps in the same order, so equal to the bit, signed zeros included;
+    # half the details zeroed as in the trend edits
+    filt = wavelet_filter(family, number)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    for levels in range(1, n.bit_length()):
+        pyr = dwt_forward(x, filt, levels)
+        edited = pyr.with_details(
+            tuple(np.where(rng.random(d.size) < 0.5, 0.0, d) for d in pyr.details)
+        )
+        for p in (pyr, edited):
+            got, expected = dwt_inverse(p), zero_upsampled_inverse(p)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))

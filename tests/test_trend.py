@@ -25,6 +25,7 @@ from wavetrend.trend import (
     SOFT,
     EstimatorConfig,
     ThresholdPolicy,
+    _linear_operator,
     analytic_ci,
     bootstrap_ci,
     coefficient_variance,
@@ -183,6 +184,57 @@ def test_analytic_ci_lacv_length_guard():
     lv = lacv_from_spectrum(np.ones((5, 64)), acw, lag_max=3)
     with pytest.raises(MatrixMismatch):
         analytic_ci(x, fit, lv)
+
+
+def unit_vector_operator(fit):
+    """The linear operator one estimate_trend call per unit vector at a time."""
+    n = fit.length
+    rows = np.empty((n, n))
+    basis = np.zeros(n)
+    for s in range(n):
+        basis[s] = 1.0
+        rows[:, s] = estimate_trend(basis, fit.config).values
+        basis[s] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("number,family", [(1, EXTREMAL_PHASE), (4, EXTREMAL_PHASE),
+                                           (8, LEAST_ASYMMETRIC)])
+@pytest.mark.parametrize("n,boundary", [(64, True), (100, True), (257, True), (512, True),
+                                        (64, False), (512, False)])
+def test_linear_operator_matches_unit_vector_loop(number, family, n, boundary):
+    # identity blocks of max(1, 2**16 // extended length) rows: 128 rows at
+    # n = 100, 64 at n = 257 (a partial last block), 32 at n = 512
+    x = np.random.default_rng(n).standard_normal(n)
+    fit = linear_trend(x, filter_number=number, family=family, transform=DECIMATED,
+                       boundary=boundary)
+    rows = _linear_operator(fit)
+    assert np.array_equal(rows, unit_vector_operator(fit))
+    assert np.allclose(rows @ x, fit.values, atol=1e-10)
+
+
+def test_interval_input_checks():
+    x, fit = make_linear_fit()
+    acw = autocorrelation_wavelets(EP4, 5)
+    lv = lacv_from_spectrum(np.ones((5, x.size)), acw, lag_max=3)
+    bad = x.copy()
+    bad[7] = np.nan
+    with pytest.raises(WavetrendError, match="finite"):
+        analytic_ci(bad, fit, lv)
+    with pytest.raises(WavetrendError, match="one dimensional"):
+        analytic_ci(x.reshape(8, 16), fit, lv)
+    short_x, short_fit = make_linear_fit(n=100, seed=1)
+    with pytest.raises(MatrixMismatch):
+        analytic_ci(x, short_fit, lv)
+    with pytest.raises(MatrixMismatch):
+        analytic_ci(short_x, fit, lv)
+    sp = estimate_spectrum(x, levels=5)
+    with pytest.raises(MatrixMismatch):
+        bootstrap_ci(x, short_fit, sp, reps=40)
+    with pytest.raises(MatrixMismatch):
+        bootstrap_ci(short_x, short_fit, sp, reps=40)
+    with pytest.raises(WavetrendError, match="finite"):
+        bootstrap_ci(bad, fit, sp, reps=40)
 
 
 def test_bootstrap_guards():
