@@ -1,0 +1,83 @@
+"""Report how far the outputs of two wavetrend runs are apart.
+
+    python scripts/compare_outputs.py DIR_A DIR_B
+
+For every CSV present in both directories it prints "identical" when the
+bytes match, else the max-norm relative difference max|B - A| / max|A|
+over all cells; a CSV with a header row also gets one figure per column.
+Empty and non-finite cells must sit in the same places, else that is
+reported instead of a figure.  metadata.json is compared byte for byte.
+"""
+
+import argparse
+import csv
+from pathlib import Path
+
+import numpy as np
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell or "nan")
+    except ValueError:
+        return False
+    return True
+
+
+def read_table(path: Path) -> tuple[list[str] | None, np.ndarray]:
+    """(header or None, cells as floats with empty cells NaN)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = None
+    if rows and not all(_is_number(c) for c in rows[0]):
+        header, rows = rows[0], rows[1:]
+    return header, np.array([[float(c) if c else np.nan for c in r] for r in rows])
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray) -> str:
+    if a.shape != b.shape:
+        return f"shape {a.shape} against {b.shape}"
+    finite = np.isfinite(a)
+    if not np.array_equal(finite, np.isfinite(b)):
+        return "empty or non-finite cells differ"
+    if np.array_equal(a[finite], b[finite]):
+        return "identical"
+    scale = np.max(np.abs(a[finite]))
+    return f"{np.max(np.abs(a[finite] - b[finite])) / scale:.3g}"
+
+
+def compare(dir_a: Path, dir_b: Path) -> list[str]:
+    lines = []
+    for path_a in sorted(dir_a.glob("*.csv")):
+        path_b = dir_b / path_a.name
+        if not path_b.is_file():
+            continue
+        if path_a.read_bytes() == path_b.read_bytes():
+            lines.append(f"{path_a.name}: identical")
+            continue
+        header, a = read_table(path_a)
+        _, b = read_table(path_b)
+        line = f"{path_a.name}: {relative_difference(a, b)}"
+        if header is not None and a.shape == b.shape:
+            line += "".join(
+                f"  {name}: {relative_difference(a[:, i], b[:, i])}"
+                for i, name in enumerate(header)
+            )
+        lines.append(line)
+    meta_a, meta_b = dir_a / "metadata.json", dir_b / "metadata.json"
+    if meta_a.is_file() and meta_b.is_file():
+        same = meta_a.read_bytes() == meta_b.read_bytes()
+        lines.append(f"metadata.json: {'identical' if same else 'bytes differ'}")
+    return lines
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir_a", type=Path)
+    parser.add_argument("dir_b", type=Path)
+    args = parser.parse_args(argv)
+    print("\n".join(compare(args.dir_a, args.dir_b)))
+
+
+if __name__ == "__main__":
+    main()

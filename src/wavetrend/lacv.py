@@ -59,10 +59,7 @@ def lacv_from_spectrum(
         lag_max = default_lag_max(n)
     if lag_max < 0:
         raise DimensionMismatch("lag_max must be nonnegative")
-    psi = np.zeros((levels, lag_max + 1))
-    for j, row in enumerate(acw.values[:levels]):
-        tail = row[row.size // 2 :][: lag_max + 1]  # tau = 0, 1, ... up to the radius
-        psi[j, : tail.size] = tail
+    psi = acw.window(levels, lag_max)[:, lag_max:]  # tau = 0, 1, ..., lag_max
     lacv = S.T @ psi
     var = lacv[:, :1]
     # np.divide into a NaN-filled array: np.where would hold one more (n, lags) array

@@ -29,7 +29,6 @@ from .errors import InvalidBinwidth, MatrixMismatch, ScaleTooDeep, SeriesTooShor
 from .filters import WaveletFilter, wavelet_filter
 from .transforms import TREND_REFLECT, as_series, extend_series, ndwt_forward
 from .wavelets import (
-    AutocorrelationWavelet,
     CorrectionMatrix,
     a_matrix,
     autocorrelation_wavelets,
@@ -48,6 +47,9 @@ _SMOOTHERS = (MEAN, MEDIAN, EPAN, NONE)
 # E[chi2_1] / median[chi2_1]; rescales a running median of squared Gaussian
 # coefficients onto the mean scale the correction matrices expect.
 MEDIAN_FACTOR = 1.0 / NormalDist().inv_cdf(0.75) ** 2
+
+# Window elements (8 MiB of float64) per np.median call of the running median.
+_MEDIAN_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -219,20 +221,16 @@ def _validate_binwidth(binwidth: int, n: int) -> int:
     return b
 
 
-def _kernel_smooth(row: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # Shrink the window at the edges by renormalising over the weights that
-    # fall inside the series.
-    num = np.convolve(row, weights, mode="same")
-    den = np.convolve(np.ones_like(row), weights, mode="same")
-    return num / den
-
-
 def _running_median(row: np.ndarray, binwidth: int) -> np.ndarray:
     n = row.size
     half = binwidth // 2
     out = np.empty(n)
+    # np.median copies the windows it is given, so hand it a bounded chunk
     body = np.lib.stride_tricks.sliding_window_view(row, binwidth)
-    out[half : n - half] = np.median(body, axis=1)
+    step = max(1, _MEDIAN_ELEMENTS // binwidth)
+    for start in range(0, body.shape[0], step):
+        rows = slice(start, start + step)
+        out[half : n - half][rows] = np.median(body[rows], axis=1)
     for i in range(half):
         out[i] = np.median(row[: i + half + 1])
         out[n - 1 - i] = np.median(row[n - 1 - i - half :])
@@ -255,7 +253,10 @@ def smooth_periodogram(pgram: Periodogram, config: SmootherConfig) -> Periodogra
         smoothed = np.stack([_running_median(row, b) for row in raw])
         smoothed *= MEDIAN_FACTOR
         return replace(pgram, smoothed=smoothed, smoother=config)
-    smoothed = np.stack([_kernel_smooth(row, weights) for row in raw])
+    # Shrink the window at the edges by renormalising over the weights that
+    # fall inside the series; that denominator is the same for every row.
+    den = np.convolve(np.ones(raw.shape[1]), weights, mode="same")
+    smoothed = np.stack([np.convolve(row, weights, mode="same") for row in raw]) / den
     return replace(pgram, smoothed=smoothed, smoother=config)
 
 
@@ -305,12 +306,10 @@ def correction_for(
     filt: WaveletFilter,
     levels: int,
     diff: tuple[int, int] | None = None,
-    acw: AutocorrelationWavelet | None = None,
 ) -> CorrectionMatrix:
     """Bias operator matching a periodogram configuration."""
     lag, order = _parse_diff(diff)
-    if acw is None or acw.levels < levels or acw.filter.label != filt.label:
-        acw = autocorrelation_wavelets(filt, levels)
+    acw = autocorrelation_wavelets(filt, levels)
     if order:
         return d_matrix(acw, levels, lag=lag, order=order)
     return a_matrix(acw, levels)
@@ -325,16 +324,13 @@ def estimate_spectrum(
     binwidth: int | None = None,
     boundary: bool = True,
     diff: tuple[int, int] | None = None,
-    correction: CorrectionMatrix | None = None,
     floor_negatives: bool = False,
     filt: WaveletFilter | None = None,
 ) -> SpectrumEstimate:
     """Full spectrum pipeline with the standard defaults.
 
     levels defaults to floor(0.7 log2 n) and binwidth to the odd value near
-    6 sqrt(n) capped at n / 2.  A precomputed correction matrix can be
-    passed to skip rebuilding it across replicates; it must match the
-    filter, depth, and differencing or MatrixMismatch is raised.
+    6 sqrt(n) capped at n / 2.
     """
     x = as_series(x, 16)
     n = x.size
@@ -347,9 +343,7 @@ def estimate_spectrum(
         binwidth, clamped = default_binwidth(n)
     pgram = wavelet_periodogram(x, filt, levels, boundary=boundary, diff=diff)
     pgram = smooth_periodogram(pgram, SmootherConfig(kind=smoother, binwidth=binwidth))
-    if correction is None:
-        correction = correction_for(filt, levels, diff)
-    est = correct_periodogram(pgram, correction)
+    est = correct_periodogram(pgram, correction_for(filt, levels, diff))
     if floor_negatives:
         est = replace(est, S=np.maximum(est.S, 0.0), floored=True)
     if clamped:

@@ -12,6 +12,16 @@ with A[j, l] = sum_tau Psi_j(tau) Psi_l(tau), so premultiplying by inv(A)
 debiases it.  When the series is differenced before the transform the same
 role is played by the difference-adjusted matrices built in d_matrix.
 
+Psi_j has a two-scale relation of its own (Eckley & Nason 2005):
+Psi_1 = g * g~ and Psi_{j+1} = upsample(Psi_j) * (h * h~), with *
+convolution, ~ time reversal and upsample putting zeros between taps, so no
+kernel has more than 2N - 1 taps.  Every operator sums products of rows of
+one zero-padded Psi table over tau.  No such sum may go through BLAS (``@``,
+``np.dot``, a long ``np.correlate``): OpenBLAS splits long dot products
+across threads, so their bits depend on the thread count.  _overlaps runs
+``np.einsum`` (no ``optimize``, no BLAS) over blocks of _TAU_BLOCK lags
+and adds the block sums pairwise, which keeps the rounding error small.
+
 Differencing normalisation: difference_series divides a first difference at
 any lag by sqrt(2) and the second difference by sqrt(6) (the root of the sum
 of squared difference weights).  Under that convention the bias operator for
@@ -51,6 +61,9 @@ __all__ = [
 
 COND_LIMIT = 1e12
 
+# Lags per einsum block of _overlaps.
+_TAU_BLOCK = 64
+
 
 def support_length(filter_length: int, level: int) -> int:
     """Number of taps of the level-j discrete wavelet."""
@@ -59,18 +72,14 @@ def support_length(filter_length: int, level: int) -> int:
 
 @dataclass(frozen=True)
 class DiscreteWavelet:
-    """Cascade vectors psi_j (and scaling phi_j) for levels 1..levels."""
+    """Cascade vectors psi_j for levels 1..levels."""
 
     filter: WaveletFilter
     levels: int
     vectors: tuple[np.ndarray, ...] = field(repr=False)
-    scaling_vectors: tuple[np.ndarray, ...] = field(repr=False)
 
     def psi(self, level: int) -> np.ndarray:
         return self.vectors[level - 1]
-
-    def phi(self, level: int) -> np.ndarray:
-        return self.scaling_vectors[level - 1]
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,15 @@ class AutocorrelationWavelet:
             return 0.0
         return float(row[tau + r])
 
+    def window(self, levels: int, radius: int) -> np.ndarray:
+        """Rows Psi_1..Psi_levels at tau = -radius..radius, cropped or zero padded."""
+        out = np.zeros((levels, 2 * radius + 1))
+        for j, row in enumerate(self.values[:levels]):
+            c = (row.size - 1) // 2
+            k = min(c, radius)
+            out[j, radius - k : radius + k + 1] = row[c - k : c + k + 1]
+        return out
+
 
 @dataclass(frozen=True)
 class CorrectionMatrix:
@@ -114,53 +132,41 @@ class CorrectionMatrix:
     order: int = 0
 
 
-def _upsample(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(2 * v.size - 1)
-    out[::2] = v
-    return out
+def _cascade(first: np.ndarray, kernel: np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
+    """first, then each row upsampled and convolved with kernel, levels rows in all."""
+    if levels < 1:
+        raise ScaleTooDeep("levels must be at least 1")
+    rows = [first]
+    for _ in range(levels - 1):
+        up = np.zeros(2 * rows[-1].size - 1)
+        up[::2] = rows[-1]
+        rows.append(np.convolve(up, kernel))
+    return tuple(rows)
 
 
 def discrete_wavelets(filt: WaveletFilter, levels: int) -> DiscreteWavelet:
-    """Build psi_1..psi_levels and phi_1..phi_levels by the cascade."""
-    if levels < 1:
-        raise ScaleTooDeep("levels must be at least 1")
-    h = filt.lowpass
-    psis = [filt.highpass.copy()]
-    phis = [h.copy()]
-    for _ in range(levels - 1):
-        psis.append(np.convolve(_upsample(psis[-1]), h))
-        phis.append(np.convolve(_upsample(phis[-1]), h))
+    """Build psi_1..psi_levels by the cascade."""
+    psis = _cascade(filt.highpass.copy(), filt.lowpass, levels)
     for j, v in enumerate(psis, start=1):
         if v.size != support_length(filt.length, j):
             raise AssertionError("cascade produced an unexpected length")
-    return DiscreteWavelet(
-        filter=filt,
-        levels=levels,
-        vectors=tuple(psis),
-        scaling_vectors=tuple(phis),
-    )
+    return DiscreteWavelet(filter=filt, levels=levels, vectors=psis)
 
 
-def autocorrelation_wavelets(
-    filt: WaveletFilter, levels: int, wavelet: DiscreteWavelet | None = None
-) -> AutocorrelationWavelet:
-    """Autocorrelation wavelets for levels 1..levels."""
-    dw = wavelet if wavelet is not None and wavelet.levels >= levels else None
-    if dw is None:
-        dw = discrete_wavelets(filt, levels)
-    rows = tuple(np.correlate(dw.psi(j), dw.psi(j), "full") for j in range(1, levels + 1))
+def autocorrelation_wavelets(filt: WaveletFilter, levels: int) -> AutocorrelationWavelet:
+    """Psi_1..Psi_levels by their own two-scale cascade (module docstring)."""
+    g, h = filt.highpass, filt.lowpass
+    rows = _cascade(np.convolve(g, g[::-1]), np.convolve(h, h[::-1]), levels)
     return AutocorrelationWavelet(filter=filt, levels=levels, values=rows)
 
 
-def _shifted_overlap(u: np.ndarray, v: np.ndarray, shift: int) -> float:
-    """sum_tau u(tau) v(tau - shift) for centred arrays."""
-    ru = (u.size - 1) // 2
-    rv = (v.size - 1) // 2
-    lo = max(-ru, shift - rv)
-    hi = min(ru, shift + rv)
-    if lo > hi:
-        return 0.0
-    return float(u[lo + ru : hi + ru + 1] @ v[lo - shift + rv : hi - shift + rv + 1])
+def _overlaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[j, l] = sum_c u[j, c] v[l, c], summed without BLAS (module docstring)."""
+    blocks = -(-u.shape[1] // _TAU_BLOCK)
+    pad = ((0, 0), (0, blocks * _TAU_BLOCK - u.shape[1]))
+    u = np.pad(u, pad).reshape(u.shape[0], blocks, _TAU_BLOCK)
+    v = np.pad(v, pad).reshape(v.shape[0], blocks, _TAU_BLOCK)
+    return np.einsum("jbc,lbc->jlb", u, v).sum(axis=-1)
 
 
 def _check_depth(acw: AutocorrelationWavelet, max_scale: int) -> None:
@@ -175,13 +181,9 @@ def _check_depth(acw: AutocorrelationWavelet, max_scale: int) -> None:
 def lagged_a_matrix(acw: AutocorrelationWavelet, max_scale: int, lag: int) -> np.ndarray:
     """Matrix with entries sum_tau Psi_j(tau) Psi_l(tau - lag); symmetric."""
     _check_depth(acw, max_scale)
-    out = np.empty((max_scale, max_scale))
-    for j in range(max_scale):
-        for l in range(j, max_scale):
-            val = _shifted_overlap(acw.values[j], acw.values[l], lag)
-            out[j, l] = val
-            out[l, j] = val
-    return out
+    lag = abs(lag)  # Psi is even, so lags -p and p give the same matrix
+    table = acw.window(max_scale, acw.radius(max_scale))
+    return _overlaps(table[:, lag:], table[:, : max(table.shape[1] - lag, 0)])
 
 
 def _invert(mat: np.ndarray, kind: str, filt_label: str, levels: int, lag: int, order: int) -> CorrectionMatrix:
@@ -247,13 +249,11 @@ def cross_a_matrix(
     """
     _check_depth(acw_generating, max_scale)
     _check_depth(acw_analysis, max_scale)
-    out = np.empty((max_scale, max_scale))
-    for r in range(max_scale):
-        for l in range(max_scale):
-            out[r, l] = _shifted_overlap(
-                acw_analysis.values[r], acw_generating.values[l], 0
-            )
-    return out
+    # beyond the shorter support every product is zero
+    radius = min(acw_generating.radius(max_scale), acw_analysis.radius(max_scale))
+    return _overlaps(
+        acw_analysis.window(max_scale, radius), acw_generating.window(max_scale, radius)
+    )
 
 
 _DIFF_NORM = {1: np.sqrt(2.0), 2: np.sqrt(6.0)}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wavetrend import spectrum
 from wavetrend.errors import InvalidBinwidth, MatrixMismatch, SeriesTooShort
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
 from wavetrend.scenarios import scenario
@@ -86,6 +87,32 @@ def test_median_smoother_calibration():
         out = smooth_periodogram(Periodogram(raw=row, filter=EP4), SmootherConfig(MEDIAN, 301))
         means.append(out.smoothed.mean())
     assert np.mean(means) == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("kind", [MEAN, "epan"])
+def test_kernel_smoother_rows_match_per_row_formula(kind):
+    raw = np.random.default_rng(3).standard_normal((3, 200)) ** 2
+    out = smooth_periodogram(Periodogram(raw=raw, filter=EP4), SmootherConfig(kind, 31))
+    half = 15
+    m = np.arange(-half, half + 1)
+    w = np.ones(31) if kind == MEAN else 1.0 - (m / (half + 1)) ** 2
+    for row, got in zip(raw, out.smoothed):
+        want = np.convolve(row, w, mode="same") / np.convolve(np.ones(200), w, mode="same")
+        assert np.array_equal(got, want)
+
+
+# binwidth 5: 40 windows fill 10 chunks of 4 exactly, 41 and 43 end in a
+# partial chunk; a cap below the binwidth gives one window per chunk
+@pytest.mark.parametrize("n,cap", [(44, 20), (45, 20), (47, 20), (47, 3)])
+def test_running_median_chunks_match_one_shot(monkeypatch, n, cap):
+    b = 5
+    row = np.random.default_rng(n).standard_normal(n) ** 2
+    one_shot = np.median(np.lib.stride_tricks.sliding_window_view(row, b), axis=1)
+    full = spectrum._running_median(row, b)
+    monkeypatch.setattr(spectrum, "_MEDIAN_ELEMENTS", cap)
+    chunked = spectrum._running_median(row, b)
+    assert np.array_equal(chunked[b // 2 : n - b // 2], one_shot)
+    assert np.array_equal(chunked, full)
 
 
 def test_none_smoother_passthrough():

@@ -71,6 +71,39 @@ def test_haar_psi_and_acw_values():
         assert np.allclose(row, row[::-1], atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "family,number",
+    [(EXTREMAL_PHASE, 1), (EXTREMAL_PHASE, 4), (EXTREMAL_PHASE, 10), (LEAST_ASYMMETRIC, 8)],
+)
+def test_acw_cascade_matches_correlated_psi(family, number):
+    filt = wavelet_filter(family, number)
+    dw = discrete_wavelets(filt, 6)
+    acw = autocorrelation_wavelets(filt, 6)
+    for j in range(1, 7):
+        want = np.correlate(dw.psi(j), dw.psi(j), "full")
+        assert acw.values[j - 1].size == want.size
+        assert np.allclose(acw.values[j - 1], want, rtol=0, atol=1e-13)
+
+
+def test_acw_window_crops_and_pads():
+    acw = autocorrelation_wavelets(HAAR, 2)  # radii 1 and 3
+    wide = acw.window(2, 4)
+    assert wide.shape == (2, 9)
+    assert np.array_equal(wide[0, 3:6], acw.values[0]) and not wide[0, :3].any()
+    assert np.array_equal(wide[1, 1:8], acw.values[1])
+    assert np.array_equal(acw.window(2, 1)[1], acw.values[1][2:5])
+
+
+def test_lagged_a_matrix_over_all_lags():
+    # Haar depth 2: the window has 7 columns, so lags 7 and up give zeros
+    acw = autocorrelation_wavelets(HAAR, 2)
+    for lag in range(9):
+        got = lagged_a_matrix(acw, 2, lag)
+        assert np.allclose(got, brute_a(HAAR, 2, lag=lag), atol=1e-12)
+        assert np.array_equal(lagged_a_matrix(acw, 2, -lag), got)
+    assert not lagged_a_matrix(acw, 2, 7).any()
+
+
 def test_haar_a_matrix_frozen_values():
     acw = autocorrelation_wavelets(HAAR, 2)
     A = a_matrix(acw, 2).matrix
