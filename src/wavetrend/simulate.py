@@ -20,10 +20,17 @@ over time) from a single generator seeded once, and every scale row draws
 even when its spectrum row is zero.  Runs with the same inputs and seed are
 therefore bitwise reproducible, and enabling power at a deeper scale does
 not reshuffle the draws of the scales before it.
+
+What draws from one (filter, n, spectrum) share is a NoisePlan: the
+amplitude rows sqrt(S_j) and the rfft of each synthesis kernel whose row
+has power, computed once.  tlsw_sim builds a plan and draws from it once;
+the trend bootstrap builds one plan and draws every replicate from it, in
+the same order and with the same arithmetic as one tlsw_sim per replicate.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -43,6 +50,7 @@ __all__ = [
     "sample_trend",
     "sample_spec",
     "tlsw_sim",
+    "NoisePlan",
     "max_scales",
     "gaussian_innovations",
     "synthesis_kernel",
@@ -65,6 +73,9 @@ def max_scales(n: int) -> int:
 
 def gaussian_innovations(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size)
+
+
+Innovations = Callable[[np.random.Generator, int], np.ndarray]
 
 
 def _midpoints(n: int) -> np.ndarray:
@@ -165,13 +176,50 @@ def check_seed(seed) -> None:
         raise WavetrendError(f"seed must be a nonnegative integer, got {seed}")
 
 
+@dataclass(frozen=True)
+class NoisePlan:
+    """Everything the noise draws from one spectrum share.
+
+    amplitude[j - 1] is sqrt(S_j); kernels[j - 1] is the rfft of the level-j
+    synthesis kernel, or None where row j has no power.
+    """
+
+    amplitude: np.ndarray
+    kernels: tuple[np.ndarray | None, ...]
+
+    @classmethod
+    def build(cls, spec: SpecLike, n: int, filt: WaveletFilter) -> "NoisePlan":
+        """Plan for spec (anything sample_spec accepts) on the length-n grid."""
+        amplitude = np.sqrt(sample_spec(spec, n))
+        dw = discrete_wavelets(filt, amplitude.shape[0])
+        kernels = tuple(
+            np.fft.rfft(synthesis_kernel(dw, j, n)) if row.any() else None
+            for j, row in enumerate(amplitude, start=1)
+        )
+        return cls(amplitude=amplitude, kernels=kernels)
+
+    def draw(
+        self, rng: np.random.Generator, innovations: Innovations = gaussian_innovations
+    ) -> np.ndarray:
+        """One noise series; every scale draws its n innovations, in scale order."""
+        n = self.amplitude.shape[1]
+        noise = np.zeros(n)
+        for row, kernel in zip(self.amplitude, self.kernels):
+            xi = np.asarray(innovations(rng, n), dtype=np.float64)
+            if xi.shape != (n,):
+                raise DimensionMismatch("innovation source must return a length-n vector")
+            if kernel is not None:
+                noise += np.fft.irfft(np.fft.rfft(row * xi) * kernel, n)
+        return noise
+
+
 def tlsw_sim(
     trend: TrendLike = None,
     spec: SpecLike | None = None,
     n: int | None = None,
     filter_number: int = 4,
     family: str = "extremal_phase",
-    innovations: Callable[[np.random.Generator, int], np.ndarray] | None = None,
+    innovations: Innovations | None = None,
     seed: int | np.random.SeedSequence | None = None,
     filt: WaveletFilter | None = None,
 ) -> np.ndarray:
@@ -190,26 +238,13 @@ def tlsw_sim(
     n = int(n)
     if n < 8:
         raise SeriesTooShort(f"simulation needs n >= 8, got {n}")
-    levels = max_scales(n)
     trend_vals = sample_trend(trend, n)
     if spec is None:
         return trend_vals
-    smat = sample_spec(spec, n)
     if filt is None:
         filt = wavelet_filter(family, filter_number)
-    draw = innovations if innovations is not None else gaussian_innovations
+    plan = NoisePlan.build(spec, n, filt)
+    if innovations is None:
+        innovations = gaussian_innovations
     check_seed(seed)
-    rng = np.random.default_rng(seed)
-    dw = discrete_wavelets(filt, levels)
-    amplitude = np.sqrt(smat)
-    noise = np.zeros(n)
-    for j in range(1, levels + 1):
-        xi = np.asarray(draw(rng, n), dtype=np.float64)
-        if xi.shape != (n,):
-            raise DimensionMismatch("innovation source must return a length-n vector")
-        row = amplitude[j - 1]
-        if not row.any():
-            continue
-        kernel = synthesis_kernel(dw, j, n)
-        noise += np.fft.irfft(np.fft.rfft(row * xi) * np.fft.rfft(kernel), n)
-    return trend_vals + noise
+    return trend_vals + plan.draw(np.random.default_rng(seed), innovations)

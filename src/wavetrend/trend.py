@@ -8,15 +8,22 @@ estimator instead thresholds every detail coefficient against its own
 estimated standard deviation, which adapts to inhomogeneous trends at the
 price of needing a spectrum estimate first.
 
+Each estimator's edit comes from a factory (_zero_interior,
+_threshold_edit) that builds what the edit needs once, so one edit serves
+one fit or many blocks of fits.
+
 Confidence intervals come in two flavours.  The analytic interval
 materialises the linear estimator as a matrix, pushing blocks of identity
-rows through one batched transform pair each (a block holds at most 2**16
-doubles of extended series), and propagates the estimated local
-autocovariance through it; it is restricted to the decimated linear
-estimator, where the operator is small enough and the coefficient edits
-are data independent.  The bootstrap interval resimulates noise from the
-estimated spectrum around the fitted trend and re-runs the identical
-estimator, which works for any configuration.
+rows through one batched transform pair each, and propagates the
+estimated local autocovariance through it; it is restricted to the
+decimated linear estimator, where the operator is small enough and the
+coefficient edits are data independent.  The bootstrap interval
+resimulates noise from the estimated spectrum around the fitted trend and
+re-runs the identical estimator, which works for any configuration.  It
+builds the noise plan and the edit once, then fits the replicates in
+blocks; the interval is byte-identical to one tlsw_sim and one
+estimate_trend per replicate.  Both interval loops size their blocks by
+_block_rows.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .errors import (
 )
 from .filters import EXTREMAL_PHASE, WaveletFilter, wavelet_filter
 from .lacv import LacvEstimate
-from .simulate import check_seed, max_scales, tlsw_sim
+from .simulate import NoisePlan, check_seed, max_scales
 from .spectrum import SpectrumEstimate, default_levels
 from .transforms import (
     DECIMATED,
@@ -192,6 +199,38 @@ def _zero_interior(filter_length: int, desc: ExtensionDescriptor):
     return edit
 
 
+def _threshold_edit(
+    spectrum: SpectrumEstimate,
+    filt: WaveletFilter,
+    levels: int,
+    policy: ThresholdPolicy,
+    desc: ExtensionDescriptor,
+):
+    """The nonlinear estimator's edit: threshold each detail at its own lambda.
+
+    lambda = policy.scale(n) * sigma[level - 1, t], with sigma from
+    variance_matrix computed once here and t the in-window time nearest the
+    coefficient's centre.  Each level's lambda row is built on first use
+    and reused for later batches.
+    """
+    n = desc.original_length
+    sigma = np.sqrt(variance_matrix(spectrum, filt, levels))
+    lam_scale = policy.scale(n)
+    lams: dict[int, np.ndarray] = {}
+
+    def edit(mode, level, d):
+        if level not in lams:
+            centres = np.arange(d.shape[-1])
+            if mode == DECIMATED:
+                start, length = detail_support(mode, filt.length, level, centres)
+                centres = start + (length - 1) // 2
+            times = np.clip(centres - desc.offset, 0, n - 1)
+            lams[level] = lam_scale * sigma[level - 1, times]
+        return threshold(d, lams[level], policy.kind)
+
+    return edit
+
+
 def linear_trend(
     x: np.ndarray,
     filter_number: int = 4,
@@ -291,19 +330,9 @@ def nonlinear_trend(
         )
     if levels is None:
         levels = default_levels(n)
-    sigma = np.sqrt(variance_matrix(spectrum, filt, levels))
-    lam_scale = policy.scale(n)
     desc = _extension(n, boundary)
-
-    def shrink(mode, level, d):
-        centres = np.arange(d.size)
-        if mode == DECIMATED:
-            start, length = detail_support(mode, filt.length, level, centres)
-            centres = start + (length - 1) // 2
-        times = np.clip(centres - desc.offset, 0, n - 1)
-        return threshold(d, lam_scale * sigma[level - 1, times], policy.kind)
-
-    fitted = _edited_fit(x, filt, levels, transform, desc, shrink)
+    edit = _threshold_edit(spectrum, filt, levels, policy, desc)
+    fitted = _edited_fit(x, filt, levels, transform, desc, edit)
     config = EstimatorConfig(
         method=NONLINEAR,
         transform=transform,
@@ -348,9 +377,18 @@ def estimate_trend(
 
 
 _ANALYTIC_MAX_N = 8192
-# identity rows per block in analytic_ci: bounds each block's extended
-# series to 2**16 doubles (512 KiB), 32 rows at extended length 2048
-_BLOCK_ELEMENTS = 2**16
+_BLOCK_ELEMENTS = 2**17  # doubles (1 MiB) per block of the interval loops
+
+
+def _block_rows(desc: ExtensionDescriptor, levels: int, transform: str) -> int:
+    """Series per block pushed through _edited_fit by the interval loops.
+
+    Counts each series' extended row plus its pyramid: about one row
+    decimated, levels + 1 nondecimated.  32 rows at decimated extended
+    length 2048, 3 at nondecimated length 4096 with 7 levels; at least 1.
+    """
+    per_row = desc.extended_length * (2 if transform == DECIMATED else levels + 2)
+    return max(1, _BLOCK_ELEMENTS // per_row)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -372,13 +410,13 @@ def _linear_operator(trend: TrendEstimate) -> np.ndarray:
     """R with trend.values = R @ x for the fit's linear estimator.
 
     Column s is the estimator applied to unit vector s.  Unit vectors go
-    through _edited_fit as blocks of identity rows of at most
-    _BLOCK_ELEMENTS extended values, so the memory beyond R stays fixed.
+    through _edited_fit as blocks of _block_rows identity rows, so the
+    memory beyond R stays fixed.
     """
     n = trend.length
     desc = _extension(n, trend.config.boundary)
     edit = _zero_interior(trend.filter.length, desc)
-    block = max(1, _BLOCK_ELEMENTS // desc.extended_length)
+    block = _block_rows(desc, trend.levels, DECIMATED)
     rows = np.empty((n, n))
     for s in range(0, n, block):
         k = min(block, n - s)
@@ -398,8 +436,8 @@ def analytic_ci(
     Var(T_hat_t) = sum_{s,u} r_ts r_tu c(u/n, |u - s|) with the
     autocovariance read at the later time of each pair and truncated at the
     estimate's lag_max.  The operator R is built from blocks of identity
-    rows pushed through the estimator together; a block holds at most
-    2**16 doubles of extended series (32 rows at extended length 2048).
+    rows pushed through the estimator together (_block_rows: 32 rows at
+    extended length 2048).
     Only the decimated linear estimator is supported; for anything else use
     the bootstrap.  x, the trend and the autocovariance must cover the same
     points.
@@ -454,6 +492,14 @@ def bootstrap_ci(
     the reps children spawned from SeedSequence(seed), so they are
     independent across replicates and across seeds and do not depend on
     evaluation order.  The spectrum is not re-estimated per replicate.
+
+    What no replicate changes is built once: the NoisePlan of the spectrum
+    and the estimator's edit (for the nonlinear estimator, its thresholds).
+    Replicates are then fitted in blocks of _block_rows series through one
+    batched transform pair.  Every replicate still draws from its own
+    stream in tlsw_sim's order, and every row of a batch gets the
+    arithmetic of a one-row fit, so the interval is byte-identical to one
+    tlsw_sim and one estimate_trend per replicate.
     """
     _check_alpha(alpha)
     if ci_type not in (BOOT_NORMAL, BOOT_PERCENTILE):
@@ -466,11 +512,22 @@ def bootstrap_ci(
     _check_lengths(x, trend, "spectrum", spectrum.length)
     check_seed(seed)
     streams = np.random.SeedSequence(int(seed) if seed is not None else 0).spawn(reps)
-    smat = _padded_spectrum(spectrum)
-    fits = np.empty((reps, trend.length))
-    for b, stream in enumerate(streams):
-        xb = trend.values + tlsw_sim(spec=smat, seed=stream, filt=spectrum.filter)
-        fits[b] = estimate_trend(xb, trend.config, spectrum=spectrum).values
+    n, config = trend.length, trend.config
+    plan = NoisePlan.build(_padded_spectrum(spectrum), n, spectrum.filter)
+    desc = _extension(n, config.boundary)
+    if config.method == LINEAR:
+        edit = _zero_interior(trend.filter.length, desc)
+    elif config.method == NONLINEAR:
+        edit = _threshold_edit(spectrum, trend.filter, trend.levels, config.policy, desc)
+    else:
+        raise MethodMismatch(f"unknown trend method {config.method!r}")
+    block = _block_rows(desc, trend.levels, config.transform)
+    fits = np.empty((reps, n))
+    for s in range(0, reps, block):
+        noise = np.stack([plan.draw(np.random.default_rng(b)) for b in streams[s : s + block]])
+        fits[s : s + len(noise)] = _edited_fit(
+            trend.values + noise, trend.filter, trend.levels, config.transform, desc, edit
+        )
     if ci_type == BOOT_NORMAL:
         half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * fits.std(axis=0, ddof=1)
         lo, hi = trend.values - half, trend.values + half

@@ -120,3 +120,46 @@ def test_custom_innovations():
         innovations=lambda rng, size: np.zeros(size),
     )
     assert np.allclose(out, 1.0, atol=0)
+
+
+def per_scale_loop(trend, spec, n, filt, innovations, seed):
+    """tlsw_sim as one loop over scales that builds each kernel as it goes."""
+    from wavetrend.simulate import synthesis_kernel
+    from wavetrend.wavelets import discrete_wavelets
+
+    levels = max_scales(n)
+    amplitude = np.sqrt(sample_spec(spec, n))
+    dw = discrete_wavelets(filt, levels)
+    rng = np.random.default_rng(seed)
+    noise = np.zeros(n)
+    for j in range(1, levels + 1):
+        xi = np.asarray(innovations(rng, n), dtype=np.float64)
+        row = amplitude[j - 1]
+        if not row.any():
+            continue
+        kernel = synthesis_kernel(dw, j, n)
+        noise += np.fft.irfft(np.fft.rfft(row * xi) * np.fft.rfft(kernel), n)
+    return sample_trend(trend, n) + noise
+
+
+def uniform_innovations(rng, size):
+    return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size)
+
+
+@pytest.mark.parametrize("n", [256, 300, 1000])
+@pytest.mark.parametrize("number", [1, 4])
+@pytest.mark.parametrize("innovations", [None, uniform_innovations])
+def test_tlsw_sim_matches_per_scale_loop(n, number, innovations):
+    # zero rows in the middle and at the end of the spectrum must still draw
+    # their innovations, so the later scales see the same stream
+    filt = wavelet_filter(EXTREMAL_PHASE, number)
+    rng = np.random.default_rng(n + number)
+    spec = rng.uniform(0.0, 2.0, (max_scales(n), n))
+    spec[2] = 0.0
+    spec[-2:] = 0.0
+    trend = np.linspace(-1.0, 1.0, n)
+    for seed in (0, 17, np.random.SeedSequence(5).spawn(2)[1]):
+        got = tlsw_sim(trend=trend, spec=spec, filt=filt, innovations=innovations, seed=seed)
+        want = per_scale_loop(trend, spec, n, filt,
+                              innovations or (lambda g, size: g.standard_normal(size)), seed)
+        assert np.array_equal(got, want)

@@ -20,6 +20,7 @@ CASES = {
         "--t-max-scale", "11", "--ci", "normal", "--reps", "40",
     ],
     "analytic": ["--t-transform", "dec", "--ci", "analytic"],
+    "boot_dec_percentile": ["--t-transform", "dec", "--ci", "percentile", "--reps", "40"],
 }
 
 

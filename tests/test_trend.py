@@ -310,3 +310,59 @@ def test_bootstrap_adjacent_seeds_independent():
     adjacent = np.mean(np.abs(width(1) - w0))
     unrelated = np.mean(np.abs(width(12345) - w0))
     assert adjacent > 0.5 * unrelated
+
+
+def per_replicate_interval(x, fit, sp, reps, alpha, ci_type, seed):
+    """bootstrap_ci as one tlsw_sim and one estimate_trend per replicate."""
+    from statistics import NormalDist
+
+    from wavetrend.simulate import max_scales, tlsw_sim
+
+    n = x.size
+    smat = np.zeros((max_scales(n), n))
+    smat[: sp.levels] = np.maximum(sp.S, 0.0)
+    fits = np.empty((reps, n))
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        xb = fit.values + tlsw_sim(spec=smat, seed=stream, filt=sp.filter)
+        fits[b] = estimate_trend(xb, fit.config, spectrum=sp).values
+    if ci_type == BOOT_NORMAL:
+        half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * fits.std(axis=0, ddof=1)
+        return fit.values - half, fit.values + half
+    return np.quantile(fits, alpha / 2.0, axis=0), np.quantile(fits, 1.0 - alpha / 2.0, axis=0)
+
+
+# (n, config, ci_type, reps).  Replicate blocks (trend._block_rows) hold
+# 18 rows at n = 300, 3 at n = 1024 and 32 at n = 512 nondecimated, so
+# reps = 41 leaves a partial last block; n = 2048 nondecimated gives
+# blocks of 1 row, and the decimated cases fit all replicates in one block
+BLOCKED_BOOTSTRAP_CASES = {
+    "linear_nondec": (300, EstimatorConfig(), BOOT_NORMAL, 41),
+    "linear_dec_no_boundary": (256, EstimatorConfig(transform=DECIMATED, boundary=False),
+                               BOOT_PERCENTILE, 40),
+    "nonlinear_hard_nondec": (1024, EstimatorConfig(method=NONLINEAR), BOOT_PERCENTILE, 41),
+    "nonlinear_soft_dec": (100, EstimatorConfig(method=NONLINEAR, transform=DECIMATED,
+                                                policy=ThresholdPolicy(kind=SOFT)),
+                           BOOT_NORMAL, 45),
+    "nonlinear_soft_no_boundary": (512, EstimatorConfig(method=NONLINEAR, boundary=False,
+                                                        policy=ThresholdPolicy(kind=SOFT)),
+                                   BOOT_NORMAL, 41),
+    "nonlinear_hard_dec_no_boundary": (256, EstimatorConfig(method=NONLINEAR,
+                                                            transform=DECIMATED,
+                                                            boundary=False),
+                                       BOOT_PERCENTILE, 41),
+    "block_height_one": (2048, EstimatorConfig(method=NONLINEAR), BOOT_NORMAL, 40),
+}
+
+
+@pytest.mark.parametrize("case", BLOCKED_BOOTSTRAP_CASES.values(),
+                         ids=BLOCKED_BOOTSTRAP_CASES.keys())
+def test_blocked_bootstrap_matches_per_replicate_loop(case):
+    n, config, ci_type, reps = case
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 1.0, n)
+    x = np.sin(6.0 * t) + (0.5 + t) * rng.standard_normal(n)
+    sp = estimate_spectrum(x)
+    fit = estimate_trend(x, config, spectrum=sp)
+    out = bootstrap_ci(x, fit, sp, reps=reps, alpha=0.1, ci_type=ci_type, seed=11)
+    lo, hi = per_replicate_interval(x, fit, sp, reps, 0.1, ci_type, 11)
+    assert np.array_equal(out.ci_lo, lo) and np.array_equal(out.ci_hi, hi)
