@@ -75,9 +75,6 @@ def gaussian_innovations(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size)
 
 
-Innovations = Callable[[np.random.Generator, int], np.ndarray]
-
-
 def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
@@ -199,7 +196,9 @@ class NoisePlan:
         return cls(amplitude=amplitude, kernels=kernels)
 
     def draw(
-        self, rng: np.random.Generator, innovations: Innovations = gaussian_innovations
+        self,
+        rng: np.random.Generator,
+        innovations: Callable[[np.random.Generator, int], np.ndarray] = gaussian_innovations,
     ) -> np.ndarray:
         """One noise series; every scale draws its n innovations, in scale order."""
         n = self.amplitude.shape[1]
@@ -219,7 +218,7 @@ def tlsw_sim(
     n: int | None = None,
     filter_number: int = 4,
     family: str = "extremal_phase",
-    innovations: Innovations | None = None,
+    innovations: Callable[[np.random.Generator, int], np.ndarray] | None = None,
     seed: int | np.random.SeedSequence | None = None,
     filt: WaveletFilter | None = None,
 ) -> np.ndarray:

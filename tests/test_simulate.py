@@ -10,8 +10,14 @@ from wavetrend.errors import (
     SeriesTooShort,
 )
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
-from wavetrend.simulate import max_scales, sample_spec, sample_trend, tlsw_sim
-from wavetrend.wavelets import autocorrelation_wavelets
+from wavetrend.simulate import (
+    max_scales,
+    sample_spec,
+    sample_trend,
+    synthesis_kernel,
+    tlsw_sim,
+)
+from wavetrend.wavelets import autocorrelation_wavelets, discrete_wavelets
 
 HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
 
@@ -124,9 +130,6 @@ def test_custom_innovations():
 
 def per_scale_loop(trend, spec, n, filt, innovations, seed):
     """tlsw_sim as one loop over scales that builds each kernel as it goes."""
-    from wavetrend.simulate import synthesis_kernel
-    from wavetrend.wavelets import discrete_wavelets
-
     levels = max_scales(n)
     amplitude = np.sqrt(sample_spec(spec, n))
     dw = discrete_wavelets(filt, levels)

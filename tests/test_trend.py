@@ -1,6 +1,7 @@
 """Trend estimators, thresholding, and confidence intervals."""
 
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wavetrend.errors import (
 )
 from wavetrend.filters import EXTREMAL_PHASE, LEAST_ASYMMETRIC, wavelet_filter
 from wavetrend.lacv import lacv_from_spectrum
+from wavetrend.simulate import max_scales, tlsw_sim
 from wavetrend.spectrum import estimate_spectrum
 from wavetrend.transforms import DECIMATED, NONDECIMATED
 from wavetrend.trend import (
@@ -314,10 +316,6 @@ def test_bootstrap_adjacent_seeds_independent():
 
 def per_replicate_interval(x, fit, sp, reps, alpha, ci_type, seed):
     """bootstrap_ci as one tlsw_sim and one estimate_trend per replicate."""
-    from statistics import NormalDist
-
-    from wavetrend.simulate import max_scales, tlsw_sim
-
     n = x.size
     smat = np.zeros((max_scales(n), n))
     smat[: sp.levels] = np.maximum(sp.S, 0.0)
