@@ -40,7 +40,6 @@ def checkout(path: Path) -> dict:
                               text=True, check=True).stdout.strip()
 
     return {
-        "dir": str(path),
         "sha": git("rev-parse", "HEAD"),
         "src_tree": git("rev-parse", "HEAD:src"),
         "dirty": bool(git("status", "--porcelain", "--", "src", "bench")),
