@@ -1,0 +1,140 @@
+"""Run the CLI of two source trees on a fixed list of cases and report every difference.
+
+    python scripts/compare_checkouts.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
+Each tree first simulates x1 (seed 21) and x2 (seed 5), then runs every
+case on them, in its own temporary working directory with the same
+relative input paths and ``--out-dir`` (``metadata.json`` records both).
+Per case it prints the exit codes, whether stderr matches (the source
+directory in warnings replaced by ``<src>``), which files only one side
+wrote, and the ``compare_outputs.py`` line of every file both wrote.  It
+exits 1 on any difference.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from compare_outputs import compare  # noqa: E402
+
+X1, X2 = "x1/series.csv", "x2/series.csv"
+
+# (name, CLI arguments), run in this order; the sims write x1/ and x2/, the rest out/<name>
+CASES = [
+    ("sim_x1", ["sim", "--scenario", "x1", "--seed", "21"]),
+    ("sim_x2", ["sim", "--scenario", "x2", "--seed", "5"]),
+    # bootstrap and analytic settings of the blocked bootstrap
+    ("x2_nonlinear_diff_normal", ["analyze", X2, "--est-type", "nonlinear", "--diff", "1",
+                                  "--ci", "normal", "--reps", "200"]),
+    ("x2_percentile_no_boundary", ["analyze", X2, "--ci", "percentile", "--reps", "60",
+                                   "--no-t-boundary-handle"]),
+    ("x2_dec_normal", ["analyze", X2, "--t-transform", "dec", "--ci", "normal",
+                       "--reps", "50"]),
+    ("x2_dec_nonlinear_percentile", ["analyze", X2, "--t-transform", "dec", "--est-type",
+                                     "nonlinear", "--diff", "1", "--ci", "percentile",
+                                     "--reps", "41"]),
+    ("x2_soft_percentile", ["analyze", X2, "--est-type", "nonlinear", "--t-thresh-type",
+                            "soft", "--ci", "percentile", "--reps", "45", "--seed", "7"]),
+    ("x1_dec_analytic", ["analyze", X1, "--t-transform", "dec", "--ci", "analytic"]),
+    # trend settings and the metadata written from them
+    ("x1_analyze", ["analyze", X1]),
+    ("x2_analyze", ["analyze", X2]),
+    ("x1_trend", ["trend", X1]),
+    ("x1_trend_soft_policy", ["trend", X1, "--t-thresh-type", "soft",
+                              "--no-t-thresh-normal"]),
+    ("x1_trend_nonlinear_percentile", ["trend", X1, "--est-type", "nonlinear", "--ci",
+                                       "percentile", "--reps", "40"]),
+    ("x2_trend_dec_analytic", ["trend", X2, "--t-transform", "dec", "--ci", "analytic",
+                               "--lag-max", "20"]),
+    ("x2_trend_la6", ["trend", X2, "--est-type", "nonlinear", "--diff", "1", "--t-family",
+                      "DaubLeAsymm", "--t-filter-number", "6", "--t-max-scale", "5"]),
+    ("x1_no_boundary_normal", ["analyze", X1, "--t-max-scale", "4", "--no-t-boundary-handle",
+                               "--ci", "normal", "--reps", "40", "--t-sig-lvl", "0.1",
+                               "--seed", "3"]),
+    ("x2_median_lag2", ["analyze", X2, "--s-smooth-type", "median", "--s-do-diff",
+                        "--s-lag", "2"]),
+    ("x1_order2_soft", ["analyze", X1, "--s-do-diff", "--s-diff-number", "2", "--est-type",
+                        "nonlinear", "--t-thresh-type", "soft"]),
+    ("x2_dec_nonlinear_normal", ["trend", X2, "--t-transform", "dec", "--est-type",
+                                 "nonlinear", "--t-ci", "--t-ci-type", "normal",
+                                 "--reps", "40"]),
+    # errors
+    ("diff_order_0", ["analyze", X1, "--s-do-diff", "--s-diff-number", "0"]),
+    ("ragged_long_row", ["spec", "ragged_long.csv"]),
+    ("ragged_short_row", ["spec", "ragged_short.csv"]),
+    ("diff_order_3", ["analyze", X1, "--s-do-diff", "--s-diff-number", "3"]),
+    ("diff_lag_0", ["analyze", X1, "--diff", "0"]),
+    ("unknown_filter", ["trend", X1, "--t-filter-number", "11"]),
+    ("deep_trend", ["trend", X1, "--t-max-scale", "12"]),
+    ("analytic_nonlinear", ["trend", X1, "--t-transform", "dec", "--est-type", "nonlinear",
+                            "--ci", "analytic"]),
+    ("too_few_reps", ["trend", X1, "--ci", "normal", "--reps", "10"]),
+    ("missing_input", ["trend", "missing.csv"]),
+]
+
+# series files with a row wider or narrower than the first
+RAGGED = {
+    "ragged_long.csv": "time,value\n0,1.5\n1,2.5,9\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
+    "ragged_short.csv": "time,value\n0,1.5\n2\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
+}
+
+
+def out_dir(name: str, argv: list[str]) -> str:
+    """--out-dir of a case, relative to the working directory; sims write the inputs."""
+    return name.removeprefix("sim_") if argv[0] == "sim" else f"out/{name}"
+
+
+def run_case(src: Path, work: Path, name: str, argv: list[str]) -> tuple[int, str]:
+    """(exit code, stderr) of one case run from work with src on the path."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-m", "wavetrend.cli", *argv, "--out-dir", out_dir(name, argv)]
+    proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr.replace(str(src), "<src>")
+
+
+def compare_case(a: tuple[int, str], b: tuple[int, str], dir_a: Path, dir_b: Path) -> list[str]:
+    """Every difference between two runs of one case; empty when there is none."""
+    diffs = []
+    if a[0] != b[0]:
+        diffs.append(f"exit {a[0]} against {b[0]}")
+    if a[1] != b[1]:
+        diffs.append(f"stderr {a[1].strip()!r} against {b[1].strip()!r}")
+    names_a = {p.name for p in dir_a.glob("*")} if dir_a.is_dir() else set()
+    names_b = {p.name for p in dir_b.glob("*")} if dir_b.is_dir() else set()
+    diffs += [f"{n} only in the parent" for n in sorted(names_a - names_b)]
+    diffs += [f"{n} only in the change" for n in sorted(names_b - names_a)]
+    if names_a & names_b:
+        diffs += [line for line in compare(dir_a, dir_b) if not line.endswith(": identical")]
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    args = parser.parse_args(argv)
+    srcs = (args.parent_src.resolve(), args.change_src.resolve())
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp_a, tempfile.TemporaryDirectory() as tmp_b:
+        works = (Path(tmp_a), Path(tmp_b))
+        for work in works:
+            for file, text in RAGGED.items():
+                (work / file).write_text(text)
+        for name, case in CASES:
+            runs = [run_case(src, work, name, case) for src, work in zip(srcs, works)]
+            dirs = [work / out_dir(name, case) for work in works]
+            diffs = compare_case(*runs, *dirs)
+            failed += bool(diffs)
+            status = f"exit {runs[0][0]}, identical" if not diffs else "; ".join(diffs)
+            print(f"{name}: {status}", flush=True)
+    print(f"{failed} of {len(CASES)} cases differ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,6 +44,7 @@ from .trend import (
     ANALYTIC,
     BOOT_NORMAL,
     BOOT_PERCENTILE,
+    CI_NONE,
     LINEAR,
     NONLINEAR,
     EstimatorConfig,
@@ -90,13 +91,15 @@ def _write_trend(path: Path, values, ci_lo=None, ci_hi=None) -> None:
 
 
 def _data_rows(path: str | Path) -> list[list[str]]:
-    """Nonblank CSV rows, less a first row with a cell that is not a number (a header)."""
+    """Nonblank CSV rows less a header (a first row with a non-number), all as wide as the first."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    if rows and any(cell.strip() and not _is_number(cell) for cell in rows[0]):
+        rows = rows[1:]
     if not rows:
         raise WavetrendError(f"{path} is empty")
-    if any(cell.strip() and not _is_number(cell) for cell in rows[0]):
-        rows = rows[1:]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise WavetrendError(f"{path}: every row needs the {len(rows[0])} columns of the first")
     return rows
 
 
@@ -118,7 +121,7 @@ def _floats(path: str | Path, cells: list[str]) -> np.ndarray:
 def read_series(path: str | Path) -> np.ndarray:
     """Series CSV: a single value column or time,value; header optional."""
     rows = _data_rows(path)
-    if not rows or len(rows[0]) not in (1, 2):
+    if len(rows[0]) not in (1, 2):
         raise WavetrendError(f"{path}: expected one or two columns")
     col = -1 if len(rows[0]) == 2 else 0
     values = _floats(path, [r[col] for r in rows])
@@ -129,8 +132,6 @@ def read_series(path: str | Path) -> np.ndarray:
 
 def read_matrix(path: str | Path) -> np.ndarray:
     rows = _data_rows(path)
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise WavetrendError(f"{path}: expected a nonempty matrix of equal-length rows")
     width = len(rows[0])
     return _floats(path, [cell for r in rows for cell in r]).reshape(len(rows), width)
 
@@ -138,9 +139,9 @@ def read_matrix(path: str | Path) -> np.ndarray:
 def read_trend(path: str | Path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Trend CSV as written by trend/analyze: t,estimate and optional lo,hi."""
     rows = _data_rows(path)
-    if not rows or min(len(r) for r in rows) < 2:
+    if len(rows[0]) < 2:
         raise WavetrendError(f"{path}: expected t,estimate[,lo,hi] columns")
-    has_ci = all(len(r) >= 4 and r[2].strip() and r[3].strip() for r in rows)
+    has_ci = len(rows[0]) >= 4 and all(r[2].strip() and r[3].strip() for r in rows)
     width = 3 if has_ci else 1
     cols = _floats(path, [cell for r in rows for cell in r[1 : 1 + width]])
     est, *ci = cols.reshape(len(rows), width).T
@@ -205,42 +206,42 @@ def _fit_trend(args: argparse.Namespace, x: np.ndarray, spectrum: SpectrumEstima
         boundary=args.t_boundary_handle,
         levels=args.t_max_scale,
         filter_number=args.t_filter_number,
-        family=canonical_family(args.t_family),
+        family=args.t_family,
         policy=ThresholdPolicy(kind=args.t_thresh_type, normal_assumption=args.t_thresh_normal),
     )
-    floored = None
-    if args.t_est_type == NONLINEAR:
+    if config.method == NONLINEAR:
         # an unfloored estimate can zero the threshold in patches and let
-        # raw noise through; the thresholder always gets the floored copy
-        floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0), floored=True)
-    fit = estimate_trend(x, config, spectrum=floored)
+        # raw noise through; the thresholder and its bootstrap get the floored copy
+        spectrum = replace(spectrum, S=np.maximum(spectrum.S, 0.0), floored=True)
+    fit = estimate_trend(x, config, spectrum)
     if not args.t_ci:
         return fit, None
     ci = _CI_TYPES[args.t_ci_type]
     if ci == ANALYTIC:
         lacv = _lacv_for(args, spectrum)
         return analytic_ci(x, fit, lacv, alpha=args.t_sig_lvl), lacv
-    spectrum = floored if floored is not None else spectrum
     fit = bootstrap_ci(
         x, fit, spectrum, reps=args.t_reps, alpha=args.t_sig_lvl, ci_type=ci, seed=args.seed
     )
     return fit, None
 
 
-def _trend_meta(args: argparse.Namespace, fit) -> dict:
+def _trend_meta(fit) -> dict:
+    """The trend block of metadata.json, in flag spellings, from the fit's resolved config."""
+    config, ci = fit.config, fit.ci_type != CI_NONE
     return {
-        "est_type": args.t_est_type,
-        "transform": args.t_transform,
-        "filter_number": fit.filter.number,
-        "family": fit.filter.family,
-        "max_scale": fit.levels,
-        "boundary_handle": args.t_boundary_handle,
-        "thresh_type": args.t_thresh_type,
-        "thresh_normal": args.t_thresh_normal,
-        "spectrum_floored_for_threshold": args.t_est_type == NONLINEAR,
-        "ci": args.t_ci,
-        "ci_type": args.t_ci_type if args.t_ci else None,
-        "sig_lvl": args.t_sig_lvl if args.t_ci else None,
+        "est_type": config.method,
+        "transform": {v: k for k, v in _TRANSFORMS.items()}[config.transform],
+        "filter_number": config.filter_number,
+        "family": config.family,
+        "max_scale": config.levels,
+        "boundary_handle": config.boundary,
+        "thresh_type": config.policy.kind,
+        "thresh_normal": config.policy.normal_assumption,
+        "spectrum_floored_for_threshold": config.method == NONLINEAR,
+        "ci": ci,
+        "ci_type": {v: k for k, v in _CI_TYPES.items()}[fit.ci_type] if ci else None,
+        "sig_lvl": fit.alpha,
         "reps": fit.reps,
     }
 
@@ -326,7 +327,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     if spectrum is not None:
         meta["spectrum"] = _spectrum_meta(args, spectrum)
     if fit is not None:
-        meta["trend"] = _trend_meta(args, fit)
+        meta["trend"] = _trend_meta(fit)
         meta["notes"] = _pairing_notes(args)
     if lacv is not None:
         meta["lacv"] = {"lag_max": lacv.lag_max}

@@ -138,13 +138,6 @@ def default_binwidth(n: int) -> tuple[int, bool]:
     return max(b, 3), clamped
 
 
-def _parse_diff(diff) -> tuple[int, int]:
-    if diff is None or diff == (0, 0):
-        return 0, 0
-    lag, order = diff
-    return int(lag), int(order)
-
-
 def _embed_columns(rows: np.ndarray, n: int, lost: int) -> np.ndarray:
     """Centre an (levels, n - lost) block inside n columns, edges replicated."""
     m = rows.shape[1]
@@ -178,9 +171,10 @@ def wavelet_periodogram(
     cap = max_levels(n)
     if levels > cap:
         raise ScaleTooDeep(f"{levels} levels exceeds floor(log2 {n}) = {cap}")
-    lag, order = _parse_diff(diff)
+    # only diff=None means no differencing; every other pair is checked
+    lag, order = (0, 0) if diff is None else map(int, diff)
     lost = lag * order
-    if order:
+    if diff is not None:
         # on the series itself: the reflected extension is long enough for
         # any lag, but the data window cut from it would not be
         check_diff(n, lag, order)
@@ -308,11 +302,10 @@ def correction_for(
     diff: tuple[int, int] | None = None,
 ) -> CorrectionMatrix:
     """Bias operator matching a periodogram configuration."""
-    lag, order = _parse_diff(diff)
     acw = autocorrelation_wavelets(filt, levels)
-    if order:
-        return d_matrix(acw, levels, lag=lag, order=order)
-    return a_matrix(acw, levels)
+    if diff is None:
+        return a_matrix(acw, levels)
+    return d_matrix(acw, levels, *map(int, diff))
 
 
 def estimate_spectrum(
@@ -325,7 +318,6 @@ def estimate_spectrum(
     boundary: bool = True,
     diff: tuple[int, int] | None = None,
     floor_negatives: bool = False,
-    filt: WaveletFilter | None = None,
 ) -> SpectrumEstimate:
     """Full spectrum pipeline with the standard defaults.
 
@@ -334,8 +326,7 @@ def estimate_spectrum(
     """
     x = as_series(x, 16)
     n = x.size
-    if filt is None:
-        filt = wavelet_filter(family, filter_number)
+    filt = wavelet_filter(family, filter_number)
     if levels is None:
         levels = default_levels(n)
     clamped = False

@@ -8,9 +8,11 @@ estimator instead thresholds every detail coefficient against its own
 estimated standard deviation, which adapts to inhomogeneous trends at the
 price of needing a spectrum estimate first.
 
-Each estimator's edit comes from a factory (_zero_interior,
-_threshold_edit) that builds what the edit needs once, so one edit serves
-one fit or many blocks of fits.
+estimate_trend is the one fitting body; linear_trend and nonlinear_trend
+build a config and call it.  Every fit takes its edit from _edit_for, the
+one place that dispatches on the method, through a factory
+(_zero_interior, _threshold_edit) that builds what the edit needs once, so
+one edit serves one fit or many blocks of fits.
 
 Confidence intervals come in two flavours.  The analytic interval
 materialises the linear estimator as a matrix, pushing blocks of identity
@@ -100,6 +102,12 @@ class EstimatorConfig:
     filter_number: int = 4
     family: str = EXTREMAL_PHASE
     policy: ThresholdPolicy = ThresholdPolicy()
+
+    def __post_init__(self) -> None:
+        if self.method not in (LINEAR, NONLINEAR):
+            raise MethodMismatch(f"unknown trend method {self.method!r}")
+        if self.transform not in (DECIMATED, NONDECIMATED):
+            raise MethodMismatch(f"unknown trend transform {self.transform!r}")
 
 
 @dataclass(frozen=True)
@@ -231,6 +239,45 @@ def _threshold_edit(
     return edit
 
 
+def _edit_for(
+    config: EstimatorConfig,
+    spectrum: SpectrumEstimate | None,
+    filt: WaveletFilter,
+    levels: int,
+    desc: ExtensionDescriptor,
+):
+    """The edit of config's estimator, for a series placed as desc says."""
+    if config.method == LINEAR:
+        return _zero_interior(filt.length, desc)
+    if not isinstance(spectrum, SpectrumEstimate):
+        raise MissingSpectrum("nonlinear trend needs a spectrum estimate")
+    if spectrum.length != desc.original_length:
+        raise MatrixMismatch(
+            f"spectrum covers {spectrum.length} points, series has {desc.original_length}"
+        )
+    return _threshold_edit(spectrum, filt, levels, config.policy, desc)
+
+
+def estimate_trend(
+    x: np.ndarray,
+    config: EstimatorConfig,
+    spectrum: SpectrumEstimate | None = None,
+) -> TrendEstimate:
+    """Run the estimator a config describes; the nonlinear one needs a spectrum.
+
+    The estimate carries config resolved: levels filled in with the default
+    depth when None, the filter family canonical, everything else as given.
+    """
+    filt = wavelet_filter(config.family, config.filter_number)
+    x = as_series(x, 2)
+    levels = default_levels(x.size) if config.levels is None else config.levels
+    desc = _extension(x.size, config.boundary)
+    edit = _edit_for(config, spectrum, filt, levels, desc)
+    fitted = _edited_fit(x, filt, levels, config.transform, desc, edit)
+    config = replace(config, levels=levels, family=filt.family)
+    return TrendEstimate(values=fitted, config=config, filter=filt, levels=levels)
+
+
 def linear_trend(
     x: np.ndarray,
     filter_number: int = 4,
@@ -238,7 +285,6 @@ def linear_trend(
     levels: int | None = None,
     transform: str = NONDECIMATED,
     boundary: bool = True,
-    filt: WaveletFilter | None = None,
 ) -> TrendEstimate:
     """Trend from boundary detail and scaling coefficients only.
 
@@ -246,22 +292,8 @@ def linear_trend(
     moments, so dropping them removes noise and keeps the trend; the edit
     is data independent, which is what makes the analytic interval possible.
     """
-    if filt is None:
-        filt = wavelet_filter(family, filter_number)
-    x = as_series(x, 2)
-    if levels is None:
-        levels = default_levels(x.size)
-    desc = _extension(x.size, boundary)
-    fitted = _edited_fit(x, filt, levels, transform, desc, _zero_interior(filt.length, desc))
-    config = EstimatorConfig(
-        method=LINEAR,
-        transform=transform,
-        boundary=boundary,
-        levels=levels,
-        filter_number=filt.number,
-        family=filt.family,
-    )
-    return TrendEstimate(values=fitted, config=config, filter=filt, levels=levels)
+    config = EstimatorConfig(LINEAR, transform, boundary, levels, filter_number, family)
+    return estimate_trend(x, config)
 
 
 def variance_matrix(
@@ -309,7 +341,6 @@ def nonlinear_trend(
     policy: ThresholdPolicy = ThresholdPolicy(),
     transform: str = NONDECIMATED,
     boundary: bool = True,
-    filt: WaveletFilter | None = None,
 ) -> TrendEstimate:
     """Trend by coefficient-wise thresholding at estimated noise level.
 
@@ -318,62 +349,8 @@ def nonlinear_trend(
     local noise level; coefficients in the extension reuse the nearest
     in-window variance.
     """
-    if spectrum is None or not isinstance(spectrum, SpectrumEstimate):
-        raise MissingSpectrum("nonlinear trend needs a spectrum estimate")
-    if filt is None:
-        filt = wavelet_filter(family, filter_number)
-    x = as_series(x, 2)
-    n = x.size
-    if spectrum.length != n:
-        raise MatrixMismatch(
-            f"spectrum covers {spectrum.length} points, series has {n}"
-        )
-    if levels is None:
-        levels = default_levels(n)
-    desc = _extension(n, boundary)
-    edit = _threshold_edit(spectrum, filt, levels, policy, desc)
-    fitted = _edited_fit(x, filt, levels, transform, desc, edit)
-    config = EstimatorConfig(
-        method=NONLINEAR,
-        transform=transform,
-        boundary=boundary,
-        levels=levels,
-        filter_number=filt.number,
-        family=filt.family,
-        policy=policy,
-    )
-    return TrendEstimate(values=fitted, config=config, filter=filt, levels=levels)
-
-
-def estimate_trend(
-    x: np.ndarray,
-    config: EstimatorConfig,
-    spectrum: SpectrumEstimate | None = None,
-) -> TrendEstimate:
-    """Run the estimator a config describes."""
-    if config.method == LINEAR:
-        return linear_trend(
-            x,
-            filter_number=config.filter_number,
-            family=config.family,
-            levels=config.levels,
-            transform=config.transform,
-            boundary=config.boundary,
-        )
-    if config.method == NONLINEAR:
-        if spectrum is None:
-            raise MissingSpectrum("nonlinear trend needs a spectrum estimate")
-        return nonlinear_trend(
-            x,
-            spectrum,
-            filter_number=config.filter_number,
-            family=config.family,
-            levels=config.levels,
-            policy=config.policy,
-            transform=config.transform,
-            boundary=config.boundary,
-        )
-    raise MethodMismatch(f"unknown trend method {config.method!r}")
+    config = EstimatorConfig(NONLINEAR, transform, boundary, levels, filter_number, family, policy)
+    return estimate_trend(x, config, spectrum)
 
 
 _ANALYTIC_MAX_N = 8192
@@ -415,7 +392,7 @@ def _linear_operator(trend: TrendEstimate) -> np.ndarray:
     """
     n = trend.length
     desc = _extension(n, trend.config.boundary)
-    edit = _zero_interior(trend.filter.length, desc)
+    edit = _edit_for(trend.config, None, trend.filter, trend.levels, desc)
     block = _block_rows(desc, trend.levels, DECIMATED)
     rows = np.empty((n, n))
     for s in range(0, n, block):
@@ -515,12 +492,7 @@ def bootstrap_ci(
     n, config = trend.length, trend.config
     plan = NoisePlan.build(_padded_spectrum(spectrum), n, spectrum.filter)
     desc = _extension(n, config.boundary)
-    if config.method == LINEAR:
-        edit = _zero_interior(trend.filter.length, desc)
-    elif config.method == NONLINEAR:
-        edit = _threshold_edit(spectrum, trend.filter, trend.levels, config.policy, desc)
-    else:
-        raise MethodMismatch(f"unknown trend method {config.method!r}")
+    edit = _edit_for(config, spectrum, trend.filter, trend.levels, desc)
     block = _block_rows(desc, trend.levels, config.transform)
     fits = np.empty((reps, n))
     for s in range(0, reps, block):

@@ -219,19 +219,14 @@ def d_matrix(
     order 1 allows any positive lag; order 2 is the repeated first difference
     and is only defined for lag 1.
     """
+    _check_diff_spec(lag, order)
     if order == 1:
-        if lag < 1:
-            raise InvalidDiffSpec("difference lag must be a positive integer")
         mat = lagged_a_matrix(acw, max_scale, 0) - lagged_a_matrix(acw, max_scale, lag)
-    elif order == 2:
-        if lag != 1:
-            raise InvalidDiffSpec("second differencing is only defined for lag 1")
+    else:
         a0 = lagged_a_matrix(acw, max_scale, 0)
         a1 = lagged_a_matrix(acw, max_scale, 1)
         a2 = lagged_a_matrix(acw, max_scale, 2)
         mat = a0 - (4.0 / 3.0) * a1 + (1.0 / 3.0) * a2
-    else:
-        raise InvalidDiffSpec(f"difference order must be 1 or 2, got {order}")
     return _invert(mat, "difference", acw.filter.label, max_scale, lag, order)
 
 
@@ -259,14 +254,19 @@ def cross_a_matrix(
 _DIFF_NORM = {1: np.sqrt(2.0), 2: np.sqrt(6.0)}
 
 
-def check_diff(n: int, lag: int, order: int) -> None:
-    """A (lag, order) difference must be defined and leave two of n values."""
+def _check_diff_spec(lag: int, order: int) -> None:
+    """A (lag, order) difference must be defined: order 1 at any positive lag, order 2 at lag 1."""
     if order not in _DIFF_NORM:
         raise InvalidDiffSpec(f"difference order must be 1 or 2, got {order}")
     if lag < 1:
         raise InvalidDiffSpec("difference lag must be a positive integer")
     if order == 2 and lag != 1:
         raise InvalidDiffSpec("second differencing is only defined for lag 1")
+
+
+def check_diff(n: int, lag: int, order: int) -> None:
+    """A (lag, order) difference must be defined and leave two of n values."""
+    _check_diff_spec(lag, order)
     needed = lag * order + 2
     if n < needed:
         raise SeriesTooShort(f"need at least {needed} observations, got {n}")

@@ -221,6 +221,25 @@ def test_bad_significance_level_exits_2(tmp_path, capsys, alpha, ci):
     assert "significance level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["time,value\n0,1.5\n1,2.5,9\n2,0.5\n",
+                                  "time,value\n0,1.5\n2\n3,0.5\n"])
+def test_ragged_series_rows_exit_2(tmp_path, capsys, text):
+    # a longer row was read at its last cell, a shorter one at its time index
+    src = tmp_path / "series.csv"
+    src.write_text(text)
+    assert run("spec", src, "--out-dir", tmp_path) == 2
+    assert "every row" in capsys.readouterr().err
+
+
+def test_zero_difference_order_exits_2(tmp_path, capsys):
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(27).standard_normal(64))
+    assert run("analyze", src, "--out-dir", tmp_path / "out", "--s-do-diff",
+               "--s-diff-number", 0) == 2
+    assert "InvalidDiffSpec" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metadata.json").exists()
+
+
 def test_unknown_flag_raises_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("trend", tmp_path / "x.csv", "--bogus")
@@ -253,6 +272,33 @@ def test_metadata_keys_per_command(tmp_path, argv, extra):
     assert set(json.loads((d / "metadata.json").read_text())) == BASE_KEYS | extra
 
 
+TREND_META = {
+    "est_type": "linear", "transform": "nondec", "filter_number": 4,
+    "family": "extremal_phase", "max_scale": 4, "boundary_handle": True,
+    "thresh_type": "hard", "thresh_normal": True, "spectrum_floored_for_threshold": False,
+    "ci": False, "ci_type": None, "sig_lvl": None, "reps": None,
+}
+
+
+@pytest.mark.parametrize("flags,changed", [
+    (("--t-transform", "dec", "--ci", "analytic"),
+     {"transform": "dec", "ci": True, "ci_type": "analytic", "sig_lvl": 0.05}),
+    (("--t-thresh-type", "soft", "--no-t-thresh-normal", "--t-family", "DaubLeAsymm",
+      "--t-filter-number", 6, "--t-max-scale", 3, "--no-t-boundary-handle"),
+     {"thresh_type": "soft", "thresh_normal": False, "family": "least_asymmetric",
+      "filter_number": 6, "max_scale": 3, "boundary_handle": False}),
+    (("--est-type", "nonlinear", "--ci", "percentile", "--t-sig-lvl", 0.1),
+     {"est_type": "nonlinear", "spectrum_floored_for_threshold": True, "ci": True,
+      "ci_type": "percentile", "sig_lvl": 0.1, "reps": 200}),
+])
+def test_trend_metadata_fields(tmp_path, flags, changed):
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(28).standard_normal(64))
+    d = tmp_path / "out"
+    assert run("trend", src, "--out-dir", d, *flags) == 0
+    assert json.loads((d / "metadata.json").read_text())["trend"] == TREND_META | changed
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "{src}", "--ci", "normal", "--reps", 40, "--seed", -1),
     ("sim", "--scenario", "x1", "--seed", -3),
@@ -268,6 +314,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("name,kind,text", [
     ("trend.csv", "trend", "t,estimate,lo,hi\n0,1.5,,\n1,oops,,\n"),
     ("trend.csv", "trend", "estimate\n1.5\n2.5\n"),
+    ("trend.csv", "trend", "t,estimate,lo,hi\n0,1.5,1,2\n1,2.5\n"),
     ("spectrum.csv", "spec", "a,b\n"),
 ])
 def test_plot_malformed_result_exits_2(tmp_path, capsys, name, kind, text):

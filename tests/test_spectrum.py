@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavetrend import spectrum
-from wavetrend.errors import InvalidBinwidth, MatrixMismatch, SeriesTooShort
+from wavetrend.errors import InvalidBinwidth, InvalidDiffSpec, MatrixMismatch, SeriesTooShort
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
 from wavetrend.scenarios import scenario
 from wavetrend.spectrum import (
@@ -166,6 +166,16 @@ def test_oversize_diff_lag_rejected(boundary):
         estimate_spectrum(x, diff=(1500, 1), boundary=boundary)
     with pytest.raises(SeriesTooShort):
         wavelet_periodogram(x, EP4, 3, boundary=boundary, diff=(999, 1))
+
+
+@pytest.mark.parametrize("diff", [(5, 0), (0, 0)])
+def test_diff_pairs_other_than_none_are_checked(diff):
+    # only diff=None skips differencing; order 0 is an invalid pair, not "none"
+    x = np.random.default_rng(6).standard_normal(256)
+    with pytest.raises(InvalidDiffSpec):
+        estimate_spectrum(x, diff=diff)
+    with pytest.raises(InvalidDiffSpec):
+        correction_for(EP4, 3, diff=diff)
 
 
 def test_diff_lag_leaving_too_few_points_named():

@@ -17,7 +17,7 @@ from wavetrend.errors import (
 from wavetrend.filters import EXTREMAL_PHASE, LEAST_ASYMMETRIC, wavelet_filter
 from wavetrend.lacv import lacv_from_spectrum
 from wavetrend.simulate import max_scales, tlsw_sim
-from wavetrend.spectrum import estimate_spectrum
+from wavetrend.spectrum import default_levels, estimate_spectrum
 from wavetrend.transforms import DECIMATED, NONDECIMATED
 from wavetrend.trend import (
     BOOT_NORMAL,
@@ -112,6 +112,31 @@ def test_nonlinear_needs_spectrum():
     cfg = EstimatorConfig(method=NONLINEAR)
     with pytest.raises(MissingSpectrum):
         estimate_trend(np.zeros(64), cfg)
+
+
+def test_config_rejects_unknown_method_or_transform():
+    for fields in ({"transform": "dec"}, {"method": "bogus"}):
+        with pytest.raises(MethodMismatch):
+            EstimatorConfig(**fields)
+    # once fell back to the nondecimated fit, labelled "dec"
+    with pytest.raises(MethodMismatch):
+        linear_trend(np.zeros(64), transform="dec")
+
+
+def test_estimate_carries_resolved_config():
+    x = np.random.default_rng(16).standard_normal(300)
+    policy = ThresholdPolicy(SOFT, False)
+    fit = estimate_trend(x, EstimatorConfig(policy=policy, family="DaubLeAsymm"))
+    assert fit.config == EstimatorConfig(
+        levels=default_levels(300), family=LEAST_ASYMMETRIC, policy=policy
+    )
+    assert fit.levels == fit.config.levels and fit.filter.family == LEAST_ASYMMETRIC
+    sp = estimate_spectrum(x)
+    config = EstimatorConfig(method=NONLINEAR, levels=3, filter_number=6, policy=policy)
+    assert estimate_trend(x, config, sp).config == config
+    assert nonlinear_trend(x, sp, levels=3, filter_number=6, policy=policy).config == config
+    # the resolved config reruns the same fit
+    assert np.array_equal(estimate_trend(x, fit.config).values, fit.values)
 
 
 def test_nonlinear_spectrum_length_guard():

@@ -191,5 +191,6 @@ def test_difference_rejects_bad_specs():
     with pytest.raises(InvalidDiffSpec):
         difference_series(x, lag=2, order=2)
     acw = autocorrelation_wavelets(HAAR, 2)
-    with pytest.raises(InvalidDiffSpec):
-        d_matrix(acw, 2, lag=2, order=2)
+    for lag, order in ((2, 2), (0, 1), (1, 0), (1, 3)):
+        with pytest.raises(InvalidDiffSpec):
+            d_matrix(acw, 2, lag=lag, order=order)
