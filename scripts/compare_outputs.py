@@ -2,11 +2,13 @@
 
     python scripts/compare_outputs.py DIR_A DIR_B
 
-For every CSV present in both directories it prints "identical" when the
-bytes match, else the max-norm relative difference max|B - A| / max|A|
-over all cells; a CSV with a header row also gets one figure per column.
-Empty and non-finite cells must sit in the same places, else that is
-reported instead of a figure.  metadata.json is compared byte for byte.
+For every file present in both directories it prints "identical" when the
+bytes match.  Otherwise a CSV gets the max-norm relative difference
+max|B - A| / max|A| over all cells, and one figure per column if it has a
+header row; empty and non-finite cells must sit in the same places, else
+that is reported instead of a figure.  Any other file (metadata.json)
+gets "bytes differ".  A file only one directory holds is reported as
+"only in A" or "only in B".
 """
 
 import argparse
@@ -46,28 +48,33 @@ def relative_difference(a: np.ndarray, b: np.ndarray) -> str:
     return f"{np.max(np.abs(a[finite] - b[finite])) / scale:.3g}"
 
 
+def _files(d: Path) -> set[str]:
+    return {p.name for p in d.glob("*") if p.is_file()}
+
+
 def compare(dir_a: Path, dir_b: Path) -> list[str]:
+    names_a, names_b = _files(dir_a), _files(dir_b)
     lines = []
-    for path_a in sorted(dir_a.glob("*.csv")):
-        path_b = dir_b / path_a.name
-        if not path_b.is_file():
-            continue
-        if path_a.read_bytes() == path_b.read_bytes():
-            lines.append(f"{path_a.name}: identical")
-            continue
-        header, a = read_table(path_a)
-        _, b = read_table(path_b)
-        line = f"{path_a.name}: {relative_difference(a, b)}"
-        if header is not None and a.shape == b.shape:
-            line += "".join(
-                f"  {name}: {relative_difference(a[:, i], b[:, i])}"
-                for i, name in enumerate(header)
-            )
-        lines.append(line)
-    meta_a, meta_b = dir_a / "metadata.json", dir_b / "metadata.json"
-    if meta_a.is_file() and meta_b.is_file():
-        same = meta_a.read_bytes() == meta_b.read_bytes()
-        lines.append(f"metadata.json: {'identical' if same else 'bytes differ'}")
+    for name in sorted(names_a | names_b):
+        path_a, path_b = dir_a / name, dir_b / name
+        if name not in names_b:
+            lines.append(f"{name}: only in A")
+        elif name not in names_a:
+            lines.append(f"{name}: only in B")
+        elif path_a.read_bytes() == path_b.read_bytes():
+            lines.append(f"{name}: identical")
+        elif path_a.suffix != ".csv":
+            lines.append(f"{name}: bytes differ")
+        else:
+            header, a = read_table(path_a)
+            _, b = read_table(path_b)
+            line = f"{name}: {relative_difference(a, b)}"
+            if header is not None and a.shape == b.shape:
+                line += "".join(
+                    f"  {col}: {relative_difference(a[:, i], b[:, i])}"
+                    for i, col in enumerate(header)
+                )
+            lines.append(line)
     return lines
 
 

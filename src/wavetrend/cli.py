@@ -61,33 +61,24 @@ _CI_TYPES = {"analytic": ANALYTIC, "normal": BOOT_NORMAL, "percentile": BOOT_PER
 
 # ---------------------------------------------------------------- file IO
 
-def _g17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
-def _write_matrix(path: Path, mat: np.ndarray) -> None:
-    rows = (",".join(_g17(v) for v in row) for row in np.atleast_2d(mat))
-    _write_atomic(path, "\n".join(rows) + "\n")
-
-
-def _write_series(path: Path, x: np.ndarray) -> None:
-    _write_atomic(path, "value\n" + "\n".join(_g17(v) for v in x) + "\n")
+def _write_csv(path: Path, rows: np.ndarray, fmt: str, header: str = "") -> None:
+    """Rows (or one value per line for 1-D rows) in fmt, written atomically."""
+    tmp = path.with_name(path.name + ".tmp")
+    np.savetxt(tmp, rows, fmt=fmt, delimiter=",", header=header, comments="")
+    os.replace(tmp, path)
 
 
 def _write_trend(path: Path, values, ci_lo=None, ci_hi=None) -> None:
-    lines = ["t,estimate,lo,hi"]
-    has_ci = ci_lo is not None and ci_hi is not None
-    for t, v in enumerate(values):
-        lo = _g17(ci_lo[t]) if has_ci else ""
-        hi = _g17(ci_hi[t]) if has_ci else ""
-        lines.append(f"{t},{_g17(v)},{lo},{hi}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    cols, fmt = [np.arange(len(values)), values], "%d,%.17g,,"
+    if ci_lo is not None and ci_hi is not None:
+        cols, fmt = cols + [ci_lo, ci_hi], "%d,%.17g,%.17g,%.17g"
+    _write_csv(path, np.column_stack(cols), fmt, "t,estimate,lo,hi")
 
 
 def _data_rows(path: str | Path) -> list[list[str]]:
@@ -299,7 +290,7 @@ def cmd_sim(args: argparse.Namespace) -> None:
         )
     else:
         raise WavetrendError("sim needs --scenario or --trend-csv/--spec-csv")
-    _write_series(out / "series.csv", x)
+    _write_csv(out / "series.csv", x, "%.17g", "value")
     _write_metadata(out, meta)
 
 
@@ -332,11 +323,11 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     if lacv is not None:
         meta["lacv"] = {"lag_max": lacv.lag_max}
     if "spectrum" in writes:
-        _write_matrix(out / "spectrum.csv", spectrum.S)
+        _write_csv(out / "spectrum.csv", spectrum.S, "%.17g")
     if "trend" in writes:
         _write_trend(out / "trend.csv", fit.values, fit.ci_lo, fit.ci_hi)
     if "lacv" in writes:
-        _write_matrix(out / "lacv.csv", lacv.lacv)
+        _write_csv(out / "lacv.csv", lacv.lacv, "%.17g")
     _write_metadata(out, meta)
 
 

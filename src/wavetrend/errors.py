@@ -55,7 +55,7 @@ class InvalidBinwidth(WavetrendError):
 
 
 class MatrixMismatch(WavetrendError):
-    """Correction matrix does not match the periodogram's differencing."""
+    """An estimate does not match the series, scale or filter it is used with."""
 
 
 class MissingSpectrum(WavetrendError):

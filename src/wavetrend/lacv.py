@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MatrixMismatch
 from .spectrum import SpectrumEstimate
 from .wavelets import AutocorrelationWavelet
 
@@ -44,10 +44,19 @@ def lacv_from_spectrum(
 ) -> LacvEstimate:
     """Mix a spectrum matrix into autocovariance via Psi_j(tau).
 
-    Accepts a SpectrumEstimate or a plain (levels, n) matrix; lag_max
-    defaults to floor(10 ln n).
+    Accepts a SpectrumEstimate, whose filter acw must share, or a plain
+    (levels, n) matrix, which names no filter to check; lag_max defaults to
+    floor(10 ln n).
     """
-    S = spectrum.S if isinstance(spectrum, SpectrumEstimate) else np.asarray(spectrum)
+    if isinstance(spectrum, SpectrumEstimate):
+        if acw.filter.label != spectrum.filter.label:
+            raise MatrixMismatch(
+                f"autocorrelation wavelets of {acw.filter.label} "
+                f"for a spectrum estimated with {spectrum.filter.label}"
+            )
+        S = spectrum.S
+    else:
+        S = np.asarray(spectrum)
     if S.ndim != 2:
         raise DimensionMismatch("expected a levels x n spectrum matrix")
     levels, n = S.shape

@@ -6,7 +6,10 @@ scales through the A matrix, or a D matrix after differencing) and
 inconsistent (chi-squared wiggle at every point), so the estimation
 pipeline is: difference if asked, extend, transform, square, trim back to
 the data window, smooth along time, then unmix the scales with the
-operator inverse.  Negative corrected values are reported as-is unless the
+operator inverse.  The periodogram records its filter, depth and
+differencing, and those fix the operator (the A matrix, or the matching D
+matrix), so correct_periodogram builds it itself and no mismatched one can
+be passed in.  Negative corrected values are reported as-is unless the
 caller asks for flooring; the correction is a plain linear unmixing and
 clipping it silently would bias everything downstream.
 
@@ -25,8 +28,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidBinwidth, MatrixMismatch, ScaleTooDeep, SeriesTooShort
+from .errors import InvalidBinwidth, ScaleTooDeep, SeriesTooShort
 from .filters import WaveletFilter, wavelet_filter
+from .simulate import max_scales
 from .transforms import TREND_REFLECT, as_series, extend_series, ndwt_forward
 from .wavelets import (
     CorrectionMatrix,
@@ -69,18 +73,17 @@ class Periodogram:
     """Squared nondecimated coefficients, optionally smoothed.
 
     raw and smoothed are (levels, n) with column k aligned to time k of the
-    input series.  diff_lag/diff_order record the differencing applied
-    before the transform (0, 0 means none); under differencing the shorter
-    squared series is re-embedded at a centred offset with edge columns
-    replicated, so the shape stays (levels, n).
+    input series.  diff is the (lag, order) differencing applied before the
+    transform, None for none; under differencing the shorter squared series
+    is re-embedded at a centred offset with edge columns replicated, so the
+    shape stays (levels, n).
     """
 
     raw: np.ndarray = field(repr=False)
+    filter: WaveletFilter
     smoothed: np.ndarray | None = field(repr=False, default=None)
     smoother: SmootherConfig | None = None
-    diff_lag: int = 0
-    diff_order: int = 0
-    filter: WaveletFilter | None = None
+    diff: tuple[int, int] | None = None
     boundary: bool = True
 
     @property
@@ -100,16 +103,23 @@ class SpectrumEstimate:
     """Corrected spectrum matrix with full provenance.
 
     S[j - 1, k] estimates the spectrum at scale j and time k; negative
-    entries are possible unless floored is set.
+    entries are possible unless floored is set.  The depth and the filter
+    are the periodogram's.
     """
 
     S: np.ndarray = field(repr=False)
     periodogram: Periodogram
-    levels: int
-    filter: WaveletFilter
     correction: CorrectionMatrix
     binwidth_clamped: bool = False
     floored: bool = False
+
+    @property
+    def levels(self) -> int:
+        return self.periodogram.levels
+
+    @property
+    def filter(self) -> WaveletFilter:
+        return self.periodogram.filter
 
     @property
     def length(self) -> int:
@@ -119,10 +129,6 @@ class SpectrumEstimate:
 def default_levels(n: int) -> int:
     """Analysis depth used when the caller does not choose one."""
     return max(1, int(math.floor(0.7 * math.log2(n))))
-
-
-def max_levels(n: int) -> int:
-    return int(math.floor(math.log2(n)))
 
 
 def default_binwidth(n: int) -> tuple[int, bool]:
@@ -168,7 +174,7 @@ def wavelet_periodogram(
     n = x.size
     if levels < 1:
         raise ScaleTooDeep("need at least one analysis level")
-    cap = max_levels(n)
+    cap = max_scales(n)
     if levels > cap:
         raise ScaleTooDeep(f"{levels} levels exceeds floor(log2 {n}) = {cap}")
     # only diff=None means no differencing; every other pair is checked
@@ -200,11 +206,7 @@ def wavelet_periodogram(
     if lost and not boundary:
         raw = _embed_columns(raw, n, lost)
     return Periodogram(
-        raw=raw,
-        diff_lag=lag,
-        diff_order=order,
-        filter=filt,
-        boundary=boundary,
+        raw=raw, filter=filt, diff=None if diff is None else (lag, order), boundary=boundary
     )
 
 
@@ -254,45 +256,11 @@ def smooth_periodogram(pgram: Periodogram, config: SmootherConfig) -> Periodogra
     return replace(pgram, smoothed=smoothed, smoother=config)
 
 
-def correct_periodogram(
-    pgram: Periodogram, correction: CorrectionMatrix
-) -> SpectrumEstimate:
-    """Unmix periodogram scales with the inverse bias operator."""
-    differenced = pgram.diff_order > 0
-    if differenced != (correction.kind == "difference"):
-        raise MatrixMismatch(
-            f"{correction.kind} correction does not match "
-            f"diff=({pgram.diff_lag}, {pgram.diff_order}) periodogram"
-        )
-    if differenced and (correction.lag, correction.order) != (
-        pgram.diff_lag,
-        pgram.diff_order,
-    ):
-        raise MatrixMismatch(
-            "difference correction lag/order "
-            f"({correction.lag}, {correction.order}) does not match periodogram "
-            f"({pgram.diff_lag}, {pgram.diff_order})"
-        )
-    if correction.levels != pgram.levels:
-        raise MatrixMismatch(
-            f"correction built for {correction.levels} levels, "
-            f"periodogram has {pgram.levels}"
-        )
-    if pgram.filter is not None and correction.filter_label != pgram.filter.label:
-        raise MatrixMismatch(
-            f"correction uses {correction.filter_label}, "
-            f"periodogram used {pgram.filter.label}"
-        )
-    S = correction.inverse @ pgram.values()
-    filt = pgram.filter
-    if filt is None:
-        raise MatrixMismatch("periodogram carries no filter metadata")
+def correct_periodogram(pgram: Periodogram) -> SpectrumEstimate:
+    """Unmix periodogram scales with the inverse of its own bias operator."""
+    correction = correction_for(pgram.filter, pgram.levels, pgram.diff)
     return SpectrumEstimate(
-        S=S,
-        periodogram=pgram,
-        levels=pgram.levels,
-        filter=filt,
-        correction=correction,
+        S=correction.inverse @ pgram.values(), periodogram=pgram, correction=correction
     )
 
 
@@ -334,7 +302,7 @@ def estimate_spectrum(
         binwidth, clamped = default_binwidth(n)
     pgram = wavelet_periodogram(x, filt, levels, boundary=boundary, diff=diff)
     pgram = smooth_periodogram(pgram, SmootherConfig(kind=smoother, binwidth=binwidth))
-    est = correct_periodogram(pgram, correction_for(filt, levels, diff))
+    est = correct_periodogram(pgram)
     if floor_negatives:
         est = replace(est, S=np.maximum(est.S, 0.0), floored=True)
     if clamped:

@@ -85,6 +85,10 @@ class ThresholdPolicy:
     kind: str = HARD
     normal_assumption: bool = True
 
+    def __post_init__(self) -> None:
+        if self.kind not in (HARD, SOFT):
+            raise MethodMismatch(f"unknown threshold kind {self.kind!r}")
+
     def scale(self, n: int) -> float:
         if self.normal_assumption:
             return math.sqrt(2.0 * math.log(n))

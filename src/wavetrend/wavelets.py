@@ -11,6 +11,8 @@ wavelet periodogram of a process with spectrum S satisfies E(I_j) ~ (A S)_j
 with A[j, l] = sum_tau Psi_j(tau) Psi_l(tau), so premultiplying by inv(A)
 debiases it.  When the series is differenced before the transform the same
 role is played by the difference-adjusted matrices built in d_matrix.
+Either comes as a CorrectionMatrix (operator, inverse, condition number);
+spectrum.correct_periodogram picks which from the periodogram it corrects.
 
 Psi_j has a two-scale relation of its own (Eckley & Nason 2005):
 Psi_1 = g * g~ and Psi_{j+1} = upsample(Psi_j) * (h * h~), with *
@@ -115,21 +117,11 @@ class AutocorrelationWavelet:
 
 @dataclass(frozen=True)
 class CorrectionMatrix:
-    """A periodogram bias operator together with its inverse.
+    """A periodogram bias operator, its inverse and its condition number."""
 
-    kind is "direct" for the plain A matrix and "difference" for the
-    difference-adjusted operators; lag/order record the differencing the
-    operator corrects for.
-    """
-
-    kind: str
-    levels: int
     matrix: np.ndarray = field(repr=False)
     inverse: np.ndarray = field(repr=False)
     cond: float
-    filter_label: str
-    lag: int = 0
-    order: int = 0
 
 
 def _cascade(first: np.ndarray, kernel: np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
@@ -186,29 +178,19 @@ def lagged_a_matrix(acw: AutocorrelationWavelet, max_scale: int, lag: int) -> np
     return _overlaps(table[:, lag:], table[:, : max(table.shape[1] - lag, 0)])
 
 
-def _invert(mat: np.ndarray, kind: str, filt_label: str, levels: int, lag: int, order: int) -> CorrectionMatrix:
+def _invert(mat: np.ndarray, kind: str, levels: int) -> CorrectionMatrix:
     cond = float(np.linalg.cond(mat))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrix(
             f"{kind} correction matrix at depth {levels} has condition {cond:.3g}"
         )
-    inverse = np.linalg.inv(mat)
-    return CorrectionMatrix(
-        kind=kind,
-        levels=levels,
-        matrix=mat,
-        inverse=inverse,
-        cond=cond,
-        filter_label=filt_label,
-        lag=lag,
-        order=order,
-    )
+    return CorrectionMatrix(matrix=mat, inverse=np.linalg.inv(mat), cond=cond)
 
 
 def a_matrix(acw: AutocorrelationWavelet, max_scale: int) -> CorrectionMatrix:
     """Inner product matrix of the autocorrelation wavelets, inverted."""
     mat = lagged_a_matrix(acw, max_scale, 0)
-    return _invert(mat, "direct", acw.filter.label, max_scale, 0, 0)
+    return _invert(mat, "direct", max_scale)
 
 
 def d_matrix(
@@ -227,7 +209,7 @@ def d_matrix(
         a1 = lagged_a_matrix(acw, max_scale, 1)
         a2 = lagged_a_matrix(acw, max_scale, 2)
         mat = a0 - (4.0 / 3.0) * a1 + (1.0 / 3.0) * a2
-    return _invert(mat, "difference", acw.filter.label, max_scale, lag, order)
+    return _invert(mat, "difference", max_scale)
 
 
 def cross_a_matrix(

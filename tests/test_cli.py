@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetrend.cli import main, read_series, read_trend
+from wavetrend.cli import _write_csv, _write_trend, main, read_series, read_trend
 from wavetrend.scenarios import scenario
 
 
@@ -47,6 +47,28 @@ def test_sim_roundtrip_is_value_exact(tmp_path):
     assert run("sim", "--scenario", "x2", "--seed", 11, "--out-dir", d) == 0
     x = read_series(d / "series.csv")
     assert np.array_equal(x, scenario("x2").simulate(seed=11))
+
+
+def test_csv_writer_bytes_are_17_digit_format(tmp_path):
+    # pinned against per-value format(v, ".17g"), which reads back value-exact
+    v = np.array([-0.0, 5e-324, 1e300, -1e300, 3.0, -2.0, 0.1, 1 / 3])
+    g17 = [format(float(a), ".17g") for a in v]
+    lo = [format(float(a), ".17g") for a in v[::-1]]
+    hi = [format(float(a), ".17g") for a in 2 * v]
+    _write_csv(tmp_path / "series.csv", v, "%.17g", "value")
+    _write_csv(tmp_path / "matrix.csv", np.stack([v, v[::-1]]), "%.17g")
+    _write_trend(tmp_path / "plain.csv", v)
+    _write_trend(tmp_path / "ci.csv", v, v[::-1], 2 * v)
+    want = {
+        "series.csv": "value\n" + "".join(f"{a}\n" for a in g17),
+        "matrix.csv": ",".join(g17) + "\n" + ",".join(lo) + "\n",
+        "plain.csv": "t,estimate,lo,hi\n" + "".join(f"{t},{a},,\n" for t, a in enumerate(g17)),
+        "ci.csv": "t,estimate,lo,hi\n"
+        + "".join(f"{t},{a},{b},{c}\n" for t, (a, b, c) in enumerate(zip(g17, lo, hi))),
+    }
+    for name, text in want.items():
+        assert (tmp_path / name).read_bytes() == text.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
 
 
 def test_sim_pure_trend_from_csv(tmp_path):

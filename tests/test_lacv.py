@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavetrend.errors import DimensionMismatch
+from wavetrend.errors import DimensionMismatch, MatrixMismatch
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
 from wavetrend.lacv import default_lag_max, lacv_from_spectrum
 from wavetrend.spectrum import estimate_spectrum
@@ -63,6 +63,17 @@ def test_depth_and_lag_guards():
         lacv_from_spectrum(np.ones((3, 8)), acw)
     with pytest.raises(DimensionMismatch):
         lacv_from_spectrum(np.ones((2, 8)), acw, lag_max=-1)
+
+
+def test_estimate_needs_its_own_filter():
+    # Haar wavelets on an EP4 estimate would move the lacv silently
+    est = estimate_spectrum(np.random.default_rng(21).standard_normal(256), levels=4)
+    with pytest.raises(MatrixMismatch, match="extremal_phase:1"):
+        lacv_from_spectrum(est, autocorrelation_wavelets(HAAR, 4), lag_max=5)
+    # a plain matrix carries no filter and is not checked
+    haar = lacv_from_spectrum(est.S, autocorrelation_wavelets(HAAR, 4), lag_max=5)
+    ep4 = lacv_from_spectrum(est, autocorrelation_wavelets(est.filter, 4), lag_max=5)
+    assert haar.lacv.shape == ep4.lacv.shape
 
 
 def test_full_pipeline_variance_level():

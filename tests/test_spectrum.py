@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from wavetrend import spectrum
-from wavetrend.errors import InvalidBinwidth, InvalidDiffSpec, MatrixMismatch, SeriesTooShort
+from wavetrend.errors import InvalidBinwidth, InvalidDiffSpec, SeriesTooShort
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
 from wavetrend.scenarios import scenario
+from wavetrend.simulate import max_scales
 from wavetrend.spectrum import (
     MEAN,
     Periodogram,
@@ -18,11 +19,10 @@ from wavetrend.spectrum import (
     default_binwidth,
     default_levels,
     estimate_spectrum,
-    max_levels,
     smooth_periodogram,
     wavelet_periodogram,
 )
-from wavetrend.wavelets import a_matrix, autocorrelation_wavelets
+from wavetrend.wavelets import a_matrix, autocorrelation_wavelets, d_matrix
 
 EP4 = wavelet_filter(EXTREMAL_PHASE, 4)
 HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
@@ -31,7 +31,7 @@ HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
 def test_defaults():
     assert default_levels(512) == 6
     assert default_levels(1024) == 7
-    assert max_levels(512) == 9
+    assert max_scales(512) == 9
     binwidth, clamped = default_binwidth(512)
     assert binwidth == 135 and not clamped
     binwidth, clamped = default_binwidth(20)
@@ -127,30 +127,28 @@ def test_correction_inverse_identity():
     s = np.array([1.0, 0.5, 0.25])
     column = A.matrix @ s
     pgram = Periodogram(raw=np.tile(column[:, None], (1, 16)), filter=EP4)
-    est = correct_periodogram(pgram, A)
+    est = correct_periodogram(pgram)
     assert np.allclose(est.S, s[:, None], atol=1e-10)
 
 
 def test_correction_haar_single_scale():
-    acw = autocorrelation_wavelets(HAAR, 1)
-    A = a_matrix(acw, 1)
     pgram = Periodogram(raw=np.full((1, 16), 1.5), filter=HAAR)
-    est = correct_periodogram(pgram, A)
+    est = correct_periodogram(pgram)
     assert np.allclose(est.S, 1.0, atol=1e-12)
 
 
-def test_correction_kind_guard():
-    pgram = wavelet_periodogram(np.random.default_rng(0).standard_normal(64), EP4, 3,
-                                diff=(1, 1))
-    with pytest.raises(MatrixMismatch):
-        correct_periodogram(pgram, correction_for(EP4, 3, diff=None))
-    with pytest.raises(MatrixMismatch):
-        correct_periodogram(pgram, correction_for(EP4, 3, diff=(1, 2)))
-    plain = wavelet_periodogram(np.zeros(64), EP4, 2)
-    with pytest.raises(MatrixMismatch):
-        correct_periodogram(plain, correction_for(EP4, 3, diff=None))
-    with pytest.raises(MatrixMismatch):
-        correct_periodogram(plain, correction_for(HAAR, 2, diff=None))
+@pytest.mark.parametrize("diff", [None, (2, 1), (1, 2)])
+def test_correction_follows_the_periodogram(diff):
+    # the filter, depth and differencing of the periodogram pick the operator
+    J = 3
+    pgram = wavelet_periodogram(np.random.default_rng(0).standard_normal(64), EP4, J,
+                                diff=diff)
+    acw = autocorrelation_wavelets(EP4, J)
+    want = a_matrix(acw, J) if diff is None else d_matrix(acw, J, *diff)
+    est = correct_periodogram(pgram)
+    assert np.array_equal(est.correction.matrix, want.matrix)
+    assert np.array_equal(est.S, want.inverse @ pgram.values())
+    assert (est.levels, est.filter) == (J, EP4)
 
 
 def test_estimate_requires_length():

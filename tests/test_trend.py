@@ -123,6 +123,13 @@ def test_config_rejects_unknown_method_or_transform():
         linear_trend(np.zeros(64), transform="dec")
 
 
+def test_policy_rejects_unknown_kind():
+    # a linear fit never thresholds, so only the policy can catch a bad kind
+    for kind in ("fuzzy", "Hard"):
+        with pytest.raises(MethodMismatch, match=kind):
+            ThresholdPolicy(kind)
+
+
 def test_estimate_carries_resolved_config():
     x = np.random.default_rng(16).standard_normal(300)
     policy = ThresholdPolicy(SOFT, False)
