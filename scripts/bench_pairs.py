@@ -9,7 +9,8 @@ run the parent first, odd pairs the change.  Each checkout runs its own,
 unchanged ``bench/run.py`` on its own ``src/``.
 
 The JSON file records both checkouts (HEAD sha, the tree of ``src/``, and
-whether ``src/`` or ``bench/`` had uncommitted changes), the ``# info``
+whether ``src/`` or ``bench/`` had uncommitted changes; null for a plain
+source tree without ``.git``, such as an exported copy), the ``# info``
 environment line, the seeds and every run's metrics.  Per end-to-end
 metric it gives each side's median and quartiles, the pairs the change
 won (ties count for neither side), and whether the medians lie further
@@ -35,6 +36,10 @@ def seed_range(text: str) -> list[int]:
 
 
 def checkout(path: Path) -> dict:
+    """HEAD sha, tree of src/ and uncommitted changes; all None for a tree without .git."""
+    if not (path / ".git").exists():
+        return {"sha": None, "src_tree": None, "dirty": None}
+
     def git(*args):
         return subprocess.run(["git", "-C", str(path), *args], capture_output=True,
                               text=True, check=True).stdout.strip()

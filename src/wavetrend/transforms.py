@@ -43,6 +43,7 @@ __all__ = [
     "as_series",
     "extension_descriptor",
     "extend_rows",
+    "extend_adjoint",
     "extend_series",
     "ndwt_forward",
     "ndwt_average_basis",
@@ -114,6 +115,35 @@ def extend_rows(x: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
     right = desc.extended_length - x.shape[-1] - left
     widths = [(0, 0)] * (x.ndim - 1) + [(left, right)]
     return np.pad(x, widths, mode="reflect", reflect_type="odd")
+
+
+def extend_adjoint(b: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
+    """Adjoint of extend_rows along the last axis of b, for symmetric_triple only.
+
+    Every extended sample reads the data at one mirror index, and in the
+    odd-reflection pads also at one edge index (2 x[edge] - x[mirror]);
+    padding the index row of [reverse, identity, reverse] like the data
+    gives both.  The pads are shorter than 3n, so one reflection covers them.
+    """
+    if desc.policy != SYMMETRIC_TRIPLE:
+        raise ValueError(f"extend_adjoint supports only {SYMMETRIC_TRIPLE!r}, not {desc.policy!r}")
+    n = desc.original_length
+    index = np.arange(n)
+    triple = np.concatenate([index[::-1], index, index[::-1]])
+    left = desc.offset - n
+    widths = (left, desc.extended_length - 3 * n - left)
+    mirror = np.pad(triple, widths, mode="reflect")
+    edge = np.pad(triple, widths, mode="edge")
+    pad = np.ones(desc.extended_length, dtype=bool)
+    pad[left : left + 3 * n] = False
+    sign = np.where(pad, -1.0, 1.0)
+    rows = b.reshape(-1, desc.extended_length)
+    out = np.zeros((rows.shape[0], n))
+    # one row per np.add.at call: the 1-d form is many times faster than a 2-d index
+    for row, acc in zip(rows, out):
+        np.add.at(acc, mirror, sign * row)
+        np.add.at(acc, edge[pad], 2.0 * row[pad])
+    return out.reshape(b.shape[:-1] + (n,))
 
 
 def extend_series(x: np.ndarray, policy: str) -> tuple[np.ndarray, ExtensionDescriptor]:

@@ -15,17 +15,17 @@ one place that dispatches on the method, through a factory
 one edit serves one fit or many blocks of fits.
 
 Confidence intervals come in two flavours.  The analytic interval
-materialises the linear estimator as a matrix, pushing blocks of identity
-rows through one batched transform pair each, and propagates the
-estimated local autocovariance through it; it is restricted to the
-decimated linear estimator, where the operator is small enough and the
-coefficient edits are data independent.  The bootstrap interval
+propagates the estimated local autocovariance through the linear
+estimator in factored form, R = U^T V with one row of U and V per kept
+coefficient whose support meets the data window (K of them, 78 to 122
+with the default filter), so the n x n operator is never built.  It is
+restricted to the decimated linear estimator, whose edit is data
+independent and whose transform is orthogonal.  The bootstrap interval
 resimulates noise from the estimated spectrum around the fitted trend and
 re-runs the identical estimator, which works for any configuration.  It
 builds the noise plan and the edit once, then fits the replicates in
-blocks; the interval is byte-identical to one tlsw_sim and one
-estimate_trend per replicate.  Both interval loops size their blocks by
-_block_rows.
+blocks of _block_rows series; the interval is byte-identical to one
+tlsw_sim and one estimate_trend per replicate.
 """
 
 from __future__ import annotations
@@ -52,11 +52,13 @@ from .transforms import (
     DECIMATED,
     NONDECIMATED,
     SYMMETRIC_TRIPLE,
+    CoefficientPyramid,
     ExtensionDescriptor,
     as_series,
     detail_support,
     dwt_forward,
     dwt_inverse,
+    extend_adjoint,
     extend_rows,
     extension_descriptor,
     ndwt_average_basis,
@@ -362,7 +364,8 @@ _BLOCK_ELEMENTS = 2**17  # doubles (1 MiB) per block of the interval loops
 
 
 def _block_rows(desc: ExtensionDescriptor, levels: int, transform: str) -> int:
-    """Series per block pushed through _edited_fit by the interval loops.
+    """Series per block pushed through _edited_fit by bootstrap_ci and by
+    _linear_operator, the dense operator the tests compare the factors with.
 
     Counts each series' extended row plus its pyramid: about one row
     decimated, levels + 1 nondecimated.  32 rows at decimated extended
@@ -406,19 +409,66 @@ def _linear_operator(trend: TrendEstimate) -> np.ndarray:
     return rows
 
 
+def _meets_window(start: np.ndarray, length: int, desc: ExtensionDescriptor) -> np.ndarray:
+    """True where the circular support [start, start + length) meets the data window."""
+    total = desc.extended_length
+    start = start % total
+    # the window, and its copy one period on, which a wrapping support reaches
+    inside = (start < desc.offset + desc.original_length) & (start + length > desc.offset)
+    return inside | (start + length > desc.offset + total)
+
+
+def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
+    """(U, V), both K x n, with _linear_operator(trend) = U.T @ V up to rounding.
+
+    The decimated linear fit is P W^T M W E x: E extends, W is the
+    orthogonal DWT, M keeps the scaling and boundary detail coefficients
+    and P cuts out the data window.  W^T M W sums b b^T over the basis rows
+    b of the kept coefficients, and only a b whose support meets the
+    window reaches P.  One batched dwt_inverse of a unit pyramid per such
+    coefficient gives the rows B; U = B on the window and V = E^T B.
+    """
+    filt, levels = trend.filter, trend.levels
+    desc = _extension(trend.length, trend.config.boundary)
+    total = desc.extended_length
+    depths = [*range(1, levels + 1), levels]  # detail rows 1..levels, then scaling
+    picks = []
+    for i, j in enumerate(depths):
+        count = total >> j
+        start, length = detail_support(DECIMATED, filt.length, j, np.arange(count))
+        keep = _meets_window(start, length, desc)
+        if i < levels:
+            keep &= ~_interior_mask(DECIMATED, filt.length, j, count, desc)
+        picks.append(np.flatnonzero(keep))
+    k = sum(p.size for p in picks)
+    units = [np.zeros((k, total >> j)) for j in depths]
+    first = 0
+    for coeffs, p in zip(units, picks):
+        coeffs[np.arange(first, first + p.size), p] = 1.0
+        first += p.size
+    basis = dwt_inverse(
+        CoefficientPyramid(DECIMATED, filt, levels, total, tuple(units[:-1]), units[-1])
+    )
+    u = basis[:, desc.window()].copy()
+    return u, (u if desc.policy == "none" else extend_adjoint(basis, desc))
+
+
 def analytic_ci(
     x: np.ndarray,
     trend: TrendEstimate,
     lacv: LacvEstimate,
     alpha: float = 0.05,
 ) -> TrendEstimate:
-    """Gaussian interval from the materialised linear operator.
+    """Gaussian interval from the factored linear operator.
 
     Var(T_hat_t) = sum_{s,u} r_ts r_tu c(u/n, |u - s|) with the
     autocovariance read at the later time of each pair and truncated at the
-    estimate's lag_max.  The operator R is built from blocks of identity
-    rows pushed through the estimator together (_block_rows: 32 rows at
-    extended length 2048).
+    estimate's lag_max.  R = U^T V comes from _operator_factors with K rows
+    each (78 at n = 512, 122 at n = 8192 with the default filter), so R is
+    never built: Z = sum_d w_d V shifted by d times c(., d) (w_0 = 1, else
+    2), G = V Z^T and var_t = u_t^T G u_t, with u_t column t of U.  Every
+    reduction is an einsum or an elementwise sum, never BLAS, so the
+    interval does not depend on the BLAS thread count.
     Only the decimated linear estimator is supported; for anything else use
     the bootstrap.  x, the trend and the autocovariance must cover the same
     points.
@@ -433,11 +483,16 @@ def analytic_ci(
             f"analytic interval refused for n = {n} > {_ANALYTIC_MAX_N}; "
             "use bootstrap_ci instead"
         )
-    rows = _linear_operator(trend)
-    var = np.zeros(n)
-    for d in range(min(lacv.lag_max, n - 1) + 1):
-        pair = (rows[:, : n - d] * rows[:, d:]) @ c[d:, d]
-        var += pair if d == 0 else 2.0 * pair
+    lags = min(lacv.lag_max, n - 1)
+    weighted = 2.0 * c[:, : lags + 1]  # w_d folded in once; scaling by 2 is exact
+    weighted[:, 0] = c[:, 0]
+    u, v = _operator_factors(trend)
+    z = np.zeros_like(v)
+    for d in range(lags + 1):
+        acc = z[:, : n - d]
+        acc += v[:, d:] * weighted[d:, d]
+    g = np.einsum("ks,ls->kl", v, z)
+    var = np.einsum("kt,kl,lt->t", u, g, u)
     half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(np.maximum(var, 0.0))
     return replace(
         trend,

@@ -20,6 +20,10 @@ CASES = {
         "--t-max-scale", "11", "--ci", "normal", "--reps", "40",
     ],
     "analytic": ["--t-transform", "dec", "--ci", "analytic"],
+    "analytic_ep10_lag300": ["--t-transform", "dec", "--ci", "analytic",
+                             "--t-filter-number", "10", "--lag-max", "300"],
+    "analytic_no_boundary": ["--t-transform", "dec", "--ci", "analytic",
+                             "--no-t-boundary-handle"],
     "boot_dec_percentile": ["--t-transform", "dec", "--ci", "percentile", "--reps", "40"],
 }
 

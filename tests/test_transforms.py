@@ -14,7 +14,10 @@ from wavetrend.transforms import (
     detail_support,
     dwt_forward,
     dwt_inverse,
+    extend_adjoint,
+    extend_rows,
     extend_series,
+    extension_descriptor,
     ndwt_average_basis,
     ndwt_forward,
     next_pow2,
@@ -127,6 +130,21 @@ def test_extend_symmetric_triple():
     assert desc.extended_length == next_pow2(36)
     assert np.allclose(ext[desc.window()], x, atol=0)
     assert ext[desc.offset - 1] == x[0]  # mirrored copy sits to the left
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 100, 257])
+def test_extend_adjoint_is_transpose_of_extension(n):
+    desc = extension_descriptor(n, SYMMETRIC_TRIPLE)
+    # small integers keep every sum on both sides exact
+    b = np.random.default_rng(n).integers(-8, 9, (2, 3, desc.extended_length)).astype(float)
+    dense = b @ extend_rows(np.eye(n), desc).T
+    np.testing.assert_allclose(extend_adjoint(b, desc), dense, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(extend_adjoint(b[0, 0], desc), dense[0, 0], rtol=0, atol=1e-15)
+
+
+def test_extend_adjoint_rejects_other_policies():
+    with pytest.raises(ValueError, match="symmetric_triple"):
+        extend_adjoint(np.zeros(32), extension_descriptor(10, TREND_REFLECT))
 
 
 def test_detail_support_shapes():

@@ -1,5 +1,6 @@
 """Trend estimators, thresholding, and confidence intervals."""
 
+import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -28,6 +29,7 @@ from wavetrend.trend import (
     EstimatorConfig,
     ThresholdPolicy,
     _linear_operator,
+    _operator_factors,
     analytic_ci,
     bootstrap_ci,
     coefficient_variance,
@@ -245,6 +247,69 @@ def test_linear_operator_matches_unit_vector_loop(number, family, n, boundary):
     rows = _linear_operator(fit)
     assert np.array_equal(rows, unit_vector_operator(fit))
     assert np.allclose(rows @ x, fit.values, atol=1e-10)
+
+
+@pytest.mark.parametrize("number,family", [(1, EXTREMAL_PHASE), (4, EXTREMAL_PHASE),
+                                           (8, LEAST_ASYMMETRIC)])
+@pytest.mark.parametrize("n,boundary", [(64, True), (100, True), (257, True), (512, True),
+                                        (64, False), (512, False)])
+def test_operator_factors_match_dense_operator(number, family, n, boundary):
+    # LA8 at n = 64 with boundary handling keeps 89 factor rows, more than n
+    x = np.random.default_rng(n).standard_normal(n)
+    fit = linear_trend(x, filter_number=number, family=family, transform=DECIMATED,
+                       boundary=boundary)
+    u, v = _operator_factors(fit)
+    assert u.shape == v.shape == (u.shape[0], n)
+    rows = _linear_operator(fit)
+    assert np.max(np.abs(u.T @ v - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
+def dense_half_widths(fit, lv, alpha=0.05):
+    """Analytic half-widths from the dense operator, pair sums lag by lag."""
+    rows, c, n = _linear_operator(fit), lv.lacv, fit.length
+    var = np.zeros(n)
+    for d in range(min(lv.lag_max, n - 1) + 1):
+        pair = (rows[:, : n - d] * rows[:, d:]) @ c[d:, d]
+        var += pair if d == 0 else 2.0 * pair
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(np.maximum(var, 0.0))
+
+
+@pytest.mark.parametrize("n,boundary", [(100, True), (257, True), (128, False)])
+@pytest.mark.parametrize("lag_max", [None, 0, "n"])
+def test_analytic_half_widths_match_dense_formula(n, boundary, lag_max):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    fit = linear_trend(x, transform=DECIMATED, boundary=boundary)
+    spectrum = np.abs(rng.standard_normal((5, n)))
+    lags = n + 3 if lag_max == "n" else lag_max
+    lv = lacv_from_spectrum(spectrum, autocorrelation_wavelets(EP4, 5), lag_max=lags)
+    out = analytic_ci(x, fit, lv)
+    half = dense_half_widths(fit, lv)
+    assert np.array_equal(out.values, fit.values)
+    assert np.max(np.abs((out.ci_hi - out.values) - half)) <= 1e-12 * np.max(half)
+    assert np.max(np.abs((out.values - out.ci_lo) - half)) <= 1e-12 * np.max(half)
+
+
+def test_analytic_ci_at_size_limit():
+    # the dense operator alone would take 512 MiB at n = 8192
+    n = 8192
+    x = np.random.default_rng(8192).standard_normal(n)
+    fit = linear_trend(x, transform=DECIMATED)
+    lv = lacv_from_spectrum(np.ones((5, n)), autocorrelation_wavelets(EP4, 5))
+    tracemalloc.start()
+    try:
+        out = analytic_ci(x, fit, lv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert np.isfinite(out.ci_lo).all() and np.isfinite(out.ci_hi).all()
+    assert np.all(out.ci_lo <= out.values) and np.all(out.values <= out.ci_hi)
+    x = np.append(x, 0.0)
+    fit = linear_trend(x, transform=DECIMATED)
+    lv = lacv_from_spectrum(np.ones((5, n + 1)), autocorrelation_wavelets(EP4, 5), lag_max=3)
+    with pytest.raises(MethodMismatch, match="8192"):
+        analytic_ci(x, fit, lv)
 
 
 def test_interval_input_checks():
