@@ -65,6 +65,9 @@ CASES = [
                                  "--reps", "40"]),
     # spectrum settings, each with the correction its periodogram picks
     ("x1_spec_epan", ["spec", X1, "--s-smooth-type", "epan"]),
+    # wide windows: half the columns edge-shrunk, blocks of 511
+    ("x2_spec_b511", ["spec", X2, "--s-binwidth", "511"]),
+    ("x2_spec_epan_b511", ["spec", X2, "--s-binwidth", "511", "--s-smooth-type", "epan"]),
     ("x2_spec_unsmoothed", ["spec", X2, "--no-s-smooth"]),
     ("x1_spec_periodic_lag4", ["spec", X1, "--no-s-boundary-handle", "--diff", "4"]),
     ("x2_spec_la8_order2", ["spec", X2, "--s-family", "la", "--s-filter-number", "8",

@@ -233,26 +233,52 @@ def _running_median(row: np.ndarray, binwidth: int) -> np.ndarray:
     return out
 
 
+def _kernel_smooth(raw: np.ndarray, binwidth: int, degree: int) -> np.ndarray:
+    """Running mean (degree 0) or Epanechnikov kernel (degree 2) of each row.
+
+    Block prefix/suffix sums (van Herk 1992; Gil & Werman 1993): rows padded
+    by h = binwidth // 2 zeros are cut into blocks of binwidth, so a window
+    is a block suffix plus the next block's prefix.  Moments sum x * u**i in
+    the offset u from that seam (|u| <= binwidth) carry the kernel
+    (h + 1)**2 - (u - c)**2 about the window centre c, so nothing cancels
+    over the row.  A row of ones gives the in-window weight total of the
+    shrunk edge windows.  cumsum and elementwise arithmetic: O(n), no BLAS.
+    """
+    levels, n = raw.shape
+    h = binwidth // 2
+    blocks = np.zeros((levels + 1, -(-n // binwidth) + 1, binwidth))
+    padded = blocks.reshape(levels + 1, -1)
+    padded[:-1, h : h + n] = raw
+    padded[-1, h : h + n] = 1.0
+    c = np.arange(n) % binwidth + h - binwidth  # window centre, from its seam
+    coefficients = [1.0] if degree == 0 else [(h + 1) ** 2 - c**2, 2.0 * c, -1.0]
+    p = np.arange(binwidth, dtype=float)
+    prefix = np.empty_like(blocks)
+    for i, coefficient in enumerate(coefficients):
+        # exclusive prefix sums: a window starting on a seam takes none of the next block
+        prefix[..., 0] = 0.0
+        np.multiply(blocks[..., :-1], p[:-1] ** i, out=prefix[..., 1:])
+        np.cumsum(prefix, axis=-1, out=prefix)
+        suffix = blocks if i == degree else blocks.copy()  # the last moment reuses the blocks
+        suffix *= (p - binwidth) ** i
+        np.cumsum(suffix[..., ::-1], axis=-1, out=suffix[..., ::-1])
+        suffix[:, :-1] += prefix[:, 1:]  # the window starting at each position
+        window = suffix.reshape(levels + 1, -1)[:, :n]
+        window *= coefficient
+        sums = window if i == 0 else np.add(sums, window, out=sums)
+    return sums[:-1] / sums[-1]
+
+
 def smooth_periodogram(pgram: Periodogram, config: SmootherConfig) -> Periodogram:
     """Smooth each periodogram row along time."""
     raw = pgram.raw
     if config.kind == NONE:
         return replace(pgram, smoothed=raw.copy(), smoother=config)
     b = _validate_binwidth(config.binwidth, raw.shape[1])
-    if config.kind == MEAN:
-        weights = np.ones(b)
-    elif config.kind == EPAN:
-        half = b // 2
-        m = np.arange(-half, half + 1)
-        weights = 1.0 - (m / (half + 1)) ** 2
+    if config.kind == MEDIAN:
+        smoothed = np.stack([_running_median(row, b) for row in raw]) * MEDIAN_FACTOR
     else:
-        smoothed = np.stack([_running_median(row, b) for row in raw])
-        smoothed *= MEDIAN_FACTOR
-        return replace(pgram, smoothed=smoothed, smoother=config)
-    # Shrink the window at the edges by renormalising over the weights that
-    # fall inside the series; that denominator is the same for every row.
-    den = np.convolve(np.ones(raw.shape[1]), weights, mode="same")
-    smoothed = np.stack([np.convolve(row, weights, mode="same") for row in raw]) / den
+        smoothed = _kernel_smooth(raw, b, 0 if config.kind == MEAN else 2)
     return replace(pgram, smoothed=smoothed, smoother=config)
 
 

@@ -364,8 +364,7 @@ _BLOCK_ELEMENTS = 2**17  # doubles (1 MiB) per block of the interval loops
 
 
 def _block_rows(desc: ExtensionDescriptor, levels: int, transform: str) -> int:
-    """Series per block pushed through _edited_fit by bootstrap_ci and by
-    _linear_operator, the dense operator the tests compare the factors with.
+    """Series per block pushed through _edited_fit by bootstrap_ci.
 
     Counts each series' extended row plus its pyramid: about one row
     decimated, levels + 1 nondecimated.  32 rows at decimated extended
@@ -390,25 +389,6 @@ def _check_lengths(x, trend: TrendEstimate, what: str, covered: int) -> int:
     return x.size
 
 
-def _linear_operator(trend: TrendEstimate) -> np.ndarray:
-    """R with trend.values = R @ x for the fit's linear estimator.
-
-    Column s is the estimator applied to unit vector s.  Unit vectors go
-    through _edited_fit as blocks of _block_rows identity rows, so the
-    memory beyond R stays fixed.
-    """
-    n = trend.length
-    desc = _extension(n, trend.config.boundary)
-    edit = _edit_for(trend.config, None, trend.filter, trend.levels, desc)
-    block = _block_rows(desc, trend.levels, DECIMATED)
-    rows = np.empty((n, n))
-    for s in range(0, n, block):
-        k = min(block, n - s)
-        fits = _edited_fit(np.eye(k, n, s), trend.filter, trend.levels, DECIMATED, desc, edit)
-        rows[:, s : s + k] = fits.T
-    return rows
-
-
 def _meets_window(start: np.ndarray, length: int, desc: ExtensionDescriptor) -> np.ndarray:
     """True where the circular support [start, start + length) meets the data window."""
     total = desc.extended_length
@@ -419,7 +399,7 @@ def _meets_window(start: np.ndarray, length: int, desc: ExtensionDescriptor) -> 
 
 
 def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
-    """(U, V), both K x n, with _linear_operator(trend) = U.T @ V up to rounding.
+    """(U, V), both K x n, with trend.values = U.T @ V @ x up to rounding.
 
     The decimated linear fit is P W^T M W E x: E extends, W is the
     orthogonal DWT, M keeps the scaling and boundary detail coefficients

@@ -98,13 +98,6 @@ class AutocorrelationWavelet:
     def radius(self, level: int) -> int:
         return (self.values[level - 1].size - 1) // 2
 
-    def at(self, level: int, tau: int) -> float:
-        row = self.values[level - 1]
-        r = (row.size - 1) // 2
-        if abs(tau) > r:
-            return 0.0
-        return float(row[tau + r])
-
     def window(self, levels: int, radius: int) -> np.ndarray:
         """Rows Psi_1..Psi_levels at tau = -radius..radius, cropped or zero padded."""
         out = np.zeros((levels, 2 * radius + 1))

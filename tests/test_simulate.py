@@ -69,7 +69,8 @@ def test_second_moment_matches_acw_mix(number):
     spec = np.zeros((max_scales(n), n))
     spec[0], spec[2] = 1.0, 0.8
     acw = autocorrelation_wavelets(filt, 3)
-    truth = np.array([1.0 * acw.at(1, t) + 0.8 * acw.at(3, t) for t in range(4)])
+    psi = acw.window(3, 3)[:, 3:]  # Psi_j(tau) at tau = 0..3
+    truth = 1.0 * psi[0] + 0.8 * psi[2]
     draws = np.stack([tlsw_sim(spec=spec, filt=filt, seed=1000 + s) for s in range(reps)])
     interior = slice(32, n - 32)
     for tau in range(4):

@@ -1,5 +1,7 @@
 """Periodogram, smoothing, correction, and the assembled estimator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,14 +93,44 @@ def test_median_smoother_calibration():
 
 @pytest.mark.parametrize("kind", [MEAN, "epan"])
 def test_kernel_smoother_rows_match_per_row_formula(kind):
+    # each row of a batch is smoothed exactly as on its own; the fsum oracle
+    # below checks the values
     raw = np.random.default_rng(3).standard_normal((3, 200)) ** 2
     out = smooth_periodogram(Periodogram(raw=raw, filter=EP4), SmootherConfig(kind, 31))
-    half = 15
-    m = np.arange(-half, half + 1)
-    w = np.ones(31) if kind == MEAN else 1.0 - (m / (half + 1)) ** 2
     for row, got in zip(raw, out.smoothed):
-        want = np.convolve(row, w, mode="same") / np.convolve(np.ones(200), w, mode="same")
-        assert np.array_equal(got, want)
+        alone = smooth_periodogram(Periodogram(raw=row[None, :], filter=EP4),
+                                   SmootherConfig(kind, 31))
+        assert np.array_equal(got, alone.smoothed[0])
+
+
+def fsum_smooth(row, binwidth, kind):
+    """Kernel smoother by exactly rounded sums over each edge-shrunk window."""
+    n, half = row.size, binwidth // 2
+    out = np.empty(n)
+    for k in range(n):
+        lo, hi = max(k - half, 0), min(k + half, n - 1)
+        m = np.arange(lo, hi + 1) - k
+        w = np.ones(m.size) if kind == MEAN else 1.0 - (m / (half + 1)) ** 2
+        out[k] = math.fsum(w * row[lo : hi + 1]) / math.fsum(w)
+    return out
+
+
+@pytest.mark.parametrize("kind", [MEAN, "epan"])
+@pytest.mark.parametrize("n,binwidth", [(50, 3), (400, 31), (97, 97), (1000, 301)])
+def test_kernel_smoother_matches_fsum_oracle(kind, n, binwidth):
+    # rows spanning 1e14, and rows of 1e-7 with spikes of 1e7 one binwidth
+    # apart, at several phases against the blocks, so every spike sits on the
+    # left or right edge of some window, where the Epanechnikov weight is
+    # smallest and its moment sums cancel most
+    rng = np.random.default_rng(n + binwidth)
+    spread = rng.standard_normal((2, n)) ** 2 * 10.0 ** rng.uniform(-7, 7, (2, n))
+    spikes = np.full((4, n), 1e-7)
+    for r, phase in enumerate((0, 1, binwidth // 2, binwidth - 1)):
+        spikes[r, phase::binwidth] = 1e7
+    raw = np.vstack([spread, spikes])
+    got = smooth_periodogram(Periodogram(raw=raw, filter=EP4), SmootherConfig(kind, binwidth))
+    want = np.stack([fsum_smooth(row, binwidth, kind) for row in raw])
+    assert np.max(np.abs(got.smoothed - want) / want) < 1e-12
 
 
 # binwidth 5: 40 windows fill 10 chunks of 4 exactly, 41 and 43 end in a

@@ -28,18 +28,30 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("flags", CASES.values(), ids=CASES.keys())
-def test_analyze_outputs_identical_across_thread_counts(tmp_path, flags):
-    rng = np.random.default_rng(2048)
-    series = "value\n" + "\n".join(repr(float(v)) for v in rng.standard_normal(2048)) + "\n"
+def assert_outputs_identical_across_thread_counts(tmp_path, n, args):
+    rng = np.random.default_rng(n)
+    series = "value\n" + "\n".join(repr(float(v)) for v in rng.standard_normal(n)) + "\n"
     snapshots = []
     for threads in ("1", "4"):
         d = tmp_path / f"threads{threads}"
         d.mkdir()
         (d / "series.csv").write_text(series)
-        _run_cli(d, ["analyze", "series.csv", "--out-dir", "out", *flags], threads)
+        _run_cli(d, [*args[:1], "series.csv", "--out-dir", "out", *args[1:]], threads)
         snapshots.append({p.name: p.read_bytes() for p in sorted((d / "out").iterdir())})
     assert "spectrum.csv" in snapshots[0]
     assert snapshots[0].keys() == snapshots[1].keys()
     differ = [name for name in snapshots[0] if snapshots[0][name] != snapshots[1][name]]
     assert not differ, f"files differ between 1 and 4 threads: {differ}"
+
+
+@pytest.mark.parametrize("flags", CASES.values(), ids=CASES.keys())
+def test_analyze_outputs_identical_across_thread_counts(tmp_path, flags):
+    assert_outputs_identical_across_thread_counts(tmp_path, 2048, ["analyze", *flags])
+
+
+# Windows of 10,001 columns: past the length at which OpenBLAS threads a dot
+# product, so a smoother that reduced its windows through BLAS would differ.
+@pytest.mark.parametrize("kind", ["mean", "epan"])
+def test_wide_smoother_identical_across_thread_counts(tmp_path, kind):
+    args = ["spec", "--s-binwidth", "10001", "--s-smooth-type", kind]
+    assert_outputs_identical_across_thread_counts(tmp_path, 24000, args)

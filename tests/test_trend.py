@@ -28,7 +28,10 @@ from wavetrend.trend import (
     SOFT,
     EstimatorConfig,
     ThresholdPolicy,
-    _linear_operator,
+    _block_rows,
+    _edit_for,
+    _edited_fit,
+    _extension,
     _operator_factors,
     analytic_ci,
     bootstrap_ci,
@@ -220,6 +223,25 @@ def test_analytic_ci_lacv_length_guard():
     lv = lacv_from_spectrum(np.ones((5, 64)), acw, lag_max=3)
     with pytest.raises(MatrixMismatch):
         analytic_ci(x, fit, lv)
+
+
+def _linear_operator(trend):
+    """R with trend.values = R @ x for the fit's linear estimator.
+
+    Column s is the estimator applied to unit vector s.  Unit vectors go
+    through _edited_fit as blocks of _block_rows identity rows, so the
+    memory beyond R stays fixed.
+    """
+    n = trend.length
+    desc = _extension(n, trend.config.boundary)
+    edit = _edit_for(trend.config, None, trend.filter, trend.levels, desc)
+    block = _block_rows(desc, trend.levels, DECIMATED)
+    rows = np.empty((n, n))
+    for s in range(0, n, block):
+        k = min(block, n - s)
+        fits = _edited_fit(np.eye(k, n, s), trend.filter, trend.levels, DECIMATED, desc, edit)
+        rows[:, s : s + k] = fits.T
+    return rows
 
 
 def unit_vector_operator(fit):

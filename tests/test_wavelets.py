@@ -66,7 +66,7 @@ def test_haar_psi_and_acw_values():
     acw = autocorrelation_wavelets(HAAR, 3)
     assert np.allclose(acw.values[0], [-0.5, 1.0, -0.5], atol=1e-15)
     for j in (1, 2, 3):
-        assert acw.at(j, 0) == pytest.approx(1.0, abs=1e-12)
+        assert acw.window(3, 0)[j - 1, 0] == pytest.approx(1.0, abs=1e-12)
         row = acw.values[j - 1]
         assert np.allclose(row, row[::-1], atol=1e-14)
 
