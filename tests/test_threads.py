@@ -2,8 +2,8 @@
 
 OpenBLAS splits long reductions across threads, so a sum over a long axis
 that goes through BLAS changes its last bits with the thread count.  Each
-case runs ``analyze`` under 1 and 4 threads, in separate working
-directories with the same relative ``--out-dir`` (``metadata.json``
+case runs ``analyze`` (or ``spec``) under 1 and 4 threads, in separate
+working directories with the same relative ``--out-dir`` (``metadata.json``
 records it), and compares every written file byte for byte.  Depth 11
 gives autocorrelation wavelets with rows of about 14,000 taps.
 """
@@ -28,7 +28,7 @@ CASES = {
 }
 
 
-def assert_outputs_identical_across_thread_counts(tmp_path, n, args):
+def assert_outputs_identical_across_thread_counts(tmp_path, n, command, flags):
     rng = np.random.default_rng(n)
     series = "value\n" + "\n".join(repr(float(v)) for v in rng.standard_normal(n)) + "\n"
     snapshots = []
@@ -36,7 +36,7 @@ def assert_outputs_identical_across_thread_counts(tmp_path, n, args):
         d = tmp_path / f"threads{threads}"
         d.mkdir()
         (d / "series.csv").write_text(series)
-        _run_cli(d, [*args[:1], "series.csv", "--out-dir", "out", *args[1:]], threads)
+        _run_cli(d, [command, "series.csv", "--out-dir", "out", *flags], threads)
         snapshots.append({p.name: p.read_bytes() for p in sorted((d / "out").iterdir())})
     assert "spectrum.csv" in snapshots[0]
     assert snapshots[0].keys() == snapshots[1].keys()
@@ -46,12 +46,12 @@ def assert_outputs_identical_across_thread_counts(tmp_path, n, args):
 
 @pytest.mark.parametrize("flags", CASES.values(), ids=CASES.keys())
 def test_analyze_outputs_identical_across_thread_counts(tmp_path, flags):
-    assert_outputs_identical_across_thread_counts(tmp_path, 2048, ["analyze", *flags])
+    assert_outputs_identical_across_thread_counts(tmp_path, 2048, "analyze", flags)
 
 
 # Windows of 10,001 columns: past the length at which OpenBLAS threads a dot
 # product, so a smoother that reduced its windows through BLAS would differ.
 @pytest.mark.parametrize("kind", ["mean", "epan"])
 def test_wide_smoother_identical_across_thread_counts(tmp_path, kind):
-    args = ["spec", "--s-binwidth", "10001", "--s-smooth-type", kind]
-    assert_outputs_identical_across_thread_counts(tmp_path, 24000, args)
+    flags = ["--s-binwidth", "10001", "--s-smooth-type", kind]
+    assert_outputs_identical_across_thread_counts(tmp_path, 24000, "spec", flags)
