@@ -53,6 +53,11 @@ CASES = [
                                "--lag-max", "20"]),
     ("x2_trend_la6", ["trend", X2, "--est-type", "nonlinear", "--diff", "1", "--t-family",
                       "DaubLeAsymm", "--t-filter-number", "6", "--t-max-scale", "5"]),
+    # EP10 at scale 6 has L_6 = 1198 > n = 512: supports that wrap the row several times
+    ("x1_deep_wrap_percentile", ["trend", X1, "--t-family", "DaubExPhase", "--t-filter-number",
+                                 "10", "--t-max-scale", "6", "--no-t-boundary-handle",
+                                 "--est-type", "nonlinear", "--ci", "percentile", "--reps",
+                                 "40"]),
     ("x1_no_boundary_normal", ["analyze", X1, "--t-max-scale", "4", "--no-t-boundary-handle",
                                "--ci", "normal", "--reps", "40", "--t-sig-lvl", "0.1",
                                "--seed", "3"]),

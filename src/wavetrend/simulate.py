@@ -23,8 +23,8 @@ not reshuffle the draws of the scales before it.
 
 What draws from one (filter, n, spectrum) share is a NoisePlan: the
 amplitude rows sqrt(S_j) and the rfft of each synthesis kernel whose row
-has power, computed once.  tlsw_sim builds a plan and draws from it once;
-the trend bootstrap builds one plan and draws every replicate from it, in
+has power, computed once.  tlsw_sim draws one stream from a plan; the
+trend bootstrap draws blocks of replicate streams from one plan, each in
 the same order and with the same arithmetic as one tlsw_sim per replicate.
 """
 
@@ -197,18 +197,22 @@ class NoisePlan:
 
     def draw(
         self,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         innovations: Callable[[np.random.Generator, int], np.ndarray] = gaussian_innovations,
     ) -> np.ndarray:
-        """One noise series; every scale draws its n innovations, in scale order."""
+        """One noise series per generator, as the rows of a (len(rngs), n) array.
+
+        Generators draw as in one-stream draws; a scale with power takes one
+        rfft/irfft pair over all rows, so each row is its one-stream draw.
+        """
         n = self.amplitude.shape[1]
-        noise = np.zeros(n)
+        noise = np.zeros((len(rngs), n))
         for row, kernel in zip(self.amplitude, self.kernels):
-            xi = np.asarray(innovations(rng, n), dtype=np.float64)
-            if xi.shape != (n,):
+            xi = [np.asarray(innovations(rng, n), dtype=np.float64) for rng in rngs]
+            if any(draw.shape != (n,) for draw in xi):
                 raise DimensionMismatch("innovation source must return a length-n vector")
             if kernel is not None:
-                noise += np.fft.irfft(np.fft.rfft(row * xi) * kernel, n)
+                noise += np.fft.irfft(np.fft.rfft(row * np.array(xi)) * kernel, n)
         return noise
 
 
@@ -243,7 +247,6 @@ def tlsw_sim(
     if filt is None:
         filt = wavelet_filter(family, filter_number)
     plan = NoisePlan.build(spec, n, filt)
-    if innovations is None:
-        innovations = gaussian_innovations
     check_seed(seed)
-    return trend_vals + plan.draw(np.random.default_rng(seed), innovations)
+    rngs = [np.random.default_rng(seed)]
+    return trend_vals + plan.draw(rngs, innovations or gaussian_innovations)[0]

@@ -25,6 +25,7 @@ is exact on an untouched pyramid for any input length.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,141 +187,142 @@ def centre_shift(filter_length: int, level: int) -> int:
     return (lj - 1) - (lj - 1) // 2  # ceil((L_j - 1) / 2)
 
 
-def _check_levels(n: int, levels: int) -> None:
+_BLOCK_ELEMENTS = 2**17  # doubles (1 MiB) per block of the interval loops and filter-bank steps
+
+
+def _circular(x: np.ndarray, offset: int, span: int) -> np.ndarray:
+    """x[..., (offset + k) % n] for k < span: a view when it does not wrap, else one copy."""
+    n = x.shape[-1]
+    start = offset % n
+    if start + span <= n:
+        return x[..., start : start + span]
+    whole, tail = divmod(start + span - 2 * n, n)
+    return np.concatenate([x[..., start:]] + [x] * (whole + 1) + [x[..., :tail]], axis=-1)
+
+
+def _filter_bank(inputs, bases, reach, strides, outputs, terms) -> list[np.ndarray]:
+    """The multiply-adds of one filter-bank step, onto zeros, in term order.
+
+    Term (o, phase, k, start, tap) adds tap * inputs[k][..., s_in i + start
+    + bases[k]] to out_o[..., s_out i + phase] at every output column i,
+    circularly, with (s_in, s_out) = strides and start <= s_in reach.
+    Blocks of whole rows, or column chunks of one row, are sized so that the
+    input windows, sums and product of a block hold _BLOCK_ELEMENTS doubles.
+    In a block the rows of each input's window are laid end to end, reach
+    columns apart, and so are the sums: a term is one multiply and one add.
+    """
+    rows = [x.reshape(-1, x.shape[-1]) for x in inputs]
+    (s_in, s_out), cols = strides, rows[0].shape[1] // strides[0]
+    outs = [np.empty((len(rows[0]), s_out * cols)) for _ in range(outputs)]
+    budget = _BLOCK_ELEMENTS // (len(inputs) * s_in + outputs * s_out + 1)  # columns
+    width = min(cols, budget)
+    height = max(1, budget // width)
+    for r, c in itertools.product(range(0, len(rows[0]), height), range(0, cols, width)):
+        block, part = slice(r, r + height), min(width, cols - c)
+        windows = [_circular(x[block], s_in * c + base, s_in * (part + reach)).ravel()
+                   for x, base in zip(rows, bases)]
+        size = windows[0].size // s_in - reach
+        sums, scratch = np.zeros((outputs, s_out * (size + reach))), np.empty(size)
+        for o, phase, k, start, tap in terms:
+            src = windows[k][start : start + s_in * size : s_in]
+            sums[o, phase::s_out][:size] += np.multiply(tap, src, out=scratch)
+        for out, acc in zip(outs, sums.reshape(outputs, -1, s_out * (part + reach))):
+            out[block, s_out * c : s_out * (c + part)] = acc[:, : s_out * part]
+        del windows, src, sums, scratch, acc  # free the block before the next one allocates
+    return [out.reshape(inputs[0].shape[:-1] + (-1,)) for out in outs]
+
+
+def _analysis_step(
+    approx: np.ndarray, filt: WaveletFilter, step: int, stride: int, shifts
+) -> list[np.ndarray]:
+    """[detail, smooth]: circular correlation of each row with g and with h.
+
+    detail[..., i] = sum_m g[m] approx[..., (stride (i - shifts[0]) + step m) % n]
+    and smooth likewise with h and shifts[1]: taps step apart, every
+    stride-th output kept, each output rolled right by its shift.  Every
+    row of a batch gets the multiply-adds of a one-row call.
+    """
+    heads = [stride * (max(shifts) - shift) for shift in shifts]
+    terms = [(o, 0, 0, head + step * m, tap)
+             for m, taps in enumerate(zip(filt.highpass, filt.lowpass))
+             for o, (tap, head) in enumerate(zip(taps, heads))]
+    reach = -(-(step * (filt.length - 1) + max(heads)) // stride)
+    return _filter_bank([approx], [-stride * max(shifts)], reach, (stride, 1), 2, terms)
+
+
+def _synthesis_step(
+    approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter, step: int, stride: int, shifts
+) -> np.ndarray:
+    """Adjoint of _analysis_step applied to both rows, summed.
+
+    out[..., (stride i + step m) % (stride k)] += h[m] approx[..., i + shifts[1]]
+    + g[m] detail[..., i + shifts[0]] for rows of length k, indices circular.
+    Each tap writes one phase of the output (every stride-th position), so
+    at stride 2 no multiply-add lands on the zeros of an upsampled row.
+    """
+    reach = step * (filt.length - 1) // stride
+    terms = [(0, step * m % stride, k, reach - step * m // stride, tap)
+             for m, taps in enumerate(zip(filt.lowpass, filt.highpass))
+             for k, tap in enumerate(taps)]
+    bases = [shifts[1] - reach, shifts[0] - reach]
+    return _filter_bank([approx, detail], bases, reach, (1, stride), 1, terms)[0]
+
+
+def _level(mode: str, filter_length: int, level: int, levels: int):
+    """(step, stride, (detail, smooth) centring shifts) of a level; the last smooth is scaling."""
+    if mode == DECIMATED:
+        return 1, 2, (0, 0)
+    shift = centre_shift(filter_length, level)
+    return 2 ** (level - 1), 1, (shift, shift * (level == levels))
+
+
+def _forward(x, filt: WaveletFilter, levels: int, mode: str) -> CoefficientPyramid:
+    """x may hold many series along its last axis; the pyramid's rows keep the leading axes."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    n = x.shape[-1]
+    if mode == DECIMATED and (n < 2 or n & (n - 1)):
+        raise NonDyadicLength(f"decimated transform needs a power-of-two length, got {n}")
     if levels < 1:
         raise ScaleTooDeep("levels must be at least 1")
     if 2**levels > n:
         raise ScaleTooDeep(f"{levels} levels need at least {2**levels} observations")
+    approx, details = x, []
+    for j in range(1, levels + 1):
+        detail, approx = _analysis_step(approx, filt, *_level(mode, filt.length, j, levels))
+        details.append(detail)
+    return CoefficientPyramid(mode, filt, levels, n, tuple(details), approx)
 
 
-def _windows(n: int, offset: int, stride: int):
-    """(out, src) slice pairs that read x[(stride * i + offset) % n] into out[i].
-
-    Covers i < n // stride in two pieces, before and after the read position
-    wraps past the end of the row; offset must lie in [0, n).
-    """
-    head = -(-(n - offset) // stride)
-    yield slice(0, head), slice(offset, n, stride)
-    if offset:
-        yield slice(head, n // stride), slice((offset - n) % stride, offset, stride)
-
-
-def _analysis_step(
-    approx: np.ndarray, filt: WaveletFilter, step: int, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Circular correlation of each row with the highpass and lowpass filters.
-
-    detail[..., i] = sum_m g[m] approx[..., (stride i + step m) % n] and
-    smooth likewise with h: taps step apart, every stride-th output position
-    kept.  Rows run along the last axis; every row of a batch gets the same
-    multiply-adds in the same order as a one-row call.
-    """
-    n = approx.shape[-1]
-    detail = np.zeros(approx.shape[:-1] + (n // stride,))
-    smooth = np.zeros_like(detail)
-    for m, (g, h) in enumerate(zip(filt.highpass, filt.lowpass)):
-        for out, src in _windows(n, step * m % n, stride):
-            window = approx[..., src]
-            # accumulate through views; `row[out] += ...` would also copy back
-            d, a = detail[..., out], smooth[..., out]
-            d += g * window
-            a += h * window
-    return detail, smooth
-
-
-def _synthesis_step(
-    approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter, step: int, stride: int
-) -> np.ndarray:
-    """Adjoint of _analysis_step applied to both rows, summed.
-
-    out[..., (stride i + step m) % (stride k)] += h[m] approx[..., i] +
-    g[m] detail[..., i] for rows of length k.  Each tap writes one phase of
-    the output (every stride-th position), so at stride 2 no multiply-add
-    lands on the zeros of an upsampled row; taps still run in ascending order.
-    """
-    k = approx.shape[-1]
-    nxt = np.zeros(approx.shape[:-1] + (stride * k,))
-    for m, (g, h) in enumerate(zip(filt.highpass, filt.lowpass)):
-        shift = step * m
-        phase = nxt[..., shift % stride :: stride]
-        for out, src in _windows(k, -(shift // stride) % k, 1):
-            acc = phase[..., out]
-            acc += h * approx[..., src]
-            acc += g * detail[..., src]
-    return nxt
+def _inverse(pyr: CoefficientPyramid, mode: str, forward: str) -> np.ndarray:
+    if pyr.mode != mode:
+        raise ModeMismatch(f"pyramid was not produced by {forward}")
+    approx = pyr.scaling
+    for j in range(pyr.levels, 0, -1):
+        level = _level(mode, pyr.filter.length, j, pyr.levels)
+        approx = _synthesis_step(approx, pyr.detail(j), pyr.filter, *level)
+        if mode == NONDECIMATED:
+            approx *= 0.5  # the average of the two shifted bases
+    return approx
 
 
 def ndwt_forward(x: np.ndarray, filt: WaveletFilter, levels: int) -> CoefficientPyramid:
-    """Nondecimated transform with centre-aligned coefficient rows.
-
-    x may hold many series along its last axis; the pyramid's rows keep the
-    leading axes.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    n = x.shape[-1]
-    _check_levels(n, levels)
-    approx = x
-    details: list[np.ndarray] = []
-    for j in range(1, levels + 1):
-        detail, approx = _analysis_step(approx, filt, 2 ** (j - 1), 1)
-        details.append(np.roll(detail, centre_shift(filt.length, j), axis=-1))
-    scaling = np.roll(approx, centre_shift(filt.length, levels), axis=-1)
-    return CoefficientPyramid(
-        mode=NONDECIMATED,
-        filter=filt,
-        levels=levels,
-        length=n,
-        details=tuple(details),
-        scaling=scaling,
-    )
+    """Nondecimated transform with centre-aligned coefficient rows."""
+    return _forward(x, filt, levels, NONDECIMATED)
 
 
 def ndwt_average_basis(pyr: CoefficientPyramid) -> np.ndarray:
     """Basis-averaged inverse of a nondecimated pyramid."""
-    if pyr.mode != NONDECIMATED:
-        raise ModeMismatch("pyramid was not produced by ndwt_forward")
-    length = pyr.filter.length
-    approx = np.roll(pyr.scaling, -centre_shift(length, pyr.levels), axis=-1)
-    for j in range(pyr.levels, 0, -1):
-        detail = np.roll(pyr.detail(j), -centre_shift(length, j), axis=-1)
-        approx = 0.5 * _synthesis_step(approx, detail, pyr.filter, 2 ** (j - 1), 1)
-    return approx
+    return _inverse(pyr, NONDECIMATED, "ndwt_forward")
 
 
 def dwt_forward(x: np.ndarray, filt: WaveletFilter, levels: int) -> CoefficientPyramid:
-    """Orthogonal periodic transform; needs a power-of-two length.
-
-    x may hold many series along its last axis; the pyramid's rows keep the
-    leading axes.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    n = x.shape[-1]
-    if n < 2 or n & (n - 1):
-        raise NonDyadicLength(f"decimated transform needs a power-of-two length, got {n}")
-    _check_levels(n, levels)
-    approx = x
-    details: list[np.ndarray] = []
-    for _ in range(levels):
-        detail, approx = _analysis_step(approx, filt, 1, 2)
-        details.append(detail)
-    return CoefficientPyramid(
-        mode=DECIMATED,
-        filter=filt,
-        levels=levels,
-        length=n,
-        details=tuple(details),
-        scaling=approx,
-    )
+    """Orthogonal periodic transform; needs a power-of-two length."""
+    return _forward(x, filt, levels, DECIMATED)
 
 
 def dwt_inverse(pyr: CoefficientPyramid) -> np.ndarray:
     """Exact inverse (the adjoint) of dwt_forward."""
-    if pyr.mode != DECIMATED:
-        raise ModeMismatch("pyramid was not produced by dwt_forward")
-    approx = pyr.scaling
-    for j in range(pyr.levels, 0, -1):
-        approx = _synthesis_step(approx, pyr.detail(j), pyr.filter, 1, 2)
-    return approx
+    return _inverse(pyr, DECIMATED, "dwt_forward")
 
 
 def detail_support(

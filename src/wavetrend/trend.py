@@ -46,9 +46,10 @@ from .errors import (
 )
 from .filters import EXTREMAL_PHASE, WaveletFilter, wavelet_filter
 from .lacv import LacvEstimate
-from .simulate import NoisePlan, check_seed, max_scales
+from .simulate import NoisePlan, check_seed
 from .spectrum import SpectrumEstimate, default_levels
 from .transforms import (
+    _BLOCK_ELEMENTS,
     DECIMATED,
     NONDECIMATED,
     SYMMETRIC_TRIPLE,
@@ -360,7 +361,6 @@ def nonlinear_trend(
 
 
 _ANALYTIC_MAX_N = 8192
-_BLOCK_ELEMENTS = 2**17  # doubles (1 MiB) per block of the interval loops
 
 
 def _block_rows(desc: ExtensionDescriptor, levels: int, transform: str) -> int:
@@ -483,14 +483,6 @@ def analytic_ci(
     )
 
 
-def _padded_spectrum(spectrum: SpectrumEstimate) -> np.ndarray:
-    """Nonnegative spectrum on the full scale range the simulator expects."""
-    n = spectrum.length
-    full = np.zeros((max_scales(n), n))
-    full[: spectrum.levels] = np.maximum(spectrum.S, 0.0)
-    return full
-
-
 def bootstrap_ci(
     x: np.ndarray,
     trend: TrendEstimate,
@@ -511,11 +503,12 @@ def bootstrap_ci(
 
     What no replicate changes is built once: the NoisePlan of the spectrum
     and the estimator's edit (for the nonlinear estimator, its thresholds).
-    Replicates are then fitted in blocks of _block_rows series through one
-    batched transform pair.  Every replicate still draws from its own
-    stream in tlsw_sim's order, and every row of a batch gets the
-    arithmetic of a one-row fit, so the interval is byte-identical to one
-    tlsw_sim and one estimate_trend per replicate.
+    Replicates are then drawn (one NoisePlan.draw) and fitted (one batched
+    transform pair) in blocks of _block_rows series.  Every replicate still
+    draws from its own stream in tlsw_sim's order, and every row of a block
+    gets the arithmetic of a one-stream draw and a one-row fit, so the
+    interval is byte-identical to one tlsw_sim and one estimate_trend per
+    replicate.
     """
     _check_alpha(alpha)
     if ci_type not in (BOOT_NORMAL, BOOT_PERCENTILE):
@@ -529,13 +522,14 @@ def bootstrap_ci(
     check_seed(seed)
     streams = np.random.SeedSequence(int(seed) if seed is not None else 0).spawn(reps)
     n, config = trend.length, trend.config
-    plan = NoisePlan.build(_padded_spectrum(spectrum), n, spectrum.filter)
+    floored = dict(enumerate(np.maximum(spectrum.S, 0.0), start=1))  # deeper scales get zeros
+    plan = NoisePlan.build(floored, n, spectrum.filter)
     desc = _extension(n, config.boundary)
     edit = _edit_for(config, spectrum, trend.filter, trend.levels, desc)
     block = _block_rows(desc, trend.levels, config.transform)
     fits = np.empty((reps, n))
     for s in range(0, reps, block):
-        noise = np.stack([plan.draw(np.random.default_rng(b)) for b in streams[s : s + block]])
+        noise = plan.draw([np.random.default_rng(b) for b in streams[s : s + block]])
         fits[s : s + len(noise)] = _edited_fit(
             trend.values + noise, trend.filter, trend.levels, config.transform, desc, edit
         )

@@ -10,7 +10,9 @@ from wavetrend.errors import (
     SeriesTooShort,
 )
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
+from wavetrend.scenarios import scenario
 from wavetrend.simulate import (
+    NoisePlan,
     max_scales,
     sample_spec,
     sample_trend,
@@ -167,3 +169,32 @@ def test_tlsw_sim_matches_per_scale_loop(n, number, innovations):
         want = per_scale_loop(trend, spec, n, filt,
                               innovations or (lambda g, size: g.standard_normal(size)), seed)
         assert np.array_equal(got, want)
+
+
+def spec_with_gaps(n):
+    spec = np.random.default_rng(n).uniform(0.0, 2.0, (max_scales(n), n))
+    spec[[0, 2, 3, -1]] = 0.0
+    return spec
+
+
+@pytest.mark.parametrize("spec_of", [lambda n: scenario("x2").spectrum, spec_with_gaps,
+                                     lambda n: np.zeros((max_scales(n), n))])
+def test_block_draw_matches_one_stream_draws(spec_of):
+    # a block of streams goes through one batched rfft/irfft pair, yet every
+    # row equals its one-stream draw to the bit, and every generator has
+    # drawn the same innovations, live scales or not
+    n = scenario("x2").length
+    filt = wavelet_filter(EXTREMAL_PHASE, 4)
+    plan = NoisePlan.build(spec_of(n), n, filt)
+    streams = np.random.SeedSequence(9).spawn(5)
+    block_rngs = [np.random.default_rng(s) for s in streams]
+    one_rngs = [np.random.default_rng(s) for s in streams]
+    block = plan.draw(block_rngs)
+    assert block.shape == (len(streams), n)
+    for row, rng in zip(block, one_rngs):
+        one = plan.draw([rng])
+        assert one.shape == (1, n)
+        assert np.array_equal(row, one[0])
+        assert np.array_equal(np.signbit(row), np.signbit(one[0]))
+    for a, b in zip(block_rngs, one_rngs):
+        assert a.standard_normal() == b.standard_normal()

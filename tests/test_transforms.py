@@ -22,6 +22,8 @@ from wavetrend.transforms import (
     ndwt_forward,
     next_pow2,
 )
+from wavetrend import transforms
+from wavetrend.transforms import _analysis_step, _synthesis_step
 from wavetrend.wavelets import discrete_wavelets
 
 EP4 = wavelet_filter(EXTREMAL_PHASE, 4)
@@ -210,3 +212,85 @@ def test_polyphase_inverse_matches_zero_upsampled(number, family, n):
             got, expected = dwt_inverse(p), zero_upsampled_inverse(p)
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def windows(n, offset, stride):
+    """(out, src) slice pairs that read x[(stride * i + offset) % n] into out[i].
+
+    Covers i < n // stride in two pieces, before and after the read position
+    wraps past the end of the row; offset must lie in [0, n).
+    """
+    head = -(-(n - offset) // stride)
+    yield slice(0, head), slice(offset, n, stride)
+    if offset:
+        yield slice(head, n // stride), slice((offset - n) % stride, offset, stride)
+
+
+def windowed_analysis(approx, filt, step, stride, detail_shift, smooth_shift):
+    """The analysis step as two wrap-around pieces per tap, then the centring rolls."""
+    n = approx.shape[-1]
+    detail = np.zeros(approx.shape[:-1] + (n // stride,))
+    smooth = np.zeros_like(detail)
+    for m, (g, h) in enumerate(zip(filt.highpass, filt.lowpass)):
+        for out, src in windows(n, step * m % n, stride):
+            window = approx[..., src]
+            d, a = detail[..., out], smooth[..., out]
+            d += g * window
+            a += h * window
+    return np.roll(detail, detail_shift, axis=-1), np.roll(smooth, smooth_shift, axis=-1)
+
+
+def windowed_synthesis(approx, detail, filt, step, stride, approx_shift, detail_shift):
+    """The synthesis step after the centring rolls, as two pieces per tap."""
+    approx = np.roll(approx, -approx_shift, axis=-1)
+    detail = np.roll(detail, -detail_shift, axis=-1)
+    k = approx.shape[-1]
+    nxt = np.zeros(approx.shape[:-1] + (stride * k,))
+    for m, (g, h) in enumerate(zip(filt.highpass, filt.lowpass)):
+        shift = step * m
+        phase = nxt[..., shift % stride :: stride]
+        for out, src in windows(k, -(shift // stride) % k, 1):
+            acc = phase[..., out]
+            acc += h * approx[..., src]
+            acc += g * detail[..., src]
+    return nxt
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("n", [64, 97, 100, 2048])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("budget", [None, 520])
+def test_steps_match_windowed_taps(stride, n, batch, budget, monkeypatch):
+    # one circular window per block reads the same values in the same tap
+    # order as the two wrap-around pieces, so every output bit agrees; the
+    # last step and the last shift make supports that wrap the row more than
+    # twice.  n is the coefficient row length: analysis reads stride * n
+    # samples.  A budget of 520 doubles makes blocks of 104 to 130 output
+    # columns: two rows per block at n = 64 (stride 1), one row at n = 97
+    # and 100, and column chunks at n = 2048
+    if budget is not None:
+        monkeypatch.setattr(transforms, "_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(n + stride)
+    x = rng.standard_normal(batch + (stride * n,))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    a, d = (np.where(rng.random(batch + (n,)) < 0.3, 0.0, rng.standard_normal(batch + (n,)))
+            for _ in range(2))
+    for filt in (wavelet_filter(EXTREMAL_PHASE, 1), EP4, wavelet_filter(EXTREMAL_PHASE, 10)):
+        for step in (1, 2, 8, 2 * stride * n // (filt.length - 1) + 1):
+            for s1, s2 in ((0, 0), (1, 0), (0, n + 5), (n + 5, 1)):
+                got = _analysis_step(x, filt, step, stride, (s1, s2))
+                expected = windowed_analysis(x, filt, step, stride, s1, s2)
+                assert len(got) == 2
+                for g, e in zip(got, expected):
+                    assert_same_bits(g, e)
+                assert_same_bits(
+                    _synthesis_step(a, d, filt, step, stride, (s2, s1)),
+                    windowed_synthesis(a, d, filt, step, stride, s1, s2),
+                )
