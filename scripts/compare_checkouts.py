@@ -24,10 +24,13 @@ from compare_outputs import compare  # noqa: E402
 
 X1, X2 = "x1/series.csv", "x2/series.csv"
 
-# (name, CLI arguments), run in this order; the sims write x1/ and x2/, the rest out/<name>
+# (name, CLI arguments), run in this order; sim_<s> writes <s>/, the rest out/<name>
 CASES = [
     ("sim_x1", ["sim", "--scenario", "x1", "--seed", "21"]),
     ("sim_x2", ["sim", "--scenario", "x2", "--seed", "5"]),
+    # numeric trend and spectrum from CSV with a non-default filter
+    ("sim_csv", ["sim", "--trend-csv", "trend.csv", "--spec-csv", "spec.csv",
+                 "--filter-number", "2", "--seed", "11"]),
     # bootstrap and analytic settings of the blocked bootstrap
     ("x2_nonlinear_diff_normal", ["analyze", X2, "--est-type", "nonlinear", "--diff", "1",
                                   "--ci", "normal", "--reps", "200"]),
@@ -92,10 +95,14 @@ CASES = [
     ("missing_input", ["trend", "missing.csv"]),
 ]
 
-# series files with a row wider or narrower than the first
-RAGGED = {
+# input files: series with a row wider or narrower than the first, and a
+# length-64 trend and 6 x 64 spectrum (power at scales 1, 3 and 4) for sim_csv
+INPUTS = {
     "ragged_long.csv": "time,value\n0,1.5\n1,2.5,9\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
     "ragged_short.csv": "time,value\n0,1.5\n2\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
+    "trend.csv": "time,value\n" + "".join(f"{t},{0.1 * t - 2.5e-3 * t * t}\n" for t in range(64)),
+    "spec.csv": "".join(",".join(str(p * (1 + t / 64)) for t in range(64)) + "\n"
+                        for p in (1.0, 0.0, 0.5, 2.0, 0.0, 0.0)),
 }
 
 
@@ -133,7 +140,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp_a, tempfile.TemporaryDirectory() as tmp_b:
         works = (Path(tmp_a), Path(tmp_b))
         for work in works:
-            for file, text in RAGGED.items():
+            for file, text in INPUTS.items():
                 (work / file).write_text(text)
         for name, case in CASES:
             runs = [run_case(src, work, name, case) for src, work in zip(srcs, works)]

@@ -22,15 +22,24 @@ from .wavelets import AutocorrelationWavelet
 
 @dataclass(frozen=True)
 class LacvEstimate:
-    """Autocovariance and autocorrelation on the time x lag grid.
+    """Autocovariance on the time x lag grid; autocorrelation on access.
 
     lacv[t, tau] estimates c(t/n, tau) for tau = 0..lag_max; lacr rows with
     nonpositive lag-0 variance are NaN.
     """
 
     lacv: np.ndarray = field(repr=False)
-    lacr: np.ndarray = field(repr=False)
-    lag_max: int
+
+    @property
+    def lag_max(self) -> int:
+        return self.lacv.shape[1] - 1
+
+    @property
+    def lacr(self) -> np.ndarray:
+        """lacv over its lag-0 column; computed on every read, not stored."""
+        var = self.lacv[:, :1]
+        # np.divide into a NaN-filled array: np.where would hold one more (n, lags) array
+        return np.divide(self.lacv, var, out=np.full_like(self.lacv, np.nan), where=var > 0)
 
 
 def default_lag_max(n: int) -> int:
@@ -70,13 +79,10 @@ def lacv_from_spectrum(
         raise DimensionMismatch("lag_max must be nonnegative")
     psi = acw.window(levels, lag_max)[:, lag_max:]  # tau = 0, 1, ..., lag_max
     lacv = S.T @ psi
-    var = lacv[:, :1]
-    # np.divide into a NaN-filled array: np.where would hold one more (n, lags) array
-    lacr = np.divide(lacv, var, out=np.full_like(lacv, np.nan), where=var > 0)
-    if np.any(var <= 0):
+    if np.any(lacv[:, 0] <= 0):
         warnings.warn(
             "nonpositive variance estimates; autocorrelation set to NaN there",
             RuntimeWarning,
             stacklevel=2,
         )
-    return LacvEstimate(lacv=lacv, lacr=lacr, lag_max=int(lag_max))
+    return LacvEstimate(lacv=lacv)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .filters import EXTREMAL_PHASE, wavelet_filter
+from .filters import EXTREMAL_PHASE
 from .simulate import max_scales, tlsw_sim
 
 X1 = "x1"
@@ -35,8 +35,8 @@ class Scenario:
     family: str = EXTREMAL_PHASE
 
     def simulate(self, seed: int | None = None) -> np.ndarray:
-        filt = wavelet_filter(self.family, self.filter_number)
-        return tlsw_sim(trend=self.trend, spec=self.spectrum, n=self.length, filt=filt, seed=seed)
+        return tlsw_sim(trend=self.trend, spec=self.spectrum, n=self.length,
+                        filter_number=self.filter_number, family=self.family, seed=seed)
 
 
 def _x1() -> Scenario:

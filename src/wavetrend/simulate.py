@@ -92,13 +92,12 @@ def sample_trend(trend: TrendLike, n: int) -> np.ndarray:
         return np.zeros(n)
     if callable(trend):
         _require_dyadic(n, "trend")
-        vals = np.asarray(trend(_midpoints(n)), dtype=np.float64)
-        if vals.shape != (n,):
-            raise DimensionMismatch("trend callable must map the grid to a same-length vector")
-        return vals
+        trend = trend(_midpoints(n))
     vals = np.asarray(trend, dtype=np.float64)
     if vals.shape != (n,):
-        raise DimensionMismatch(f"trend vector has length {vals.size}, series has {n}")
+        raise DimensionMismatch(f"trend has shape {vals.shape}, series has length {n}")
+    if not np.isfinite(vals).all():
+        raise WavetrendError("trend values must be finite")
     return vals
 
 
@@ -168,9 +167,9 @@ def synthesis_kernel(dw: DiscreteWavelet, level: int, n: int) -> np.ndarray:
 
 
 def check_seed(seed) -> None:
-    """numpy seeds with nonnegative integers; a negative one is a WavetrendError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise WavetrendError(f"seed must be a nonnegative integer, got {seed}")
+    """A seed is None or a nonnegative integer; anything else is a WavetrendError."""
+    if not (seed is None or isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise WavetrendError(f"seed must be a nonnegative integer or None, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -224,13 +223,15 @@ def tlsw_sim(
     family: str = "extremal_phase",
     innovations: Callable[[np.random.Generator, int], np.ndarray] | None = None,
     seed: int | np.random.SeedSequence | None = None,
-    filt: WaveletFilter | None = None,
 ) -> np.ndarray:
     """Draw one realisation of trend plus locally stationary wavelet noise.
 
     n may be omitted when it is implied by a vector trend or a matrix
-    spectrum.  spec=None simulates pure trend.
+    spectrum.  spec=None simulates pure trend.  seed is None, a nonnegative
+    integer or a SeedSequence.
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        check_seed(seed)
     if n is None:
         if isinstance(spec, np.ndarray):
             n = spec.shape[1]
@@ -244,9 +245,6 @@ def tlsw_sim(
     trend_vals = sample_trend(trend, n)
     if spec is None:
         return trend_vals
-    if filt is None:
-        filt = wavelet_filter(family, filter_number)
-    plan = NoisePlan.build(spec, n, filt)
-    check_seed(seed)
+    plan = NoisePlan.build(spec, n, wavelet_filter(family, filter_number))
     rngs = [np.random.default_rng(seed)]
     return trend_vals + plan.draw(rngs, innovations or gaussian_innovations)[0]

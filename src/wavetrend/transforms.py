@@ -161,16 +161,22 @@ class CoefficientPyramid:
 
     details[j - 1] holds the level-j detail coefficients; scaling holds the
     deepest-level scaling coefficients.  Nondecimated rows all have the
-    transform length; decimated rows halve per level.  length is the
-    transform length, the size of the last axis.
+    transform length; decimated rows halve per level.  levels and length,
+    the transform length, are read from the rows.
     """
 
     mode: str
     filter: WaveletFilter
-    levels: int
-    length: int
     details: tuple[np.ndarray, ...] = field(repr=False)
     scaling: np.ndarray = field(repr=False)
+
+    @property
+    def levels(self) -> int:
+        return len(self.details)
+
+    @property
+    def length(self) -> int:
+        return self.details[0].shape[-1] * (2 if self.mode == DECIMATED else 1)
 
     def detail(self, level: int) -> np.ndarray:
         return self.details[level - 1]
@@ -290,7 +296,7 @@ def _forward(x, filt: WaveletFilter, levels: int, mode: str) -> CoefficientPyram
     for j in range(1, levels + 1):
         detail, approx = _analysis_step(approx, filt, *_level(mode, filt.length, j, levels))
         details.append(detail)
-    return CoefficientPyramid(mode, filt, levels, n, tuple(details), approx)
+    return CoefficientPyramid(mode, filt, tuple(details), approx)
 
 
 def _inverse(pyr: CoefficientPyramid, mode: str, forward: str) -> np.ndarray:

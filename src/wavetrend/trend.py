@@ -119,17 +119,23 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class TrendEstimate:
-    """Fitted trend with optional pointwise interval."""
+    """Fitted trend with optional pointwise interval; filter and levels come from config."""
 
     values: np.ndarray = field(repr=False)
     config: EstimatorConfig
-    filter: WaveletFilter
-    levels: int
     ci_lo: np.ndarray | None = field(repr=False, default=None)
     ci_hi: np.ndarray | None = field(repr=False, default=None)
     ci_type: str = CI_NONE
     alpha: float | None = None
     reps: int | None = None
+
+    @property
+    def filter(self) -> WaveletFilter:
+        return wavelet_filter(self.config.family, self.config.filter_number)
+
+    @property
+    def levels(self) -> int:
+        return self.config.levels
 
     @property
     def length(self) -> int:
@@ -281,8 +287,7 @@ def estimate_trend(
     desc = _extension(x.size, config.boundary)
     edit = _edit_for(config, spectrum, filt, levels, desc)
     fitted = _edited_fit(x, filt, levels, config.transform, desc, edit)
-    config = replace(config, levels=levels, family=filt.family)
-    return TrendEstimate(values=fitted, config=config, filter=filt, levels=levels)
+    return TrendEstimate(fitted, replace(config, levels=levels, family=filt.family))
 
 
 def linear_trend(
@@ -323,20 +328,6 @@ def variance_matrix(
         depth,
     )[:levels, : spectrum.levels]
     return np.maximum(cross @ spectrum.S, 0.0)
-
-
-def coefficient_variance(
-    spectrum: SpectrumEstimate,
-    analysis: WaveletFilter,
-    scale: int,
-    location: int,
-    levels: int | None = None,
-) -> float:
-    """Variance of one analysis coefficient; see variance_matrix."""
-    levels = scale if levels is None else levels
-    if not 1 <= scale <= levels:
-        raise MatrixMismatch(f"scale {scale} outside 1..{levels}")
-    return float(variance_matrix(spectrum, analysis, levels)[scale - 1, location])
 
 
 def nonlinear_trend(
@@ -426,9 +417,7 @@ def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
     for coeffs, p in zip(units, picks):
         coeffs[np.arange(first, first + p.size), p] = 1.0
         first += p.size
-    basis = dwt_inverse(
-        CoefficientPyramid(DECIMATED, filt, levels, total, tuple(units[:-1]), units[-1])
-    )
+    basis = dwt_inverse(CoefficientPyramid(DECIMATED, filt, tuple(units[:-1]), units[-1]))
     u = basis[:, desc.window()].copy()
     return u, (u if desc.policy == "none" else extend_adjoint(basis, desc))
 
@@ -521,17 +510,17 @@ def bootstrap_ci(
     _check_lengths(x, trend, "spectrum", spectrum.length)
     check_seed(seed)
     streams = np.random.SeedSequence(int(seed) if seed is not None else 0).spawn(reps)
-    n, config = trend.length, trend.config
+    n, config, filt, levels = trend.length, trend.config, trend.filter, trend.levels
     floored = dict(enumerate(np.maximum(spectrum.S, 0.0), start=1))  # deeper scales get zeros
     plan = NoisePlan.build(floored, n, spectrum.filter)
     desc = _extension(n, config.boundary)
-    edit = _edit_for(config, spectrum, trend.filter, trend.levels, desc)
-    block = _block_rows(desc, trend.levels, config.transform)
+    edit = _edit_for(config, spectrum, filt, levels, desc)
+    block = _block_rows(desc, levels, config.transform)
     fits = np.empty((reps, n))
     for s in range(0, reps, block):
         noise = plan.draw([np.random.default_rng(b) for b in streams[s : s + block]])
         fits[s : s + len(noise)] = _edited_fit(
-            trend.values + noise, trend.filter, trend.levels, config.transform, desc, edit
+            trend.values + noise, filt, levels, config.transform, desc, edit
         )
     if ci_type == BOOT_NORMAL:
         half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * fits.std(axis=0, ddof=1)

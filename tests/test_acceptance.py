@@ -198,7 +198,6 @@ def test_c04_direct_estimator_consistency():
 
 def test_c05_differenced_estimator_unbiased():
     n, levels, cusp, slope = 512, 6, 256, 0.1
-    haar = wavelet_filter(EXTREMAL_PHASE, 1)
     spec = np.zeros((9, n))
     spec[0], spec[2], spec[4] = 1.5, 0.8, 0.4
     truth = spec[:levels]
@@ -211,7 +210,8 @@ def test_c05_differenced_estimator_unbiased():
     wins = 0
     bias = {(1, 1): [], (12, 1): [], (1, 2): []}
     for r in range(100):
-        x = tlsw_sim(trend=trend, spec=spec, n=n, seed=8000 + r, filt=haar)
+        x = tlsw_sim(trend=trend, spec=spec, n=n, seed=8000 + r, family="extremal_phase",
+                     filter_number=1)
         direct = estimate_spectrum(x, filter_number=1, levels=levels)
         for mode in bias:
             est = estimate_spectrum(x, filter_number=1, levels=levels, diff=mode)

@@ -1,5 +1,8 @@
 """Local autocovariance from spectrum estimates."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,3 +88,42 @@ def test_full_pipeline_variance_level():
         est = estimate_spectrum(rng.standard_normal(n))
         avg.append(lacv_from_spectrum(est, acw, lag_max=5).lacv[:, 0].mean())
     assert 0.8 < np.mean(avg) < 1.2
+
+
+def test_lacr_matches_eager_formula():
+    # rows with zero and negative variance are NaN, the rest lacv over its
+    # lag-0 column, exactly as the autocorrelation was stored before
+    acw = autocorrelation_wavelets(HAAR, 3)
+    S = np.random.default_rng(5).uniform(0.1, 2.0, (3, 16))
+    S[:, 4] = 0.0
+    S[:, 9] = -1.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = lacv_from_spectrum(S, acw, lag_max=6)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    var = out.lacv[:, :1]
+    eager = np.divide(out.lacv, var, out=np.full_like(out.lacv, np.nan), where=var > 0)
+    assert np.array_equal(out.lacr, eager, equal_nan=True)
+    assert np.flatnonzero(np.isnan(out.lacr).all(axis=1)).tolist() == [4, 9]
+    assert not np.isnan(np.delete(out.lacr, [4, 9], axis=0)).any()
+
+
+def test_lag_max_is_an_int():
+    out = lacv_from_spectrum(np.ones((2, 8)), autocorrelation_wavelets(HAAR, 2),
+                             lag_max=np.int64(3))
+    assert type(out.lag_max) is int and out.lag_max == 3
+    assert out.lacv.shape == (8, 4)
+
+
+def test_lacv_peak_memory_is_one_array():
+    # long_lib's shape: only lacv itself may be held, not a second (n, lags) array
+    acw = autocorrelation_wavelets(wavelet_filter(EXTREMAL_PHASE, 4), 11)
+    S = np.random.default_rng(3).uniform(0.5, 1.5, (11, 65536))
+    tracemalloc.start()
+    try:
+        out = lacv_from_spectrum(S, acw, lag_max=110)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.lacv.shape == (65536, 111)
+    assert peak < 1.2 * out.lacv.nbytes

@@ -8,6 +8,7 @@ from wavetrend.errors import (
     NegativeSpectrum,
     NonDyadicFunctionalSpec,
     SeriesTooShort,
+    WavetrendError,
 )
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
 from wavetrend.scenarios import scenario
@@ -20,9 +21,6 @@ from wavetrend.simulate import (
     tlsw_sim,
 )
 from wavetrend.wavelets import autocorrelation_wavelets, discrete_wavelets
-
-HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
-
 
 def haar_spec(n: int, value: float = 1.0) -> np.ndarray:
     spec = np.zeros((max_scales(n), n))
@@ -39,9 +37,9 @@ def test_zero_spec_returns_trend_exactly():
 
 def test_determinism_and_seed_sensitivity():
     spec = haar_spec(128)
-    a = tlsw_sim(spec=spec, filt=HAAR, seed=42)
-    b = tlsw_sim(spec=spec, filt=HAAR, seed=42)
-    c = tlsw_sim(spec=spec, filt=HAAR, seed=43)
+    a = tlsw_sim(spec=spec, family="extremal_phase", filter_number=1, seed=42)
+    b = tlsw_sim(spec=spec, family="extremal_phase", filter_number=1, seed=42)
+    c = tlsw_sim(spec=spec, family="extremal_phase", filter_number=1, seed=43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -50,15 +48,18 @@ def test_linearity_in_trend():
     n = 64
     spec = haar_spec(n)
     extra = np.sin(np.arange(n))
-    base = tlsw_sim(trend=np.zeros(n), spec=spec, filt=HAAR, seed=9)
-    shifted = tlsw_sim(trend=extra, spec=spec, filt=HAAR, seed=9)
+    base = tlsw_sim(trend=np.zeros(n), spec=spec, family="extremal_phase", filter_number=1,
+                    seed=9)
+    shifted = tlsw_sim(trend=extra, spec=spec, family="extremal_phase", filter_number=1,
+                       seed=9)
     assert np.allclose(shifted, base + extra, atol=1e-12)
 
 
 def test_haar_unit_spec_variance():
     reps, n = 200, 256
     spec = haar_spec(n)
-    draws = np.stack([tlsw_sim(spec=spec, filt=HAAR, seed=s) for s in range(reps)])
+    draws = np.stack([tlsw_sim(spec=spec, family="extremal_phase", filter_number=1, seed=s)
+                      for s in range(reps)])
     assert abs(draws.var() - 1.0) < 0.05
 
 
@@ -73,7 +74,8 @@ def test_second_moment_matches_acw_mix(number):
     acw = autocorrelation_wavelets(filt, 3)
     psi = acw.window(3, 3)[:, 3:]  # Psi_j(tau) at tau = 0..3
     truth = 1.0 * psi[0] + 0.8 * psi[2]
-    draws = np.stack([tlsw_sim(spec=spec, filt=filt, seed=1000 + s) for s in range(reps)])
+    draws = np.stack([tlsw_sim(spec=spec, family="extremal_phase", filter_number=number,
+                               seed=1000 + s) for s in range(reps)])
     interior = slice(32, n - 32)
     for tau in range(4):
         prods = draws[:, interior] * np.roll(draws, -tau, axis=1)[:, interior]
@@ -103,11 +105,37 @@ def test_functional_spec_value():
 
 def test_matrix_spec_validation():
     with pytest.raises(NegativeSpectrum):
-        tlsw_sim(spec=np.full((3, 8), -1.0), filt=HAAR)
+        tlsw_sim(spec=np.full((3, 8), -1.0), family="extremal_phase", filter_number=1)
     with pytest.raises(DimensionMismatch):
-        tlsw_sim(spec=np.zeros((2, 16)), filt=HAAR)  # needs max_scales(16) = 4 rows
+        # needs max_scales(16) = 4 rows
+        tlsw_sim(spec=np.zeros((2, 16)), family="extremal_phase", filter_number=1)
     with pytest.raises(DimensionMismatch):
         tlsw_sim(trend=lambda z: z, spec={1: lambda z: 1.0})  # n unknown
+
+
+def test_nonfinite_trend_rejected():
+    n = 16
+    trend = np.zeros(n)
+    trend[5] = np.nan
+    with pytest.raises(WavetrendError, match="finite"):
+        tlsw_sim(trend=trend, spec=haar_spec(n), seed=0)
+    with pytest.raises(WavetrendError, match="finite"):
+        tlsw_sim(trend=lambda z: np.full(z.size, np.inf), spec=haar_spec(n), n=n, seed=0)
+    with pytest.raises(WavetrendError, match="finite"):
+        sample_trend([np.inf] * 8, 8)
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(1.0), -1, "1"])
+@pytest.mark.parametrize("spec", [None, haar_spec(16)])
+def test_non_integer_seed_rejected(seed, spec):
+    # 1.5 used to end in a bare TypeError from numpy
+    with pytest.raises(WavetrendError, match="seed must be a nonnegative integer"):
+        tlsw_sim(trend=np.zeros(16), spec=spec, seed=seed)
+
+
+def test_numpy_integer_seed_accepted():
+    spec = haar_spec(16)
+    assert np.array_equal(tlsw_sim(spec=spec, seed=np.int64(4)), tlsw_sim(spec=spec, seed=4))
 
 
 def test_functional_spec_needs_dyadic_length():
@@ -125,7 +153,8 @@ def test_custom_innovations():
     out = tlsw_sim(
         trend=np.ones(n),
         spec=haar_spec(n),
-        filt=HAAR,
+        family="extremal_phase",
+        filter_number=1,
         innovations=lambda rng, size: np.zeros(size),
     )
     assert np.allclose(out, 1.0, atol=0)
@@ -165,7 +194,8 @@ def test_tlsw_sim_matches_per_scale_loop(n, number, innovations):
     spec[-2:] = 0.0
     trend = np.linspace(-1.0, 1.0, n)
     for seed in (0, 17, np.random.SeedSequence(5).spawn(2)[1]):
-        got = tlsw_sim(trend=trend, spec=spec, filt=filt, innovations=innovations, seed=seed)
+        got = tlsw_sim(trend=trend, spec=spec, family="extremal_phase", filter_number=number,
+                       innovations=innovations, seed=seed)
         want = per_scale_loop(trend, spec, n, filt,
                               innovations or (lambda g, size: g.standard_normal(size)), seed)
         assert np.array_equal(got, want)

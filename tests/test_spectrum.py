@@ -275,7 +275,7 @@ def test_stationary_unbiasedness():
     per_rep = np.empty((reps, J))
     interior = slice(64, 192)
     for r in range(reps):
-        x = tlsw_sim(spec=spec, filt=EP4, seed=5000 + r)
+        x = tlsw_sim(spec=spec, family="extremal_phase", filter_number=4, seed=5000 + r)
         est = estimate_spectrum(x, levels=J)
         per_rep[r] = est.S[:, interior].mean(axis=1)
     se = per_rep.std(axis=0, ddof=1) / np.sqrt(reps)

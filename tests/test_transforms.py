@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavetrend.errors import NonDyadicLength, ScaleTooDeep
+from wavetrend.errors import ModeMismatch, NonDyadicLength, ScaleTooDeep
 from wavetrend.filters import EXTREMAL_PHASE, LEAST_ASYMMETRIC, wavelet_filter
 from wavetrend.transforms import (
     DECIMATED,
@@ -180,6 +180,21 @@ def test_batched_rows_match_one_row_calls(number, family, k):
                     assert np.array_equal(batch.detail(j)[i], one.detail(j))
                 assert np.array_equal(batch.scaling[i], one.scaling)
                 assert np.array_equal(back[i], inverse(one))
+
+
+@pytest.mark.parametrize("shape", [(64,), (3, 64), (2, 2, 64)])
+def test_pyramid_depth_and_length_read_from_rows(shape):
+    # levels and length are what the forward transform was given, for one
+    # series and for batches, decimated or not
+    x = np.random.default_rng(2).standard_normal(shape)
+    for forward in (dwt_forward, ndwt_forward):
+        for levels in (1, 3, 6):
+            pyr = forward(x, EP4, levels)
+            assert (pyr.levels, pyr.length) == (levels, 64)
+            assert type(pyr.levels) is int and type(pyr.length) is int
+            with pytest.raises(ModeMismatch):
+                pyr.with_details(pyr.details[:-1])
+    assert ndwt_forward(np.zeros(96), EP4, 3).length == 96
 
 
 def zero_upsampled_inverse(pyr):

@@ -35,11 +35,11 @@ from wavetrend.trend import (
     _operator_factors,
     analytic_ci,
     bootstrap_ci,
-    coefficient_variance,
     estimate_trend,
     linear_trend,
     nonlinear_trend,
     threshold,
+    variance_matrix,
 )
 from wavetrend.wavelets import autocorrelation_wavelets
 
@@ -151,6 +151,16 @@ def test_estimate_carries_resolved_config():
     assert np.array_equal(estimate_trend(x, fit.config).values, fit.values)
 
 
+def test_filter_and_levels_follow_config():
+    # a fit stores no filter or depth of its own: replacing the config moves both
+    x = np.random.default_rng(17).standard_normal(200)
+    fit = linear_trend(x)
+    assert fit.filter.number == 4 and fit.levels == default_levels(200)
+    moved = replace(fit, config=replace(fit.config, filter_number=6, levels=3))
+    assert moved.filter.number == 6 and moved.levels == 3
+    assert moved.filter.label == wavelet_filter(EXTREMAL_PHASE, 6).label
+
+
 def test_nonlinear_spectrum_length_guard():
     rng = np.random.default_rng(15)
     sp = estimate_spectrum(rng.standard_normal(128))
@@ -170,13 +180,13 @@ def haar_spectrum(S):
 def test_coefficient_variance_haar_identity():
     # unit spectrum at scale 1 mixes through A[0, 0] = 1.5 only
     sp = haar_spectrum(np.ones((1, 16)))
-    value = coefficient_variance(sp, HAAR, scale=1, location=8)
+    value = variance_matrix(sp, HAAR, 1)[0, 8]
     assert value == pytest.approx(1.5, abs=1e-12)
 
 
 def test_coefficient_variance_floor():
     sp = haar_spectrum(np.full((1, 16), -4.0))
-    assert coefficient_variance(sp, HAAR, scale=1, location=3) == 0.0
+    assert variance_matrix(sp, HAAR, 1)[0, 3] == 0.0
 
 
 def make_linear_fit(n=128, seed=0, transform=DECIMATED):
@@ -369,6 +379,22 @@ def test_bootstrap_guards():
         bootstrap_ci(x, fit, None, reps=50)
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(1.0), -1, "1", np.random.SeedSequence(1)])
+def test_bootstrap_rejects_non_integer_seeds(seed):
+    # a float seed used to give the seed-1 interval, a SeedSequence a TypeError
+    x, fit = make_linear_fit()
+    sp = estimate_spectrum(x, levels=5)
+    with pytest.raises(WavetrendError, match="seed must be a nonnegative integer"):
+        bootstrap_ci(x, fit, sp, reps=40, seed=seed)
+
+
+def test_bootstrap_accepts_numpy_integer_seed():
+    x, fit = make_linear_fit()
+    sp = estimate_spectrum(x, levels=5)
+    a = bootstrap_ci(x, fit, sp, reps=40, seed=np.int64(3))
+    assert np.array_equal(a.ci_lo, bootstrap_ci(x, fit, sp, reps=40, seed=3).ci_lo)
+
+
 def test_bootstrap_determinism_and_shape():
     x, fit = make_linear_fit(seed=6)
     sp = estimate_spectrum(x, levels=5)
@@ -440,7 +466,8 @@ def per_replicate_interval(x, fit, sp, reps, alpha, ci_type, seed):
     smat[: sp.levels] = np.maximum(sp.S, 0.0)
     fits = np.empty((reps, n))
     for b, stream in enumerate(np.random.SeedSequence(seed).spawn(reps)):
-        xb = fit.values + tlsw_sim(spec=smat, seed=stream, filt=sp.filter)
+        xb = fit.values + tlsw_sim(spec=smat, seed=stream, family=sp.filter.family,
+                                      filter_number=sp.filter.number)
         fits[b] = estimate_trend(xb, fit.config, spectrum=sp).values
     if ci_type == BOOT_NORMAL:
         half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * fits.std(axis=0, ddof=1)
