@@ -14,6 +14,7 @@ line other than "identical", which names the files only one side wrote
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -93,16 +94,21 @@ CASES = [
                             "--ci", "analytic"]),
     ("too_few_reps", ["trend", X1, "--ci", "normal", "--reps", "10"]),
     ("missing_input", ["trend", "missing.csv"]),
+    # squares of a series of magnitude 1e160 overflow float64
+    ("huge_values", ["analyze", "huge.csv"]),
 ]
 
-# input files: series with a row wider or narrower than the first, and a
-# length-64 trend and 6 x 64 spectrum (power at scales 1, 3 and 4) for sim_csv
+# input files: series with a row wider or narrower than the first, a
+# length-64 trend and 6 x 64 spectrum (power at scales 1, 3 and 4) for
+# sim_csv, and 256 seeded standard normals scaled by 1e160
+_rng = random.Random(5)
 INPUTS = {
     "ragged_long.csv": "time,value\n0,1.5\n1,2.5,9\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
     "ragged_short.csv": "time,value\n0,1.5\n2\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
     "trend.csv": "time,value\n" + "".join(f"{t},{0.1 * t - 2.5e-3 * t * t}\n" for t in range(64)),
     "spec.csv": "".join(",".join(str(p * (1 + t / 64)) for t in range(64)) + "\n"
                         for p in (1.0, 0.0, 0.5, 2.0, 0.0, 0.0)),
+    "huge.csv": "value\n" + "".join(f"{1e160 * _rng.gauss(0.0, 1.0)!r}\n" for _ in range(256)),
 }
 
 

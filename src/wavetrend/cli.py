@@ -27,7 +27,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,19 +199,15 @@ def _fit_trend(args: argparse.Namespace, x: np.ndarray, spectrum: SpectrumEstima
         family=args.t_family,
         policy=ThresholdPolicy(kind=args.t_thresh_type, normal_assumption=args.t_thresh_normal),
     )
-    if config.method == NONLINEAR:
-        # an unfloored estimate can zero the threshold in patches and let
-        # raw noise through; the thresholder and its bootstrap get the floored copy
-        spectrum = replace(spectrum, S=np.maximum(spectrum.S, 0.0), floored=True)
     fit = estimate_trend(x, config, spectrum)
     if not args.t_ci:
         return fit, None
     ci = _CI_TYPES[args.t_ci_type]
     if ci == ANALYTIC:
         lacv = _lacv_for(args, spectrum)
-        return analytic_ci(x, fit, lacv, alpha=args.t_sig_lvl), lacv
+        return analytic_ci(fit, lacv, alpha=args.t_sig_lvl), lacv
     fit = bootstrap_ci(
-        x, fit, spectrum, reps=args.t_reps, alpha=args.t_sig_lvl, ci_type=ci, seed=args.seed
+        fit, spectrum, reps=args.t_reps, alpha=args.t_sig_lvl, ci_type=ci, seed=args.seed
     )
     return fit, None
 
@@ -374,7 +369,9 @@ _COMMANDS = {"sim": cmd_sim, "plot": cmd_plot, **dict.fromkeys(_WRITES, cmd_esti
 
 def _add_out_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for outputs (default: .)")
-    p.add_argument("--seed", type=int, default=None, help="integer seed for any randomness")
+    p.add_argument("--seed", type=int, default=None,
+                   help="integer seed for any randomness (default: fresh entropy for sim, "
+                   "0 for the bootstrap)")
 
 
 def _add_spec_opts(p: argparse.ArgumentParser) -> None:

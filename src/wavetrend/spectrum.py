@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidBinwidth, ScaleTooDeep, SeriesTooShort
+from .errors import InvalidBinwidth, ScaleTooDeep, SeriesTooShort, WavetrendError
 from .filters import WaveletFilter, wavelet_filter
 from .simulate import max_scales
 from .transforms import TREND_REFLECT, as_series, extend_series, ndwt_forward
@@ -155,6 +155,15 @@ def _embed_columns(rows: np.ndarray, n: int, lost: int) -> np.ndarray:
     return out
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Raise unless every value is finite: a huge finite series can overflow."""
+    if not np.isfinite(values).all():
+        raise WavetrendError(
+            f"the {what} of this series overflows float64; rescale the series "
+            "(divide it by its standard deviation)"
+        )
+
+
 def wavelet_periodogram(
     x: np.ndarray,
     filt: WaveletFilter,
@@ -168,7 +177,9 @@ def wavelet_periodogram(
     transform and the squared coefficients are trimmed back to the original
     window; with boundary off the transform is circular on the series
     itself.  diff = (lag, order) differences first (normalised so the
-    matching difference operator corrects the result exactly).
+    matching difference operator corrects the result exactly).  Squares
+    that overflow float64 (a series of magnitude about 1e154 or more)
+    raise WavetrendError.
     """
     x = as_series(x, 2)
     n = x.size
@@ -203,6 +214,7 @@ def wavelet_periodogram(
         y = difference_series(y, lag, order)
     pyr = ndwt_forward(y, filt, levels)
     raw = np.stack([pyr.detail(j)[window] for j in range(1, levels + 1)]) ** 2
+    _check_finite(raw, "periodogram")
     if lost and not boundary:
         raw = _embed_columns(raw, n, lost)
     return Periodogram(
@@ -283,11 +295,15 @@ def smooth_periodogram(pgram: Periodogram, config: SmootherConfig) -> Periodogra
 
 
 def correct_periodogram(pgram: Periodogram) -> SpectrumEstimate:
-    """Unmix periodogram scales with the inverse of its own bias operator."""
+    """Unmix periodogram scales with the inverse of its own bias operator.
+
+    A finite periodogram can still overflow in the smoothing sums or the
+    unmixing; that raises WavetrendError instead of returning non-finite S.
+    """
     correction = correction_for(pgram.filter, pgram.levels, pgram.diff)
-    return SpectrumEstimate(
-        S=correction.inverse @ pgram.values(), periodogram=pgram, correction=correction
-    )
+    S = correction.inverse @ pgram.values()
+    _check_finite(S, "spectrum")
+    return SpectrumEstimate(S=S, periodogram=pgram, correction=correction)
 
 
 def correction_for(

@@ -6,11 +6,13 @@ sits entirely inside the original data window and keeps the rest (boundary
 details and all scaling coefficients carry the trend).  The nonlinear
 estimator instead thresholds every detail coefficient against its own
 estimated standard deviation, which adapts to inhomogeneous trends at the
-price of needing a spectrum estimate first.
+price of needing a spectrum estimate first.  It thresholds with the
+spectrum floored at zero: a negative estimate would zero the threshold in
+patches and let raw noise through.
 
-estimate_trend is the one fitting body; linear_trend and nonlinear_trend
-build a config and call it.  Every fit takes its edit from _edit_for, the
-one place that dispatches on the method, through a factory
+estimate_trend(x, EstimatorConfig(...), spectrum) is the one fit.  Every
+fit takes its edit from _edit_for, the one place that dispatches on the
+method, through a factory
 (_zero_interior, _threshold_edit) that builds what the edit needs once, so
 one edit serves one fit or many blocks of fits.
 
@@ -230,12 +232,13 @@ def _threshold_edit(
     """The nonlinear estimator's edit: threshold each detail at its own lambda.
 
     lambda = policy.scale(n) * sigma[level - 1, t], with sigma from
-    variance_matrix computed once here and t the in-window time nearest the
-    coefficient's centre.  Each level's lambda row is built on first use
-    and reused for later batches.
+    variance_matrix of the spectrum floored at zero, computed once here,
+    and t the in-window time nearest the coefficient's centre.  Each
+    level's lambda row is built on first use and reused for later batches.
     """
     n = desc.original_length
-    sigma = np.sqrt(variance_matrix(spectrum, filt, levels))
+    floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0), floored=True)
+    sigma = np.sqrt(variance_matrix(floored, filt, levels))
     lam_scale = policy.scale(n)
     lams: dict[int, np.ndarray] = {}
 
@@ -278,7 +281,11 @@ def estimate_trend(
 ) -> TrendEstimate:
     """Run the estimator a config describes; the nonlinear one needs a spectrum.
 
-    The estimate carries config resolved: levels filled in with the default
+    The linear estimator keeps the boundary details and the scaling
+    coefficients; its edit is data independent, which is what makes the
+    analytic interval possible.  The nonlinear one thresholds every detail
+    at its own noise level under the spectrum, floored at zero.  The
+    estimate carries config resolved: levels filled in with the default
     depth when None, the filter family canonical, everything else as given.
     """
     filt = wavelet_filter(config.family, config.filter_number)
@@ -288,24 +295,6 @@ def estimate_trend(
     edit = _edit_for(config, spectrum, filt, levels, desc)
     fitted = _edited_fit(x, filt, levels, config.transform, desc, edit)
     return TrendEstimate(fitted, replace(config, levels=levels, family=filt.family))
-
-
-def linear_trend(
-    x: np.ndarray,
-    filter_number: int = 4,
-    family: str = EXTREMAL_PHASE,
-    levels: int | None = None,
-    transform: str = NONDECIMATED,
-    boundary: bool = True,
-) -> TrendEstimate:
-    """Trend from boundary detail and scaling coefficients only.
-
-    Interior details carry no trend when the filter has enough vanishing
-    moments, so dropping them removes noise and keeps the trend; the edit
-    is data independent, which is what makes the analytic interval possible.
-    """
-    config = EstimatorConfig(LINEAR, transform, boundary, levels, filter_number, family)
-    return estimate_trend(x, config)
 
 
 def variance_matrix(
@@ -330,27 +319,6 @@ def variance_matrix(
     return np.maximum(cross @ spectrum.S, 0.0)
 
 
-def nonlinear_trend(
-    x: np.ndarray,
-    spectrum: SpectrumEstimate,
-    filter_number: int = 4,
-    family: str = EXTREMAL_PHASE,
-    levels: int | None = None,
-    policy: ThresholdPolicy = ThresholdPolicy(),
-    transform: str = NONDECIMATED,
-    boundary: bool = True,
-) -> TrendEstimate:
-    """Trend by coefficient-wise thresholding at estimated noise level.
-
-    Every detail coefficient is compared against lambda built from its own
-    variance under the estimated spectrum, so threshold strength follows the
-    local noise level; coefficients in the extension reuse the nearest
-    in-window variance.
-    """
-    config = EstimatorConfig(NONLINEAR, transform, boundary, levels, filter_number, family, policy)
-    return estimate_trend(x, config, spectrum)
-
-
 _ANALYTIC_MAX_N = 8192
 
 
@@ -370,14 +338,9 @@ def _check_alpha(alpha: float) -> None:
         raise WavetrendError(f"significance level must lie in (0, 1), got {alpha}")
 
 
-def _check_lengths(x, trend: TrendEstimate, what: str, covered: int) -> int:
-    """Length of x once it, the trend and the noise model all cover the same points."""
-    x = as_series(x, 2)
-    if not x.size == trend.length == covered:
-        raise MatrixMismatch(
-            f"series has {x.size} points, trend {trend.length}, {what} {covered}"
-        )
-    return x.size
+def _check_lengths(trend: TrendEstimate, what: str, covered: int) -> None:
+    if trend.length != covered:
+        raise MatrixMismatch(f"trend has {trend.length} points, {what} {covered}")
 
 
 def _meets_window(start: np.ndarray, length: int, desc: ExtensionDescriptor) -> np.ndarray:
@@ -423,7 +386,6 @@ def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
 
 
 def analytic_ci(
-    x: np.ndarray,
     trend: TrendEstimate,
     lacv: LacvEstimate,
     alpha: float = 0.05,
@@ -439,14 +401,14 @@ def analytic_ci(
     reduction is an einsum or an elementwise sum, never BLAS, so the
     interval does not depend on the BLAS thread count.
     Only the decimated linear estimator is supported; for anything else use
-    the bootstrap.  x, the trend and the autocovariance must cover the same
+    the bootstrap.  The trend and the autocovariance must cover the same
     points.
     """
     _check_alpha(alpha)
     if trend.config.method != LINEAR or trend.config.transform != DECIMATED:
         raise MethodMismatch("analytic interval needs the linear decimated estimator")
-    c = lacv.lacv
-    n = _check_lengths(x, trend, "autocovariance", c.shape[0])
+    c, n = lacv.lacv, trend.length
+    _check_lengths(trend, "autocovariance", c.shape[0])
     if n > _ANALYTIC_MAX_N:
         raise MethodMismatch(
             f"analytic interval refused for n = {n} > {_ANALYTIC_MAX_N}; "
@@ -473,7 +435,6 @@ def analytic_ci(
 
 
 def bootstrap_ci(
-    x: np.ndarray,
     trend: TrendEstimate,
     spectrum: SpectrumEstimate,
     reps: int = 200,
@@ -488,7 +449,8 @@ def bootstrap_ci(
     spread of the re-estimates forms the interval.  Replicate streams are
     the reps children spawned from SeedSequence(seed), so they are
     independent across replicates and across seeds and do not depend on
-    evaluation order.  The spectrum is not re-estimated per replicate.
+    evaluation order; seed=None means seed 0, so the interval is the same
+    on every run.  The spectrum is not re-estimated per replicate.
 
     What no replicate changes is built once: the NoisePlan of the spectrum
     and the estimator's edit (for the nonlinear estimator, its thresholds).
@@ -507,7 +469,7 @@ def bootstrap_ci(
         raise TooFewReps(f"need at least {needed} replicates for alpha = {alpha}")
     if spectrum is None or not isinstance(spectrum, SpectrumEstimate):
         raise MissingSpectrum("bootstrap needs a spectrum estimate")
-    _check_lengths(x, trend, "spectrum", spectrum.length)
+    _check_lengths(trend, "spectrum", spectrum.length)
     check_seed(seed)
     streams = np.random.SeedSequence(int(seed) if seed is not None else 0).spawn(reps)
     n, config, filt, levels = trend.length, trend.config, trend.filter, trend.levels

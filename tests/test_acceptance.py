@@ -30,7 +30,13 @@ from wavetrend.transforms import (
     ndwt_average_basis,
     ndwt_forward,
 )
-from wavetrend.trend import analytic_ci, bootstrap_ci, linear_trend, nonlinear_trend
+from wavetrend.trend import (
+    NONLINEAR,
+    EstimatorConfig,
+    analytic_ci,
+    bootstrap_ci,
+    estimate_trend,
+)
 from wavetrend.wavelets import (
     a_matrix,
     autocorrelation_wavelets,
@@ -240,12 +246,12 @@ def test_c06_trend_exactness():
     n = 512
     z = np.arange(n) / n
     cubic = 3.0 * (32.0 * z**3 - 48.0 * z**2 + 22.0 * z - 3.0)
-    fit = linear_trend(cubic, filter_number=4)
+    fit = estimate_trend(cubic, EstimatorConfig(filter_number=4))
     cubic_err = np.max(np.abs(fit.values - cubic)) / np.max(np.abs(cubic))
     const = np.full(128, -3.25)
     const_err = 0.0
     for family, number in ALL_FILTERS:
-        fit = linear_trend(const, filter_number=number, family=family)
+        fit = estimate_trend(const, EstimatorConfig(filter_number=number, family=family))
         const_err = max(const_err, np.max(np.abs(fit.values - const)))
     report(
         "C6",
@@ -263,7 +269,7 @@ def test_c07_trend_accuracy():
     rmses = []
     for r in range(100):
         x = x1.simulate(seed=2000 + r)
-        fit = linear_trend(x)
+        fit = estimate_trend(x, EstimatorConfig())
         rmses.append(np.sqrt(np.mean((fit.values - x1.trend) ** 2)))
     mean_rmse = float(np.mean(rmses))
     x2 = scenario("x2")
@@ -273,7 +279,8 @@ def test_c07_trend_accuracy():
         sp = estimate_spectrum(
             x, diff=(1, 1), smoother="median", binwidth=129, floor_negatives=True
         )
-        fit = nonlinear_trend(x, sp, filter_number=6, family=LEAST_ASYMMETRIC)
+        config = EstimatorConfig(NONLINEAR, filter_number=6, family=LEAST_ASYMMETRIC)
+        fit = estimate_trend(x, config, sp)
         wins += np.sqrt(np.mean((fit.values - x2.trend) ** 2)) < 1.0
     elapsed = time.perf_counter() - start
     report(
@@ -297,10 +304,10 @@ def test_c08_interval_coverage():
     hits = total = 0
     for _ in range(200):
         x = rng.standard_normal(n)
-        fit = linear_trend(x, transform=DECIMATED)
+        fit = estimate_trend(x, EstimatorConfig(transform=DECIMATED))
         sp = estimate_spectrum(x, levels=6)
         lv = lacv_from_spectrum(replace(sp, S=np.maximum(sp.S, 0.0)), acw)
-        ci = analytic_ci(x, fit, lv, alpha=0.05)
+        ci = analytic_ci(fit, lv, alpha=0.05)
         inside = (ci.ci_lo[64:192] <= 0.0) & (0.0 <= ci.ci_hi[64:192])
         hits += int(inside.sum())
         total += inside.size
@@ -314,9 +321,9 @@ def test_c08_interval_coverage():
     hits = total = 0
     for rep in range(50):
         x = x1.simulate(seed=10_000 + rep)
-        fit = linear_trend(x)
+        fit = estimate_trend(x, EstimatorConfig())
         sp = estimate_spectrum(x, levels=4)
-        ci = bootstrap_ci(x, fit, sp, reps=99, alpha=0.05, seed=rep)
+        ci = bootstrap_ci(fit, sp, reps=99, alpha=0.05, seed=rep)
         inside = (ci.ci_lo[lo:hi] <= x1.trend[lo:hi]) & (x1.trend[lo:hi] <= ci.ci_hi[lo:hi])
         hits += int(inside.sum())
         total += inside.size

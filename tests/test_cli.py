@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from wavetrend.cli import _write_csv, _write_trend, main, read_series, read_trend
 from wavetrend.scenarios import scenario
+from wavetrend.spectrum import estimate_spectrum
+from wavetrend.trend import NONLINEAR, EstimatorConfig, estimate_trend
 
 
 def run(*argv):
@@ -159,6 +161,17 @@ def test_trend_without_ci_leaves_columns_empty(tmp_path):
     assert est.size == 512 and lo is None and hi is None
 
 
+def test_nonlinear_trend_matches_library_fit(tmp_path):
+    # the CLI passes its unfloored spectrum; the estimator floors it, as it
+    # does for a library caller (they were 1.04 apart on this series)
+    x = scenario("x1").simulate(seed=3)
+    src = tmp_path / "series.csv"
+    write_series_csv(src, x)
+    assert run("trend", src, "--est-type", "nonlinear", "--diff", 1, "--out-dir", tmp_path) == 0
+    fit = estimate_trend(x, EstimatorConfig(method=NONLINEAR), estimate_spectrum(x, diff=(1, 1)))
+    assert np.array_equal(read_trend(tmp_path / "trend.csv")[0], fit.values)
+
+
 def test_nonlinear_pairing_note(tmp_path):
     d = tmp_path / "out"
     assert run("sim", "--scenario", "x1", "--seed", 8, "--out-dir", d) == 0
@@ -231,6 +244,15 @@ def test_bad_series_file_exits_2(tmp_path, capsys):
     src.write_text("value\n1.0\nnan\n")
     assert run("spec", src, "--out-dir", tmp_path) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_huge_series_exits_2(tmp_path, capsys):
+    # its periodogram squares overflow: once exit 0 with NaN spectrum.csv and lacv.csv
+    src = tmp_path / "series.csv"
+    write_series_csv(src, 1e160 * np.random.default_rng(5).standard_normal(256))
+    assert run("analyze", src, "--out-dir", tmp_path / "out") == 2
+    assert "rescale the series" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("ci", ["analytic", "normal"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wavetrend import spectrum
-from wavetrend.errors import InvalidBinwidth, InvalidDiffSpec, SeriesTooShort
+from wavetrend.errors import InvalidBinwidth, InvalidDiffSpec, SeriesTooShort, WavetrendError
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
 from wavetrend.scenarios import scenario
 from wavetrend.simulate import max_scales
@@ -44,6 +44,20 @@ def test_zero_series_zero_raw():
     raw = wavelet_periodogram(np.zeros(64), EP4, 3).raw
     assert raw.shape == (3, 64)
     assert np.all(raw == 0.0)
+
+
+def test_huge_series_raises_instead_of_nonfinite_spectrum():
+    # squares overflow from about 1e154; at 1e153 the periodogram is finite
+    # but the mean smoother's window sums overflow
+    x = np.random.default_rng(5).standard_normal(256)
+    with pytest.raises(WavetrendError, match="rescale the series"):
+        wavelet_periodogram(x * 1e160, EP4, 5)
+    with pytest.raises(WavetrendError, match="rescale the series"):
+        estimate_spectrum(x * 1e160, diff=(1, 1))
+    assert np.isfinite(wavelet_periodogram(x * 1e153, EP4, 5).raw).all()
+    with pytest.raises(WavetrendError, match="rescale the series"):
+        estimate_spectrum(x * 1e153)
+    assert np.isfinite(estimate_spectrum(x * 1e150).S).all()
 
 
 def test_linear_trend_annihilated():

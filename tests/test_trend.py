@@ -7,6 +7,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+import wavetrend
 from wavetrend.errors import (
     MatrixMismatch,
     MethodMismatch,
@@ -17,6 +18,7 @@ from wavetrend.errors import (
 )
 from wavetrend.filters import EXTREMAL_PHASE, LEAST_ASYMMETRIC, wavelet_filter
 from wavetrend.lacv import lacv_from_spectrum
+from wavetrend.scenarios import scenario
 from wavetrend.simulate import max_scales, tlsw_sim
 from wavetrend.spectrum import default_levels, estimate_spectrum
 from wavetrend.transforms import DECIMATED, NONDECIMATED
@@ -36,8 +38,6 @@ from wavetrend.trend import (
     analytic_ci,
     bootstrap_ci,
     estimate_trend,
-    linear_trend,
-    nonlinear_trend,
     threshold,
     variance_matrix,
 )
@@ -71,7 +71,9 @@ def test_threshold_policy_scales():
                                            (6, LEAST_ASYMMETRIC)])
 def test_constant_series_exact(transform, number, family):
     x = np.full(128, 2.75)
-    fit = linear_trend(x, filter_number=number, family=family, transform=transform)
+    fit = estimate_trend(
+        x, EstimatorConfig(filter_number=number, family=family, transform=transform)
+    )
     assert np.allclose(fit.values, 2.75, atol=1e-10)
 
 
@@ -80,16 +82,16 @@ def test_cubic_polynomial_recovered(transform):
     n = 256
     z = np.arange(n) / n
     x = 3.0 * (32 * z**3 - 48 * z**2 + 22 * z - 3)
-    fit = linear_trend(x, filter_number=4, transform=transform)
+    fit = estimate_trend(x, EstimatorConfig(filter_number=4, transform=transform))
     assert np.max(np.abs(fit.values - x)) < 1e-6 * np.max(np.abs(x))
 
 
 def test_shift_and_scale_equivariance():
     rng = np.random.default_rng(12)
     x = rng.standard_normal(200)
-    base = linear_trend(x).values
-    assert np.allclose(linear_trend(x + 5.0).values, base + 5.0, atol=1e-10)
-    assert np.allclose(linear_trend(2.5 * x).values, 2.5 * base, atol=1e-10)
+    base = estimate_trend(x, EstimatorConfig()).values
+    assert np.allclose(estimate_trend(x + 5.0, EstimatorConfig()).values, base + 5.0, atol=1e-10)
+    assert np.allclose(estimate_trend(2.5 * x, EstimatorConfig()).values, 2.5 * base, atol=1e-10)
 
 
 def test_zero_spectrum_reconstructs_data():
@@ -97,7 +99,7 @@ def test_zero_spectrum_reconstructs_data():
     x = rng.standard_normal(128)
     sp = estimate_spectrum(x, levels=4)
     zero = replace(sp, S=np.zeros_like(sp.S))
-    fit = nonlinear_trend(x, zero, levels=4)
+    fit = estimate_trend(x, EstimatorConfig(method=NONLINEAR, levels=4), zero)
     assert np.max(np.abs(fit.values - x)) < 1e-8
 
 
@@ -108,8 +110,9 @@ def test_infinite_threshold_is_scaling_projection():
     x = rng.standard_normal(128)
     sp = estimate_spectrum(x, levels=4)
     huge = replace(sp, S=np.full_like(sp.S, 1e12))
-    nl = nonlinear_trend(x, huge, levels=4, transform=DECIMATED, boundary=False)
-    lin = linear_trend(x, levels=4, transform=DECIMATED, boundary=False)
+    config = EstimatorConfig(levels=4, transform=DECIMATED, boundary=False)
+    nl = estimate_trend(x, replace(config, method=NONLINEAR), huge)
+    lin = estimate_trend(x, config)
     assert np.allclose(nl.values, lin.values, atol=1e-8)
 
 
@@ -123,9 +126,6 @@ def test_config_rejects_unknown_method_or_transform():
     for fields in ({"transform": "dec"}, {"method": "bogus"}):
         with pytest.raises(MethodMismatch):
             EstimatorConfig(**fields)
-    # once fell back to the nondecimated fit, labelled "dec"
-    with pytest.raises(MethodMismatch):
-        linear_trend(np.zeros(64), transform="dec")
 
 
 def test_policy_rejects_unknown_kind():
@@ -146,7 +146,6 @@ def test_estimate_carries_resolved_config():
     sp = estimate_spectrum(x)
     config = EstimatorConfig(method=NONLINEAR, levels=3, filter_number=6, policy=policy)
     assert estimate_trend(x, config, sp).config == config
-    assert nonlinear_trend(x, sp, levels=3, filter_number=6, policy=policy).config == config
     # the resolved config reruns the same fit
     assert np.array_equal(estimate_trend(x, fit.config).values, fit.values)
 
@@ -154,7 +153,7 @@ def test_estimate_carries_resolved_config():
 def test_filter_and_levels_follow_config():
     # a fit stores no filter or depth of its own: replacing the config moves both
     x = np.random.default_rng(17).standard_normal(200)
-    fit = linear_trend(x)
+    fit = estimate_trend(x, EstimatorConfig())
     assert fit.filter.number == 4 and fit.levels == default_levels(200)
     moved = replace(fit, config=replace(fit.config, filter_number=6, levels=3))
     assert moved.filter.number == 6 and moved.levels == 3
@@ -165,7 +164,25 @@ def test_nonlinear_spectrum_length_guard():
     rng = np.random.default_rng(15)
     sp = estimate_spectrum(rng.standard_normal(128))
     with pytest.raises(MatrixMismatch):
-        nonlinear_trend(rng.standard_normal(64), sp)
+        estimate_trend(rng.standard_normal(64), EstimatorConfig(method=NONLINEAR), sp)
+
+
+@pytest.mark.parametrize("kind", [HARD, SOFT])
+def test_nonlinear_fit_floors_its_spectrum(kind):
+    # a library fit on the unfloored estimate is the fit on its floored
+    # copy, the spectrum the CLI thresholds with (they were 1.04 apart)
+    x = scenario("x1").simulate(seed=3)
+    sp = estimate_spectrum(x, diff=(1, 1))
+    assert np.any(sp.S < 0.0)
+    floored = replace(sp, S=np.maximum(sp.S, 0.0), floored=True)
+    config = EstimatorConfig(method=NONLINEAR, policy=ThresholdPolicy(kind))
+    fit = estimate_trend(x, config, sp)
+    assert np.array_equal(fit.values, estimate_trend(x, config, floored).values)
+
+
+def test_package_exports_resolve():
+    for name in wavetrend.__all__:
+        assert hasattr(wavetrend, name), name
 
 
 def haar_spectrum(S):
@@ -192,7 +209,7 @@ def test_coefficient_variance_floor():
 def make_linear_fit(n=128, seed=0, transform=DECIMATED):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
-    return x, linear_trend(x, transform=transform)
+    return x, estimate_trend(x, EstimatorConfig(transform=transform))
 
 
 def test_analytic_ci_zero_lacv():
@@ -200,7 +217,7 @@ def test_analytic_ci_zero_lacv():
     acw = autocorrelation_wavelets(EP4, 5)
     with pytest.warns(RuntimeWarning):
         lv = lacv_from_spectrum(np.zeros((5, x.size)), acw, lag_max=5)
-    out = analytic_ci(x, fit, lv)
+    out = analytic_ci(fit, lv)
     assert np.allclose(out.ci_lo, out.values, atol=1e-12)
     assert np.allclose(out.ci_hi, out.values, atol=1e-12)
 
@@ -210,8 +227,8 @@ def test_analytic_ci_width_scales_with_quantile():
     sp = estimate_spectrum(x, levels=5, floor_negatives=True)
     acw = autocorrelation_wavelets(EP4, 5)
     lv = lacv_from_spectrum(sp, acw)
-    wide = analytic_ci(x, fit, lv, alpha=0.05)
-    narrow = analytic_ci(x, fit, lv, alpha=0.32)
+    wide = analytic_ci(fit, lv, alpha=0.05)
+    narrow = analytic_ci(fit, lv, alpha=0.32)
     w1 = narrow.ci_hi - narrow.ci_lo
     w2 = wide.ci_hi - wide.ci_lo
     mask = w2 > 1e-12
@@ -224,7 +241,7 @@ def test_analytic_ci_requires_decimated_linear():
     acw = autocorrelation_wavelets(EP4, 5)
     lv = lacv_from_spectrum(np.ones((5, x.size)), acw, lag_max=3)
     with pytest.raises(MethodMismatch):
-        analytic_ci(x, fit, lv)
+        analytic_ci(fit, lv)
 
 
 def test_analytic_ci_lacv_length_guard():
@@ -232,7 +249,7 @@ def test_analytic_ci_lacv_length_guard():
     acw = autocorrelation_wavelets(EP4, 5)
     lv = lacv_from_spectrum(np.ones((5, 64)), acw, lag_max=3)
     with pytest.raises(MatrixMismatch):
-        analytic_ci(x, fit, lv)
+        analytic_ci(fit, lv)
 
 
 def _linear_operator(trend):
@@ -274,8 +291,9 @@ def test_linear_operator_matches_unit_vector_loop(number, family, n, boundary):
     # identity blocks of max(1, 2**16 // extended length) rows: 128 rows at
     # n = 100, 64 at n = 257 (a partial last block), 32 at n = 512
     x = np.random.default_rng(n).standard_normal(n)
-    fit = linear_trend(x, filter_number=number, family=family, transform=DECIMATED,
-                       boundary=boundary)
+    config = EstimatorConfig(filter_number=number, family=family, transform=DECIMATED,
+                             boundary=boundary)
+    fit = estimate_trend(x, config)
     rows = _linear_operator(fit)
     assert np.array_equal(rows, unit_vector_operator(fit))
     assert np.allclose(rows @ x, fit.values, atol=1e-10)
@@ -288,8 +306,9 @@ def test_linear_operator_matches_unit_vector_loop(number, family, n, boundary):
 def test_operator_factors_match_dense_operator(number, family, n, boundary):
     # LA8 at n = 64 with boundary handling keeps 89 factor rows, more than n
     x = np.random.default_rng(n).standard_normal(n)
-    fit = linear_trend(x, filter_number=number, family=family, transform=DECIMATED,
-                       boundary=boundary)
+    config = EstimatorConfig(filter_number=number, family=family, transform=DECIMATED,
+                             boundary=boundary)
+    fit = estimate_trend(x, config)
     u, v = _operator_factors(fit)
     assert u.shape == v.shape == (u.shape[0], n)
     rows = _linear_operator(fit)
@@ -311,11 +330,11 @@ def dense_half_widths(fit, lv, alpha=0.05):
 def test_analytic_half_widths_match_dense_formula(n, boundary, lag_max):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)
-    fit = linear_trend(x, transform=DECIMATED, boundary=boundary)
+    fit = estimate_trend(x, EstimatorConfig(transform=DECIMATED, boundary=boundary))
     spectrum = np.abs(rng.standard_normal((5, n)))
     lags = n + 3 if lag_max == "n" else lag_max
     lv = lacv_from_spectrum(spectrum, autocorrelation_wavelets(EP4, 5), lag_max=lags)
-    out = analytic_ci(x, fit, lv)
+    out = analytic_ci(fit, lv)
     half = dense_half_widths(fit, lv)
     assert np.array_equal(out.values, fit.values)
     assert np.max(np.abs((out.ci_hi - out.values) - half)) <= 1e-12 * np.max(half)
@@ -326,11 +345,11 @@ def test_analytic_ci_at_size_limit():
     # the dense operator alone would take 512 MiB at n = 8192
     n = 8192
     x = np.random.default_rng(8192).standard_normal(n)
-    fit = linear_trend(x, transform=DECIMATED)
+    fit = estimate_trend(x, EstimatorConfig(transform=DECIMATED))
     lv = lacv_from_spectrum(np.ones((5, n)), autocorrelation_wavelets(EP4, 5))
     tracemalloc.start()
     try:
-        out = analytic_ci(x, fit, lv)
+        out = analytic_ci(fit, lv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -338,45 +357,33 @@ def test_analytic_ci_at_size_limit():
     assert np.isfinite(out.ci_lo).all() and np.isfinite(out.ci_hi).all()
     assert np.all(out.ci_lo <= out.values) and np.all(out.values <= out.ci_hi)
     x = np.append(x, 0.0)
-    fit = linear_trend(x, transform=DECIMATED)
+    fit = estimate_trend(x, EstimatorConfig(transform=DECIMATED))
     lv = lacv_from_spectrum(np.ones((5, n + 1)), autocorrelation_wavelets(EP4, 5), lag_max=3)
     with pytest.raises(MethodMismatch, match="8192"):
-        analytic_ci(x, fit, lv)
+        analytic_ci(fit, lv)
 
 
 def test_interval_input_checks():
     x, fit = make_linear_fit()
     acw = autocorrelation_wavelets(EP4, 5)
     lv = lacv_from_spectrum(np.ones((5, x.size)), acw, lag_max=3)
-    bad = x.copy()
-    bad[7] = np.nan
-    with pytest.raises(WavetrendError, match="finite"):
-        analytic_ci(bad, fit, lv)
-    with pytest.raises(WavetrendError, match="one dimensional"):
-        analytic_ci(x.reshape(8, 16), fit, lv)
-    short_x, short_fit = make_linear_fit(n=100, seed=1)
+    _, short_fit = make_linear_fit(n=100, seed=1)
     with pytest.raises(MatrixMismatch):
-        analytic_ci(x, short_fit, lv)
-    with pytest.raises(MatrixMismatch):
-        analytic_ci(short_x, fit, lv)
+        analytic_ci(short_fit, lv)
     sp = estimate_spectrum(x, levels=5)
     with pytest.raises(MatrixMismatch):
-        bootstrap_ci(x, short_fit, sp, reps=40)
-    with pytest.raises(MatrixMismatch):
-        bootstrap_ci(short_x, short_fit, sp, reps=40)
-    with pytest.raises(WavetrendError, match="finite"):
-        bootstrap_ci(bad, fit, sp, reps=40)
+        bootstrap_ci(short_fit, sp, reps=40)
 
 
 def test_bootstrap_guards():
     x, fit = make_linear_fit()
     sp = estimate_spectrum(x, levels=5)
     with pytest.raises(TooFewReps):
-        bootstrap_ci(x, fit, sp, reps=10)
+        bootstrap_ci(fit, sp, reps=10)
     with pytest.raises(MethodMismatch):
-        bootstrap_ci(x, fit, sp, reps=50, ci_type="analytic")
+        bootstrap_ci(fit, sp, reps=50, ci_type="analytic")
     with pytest.raises(MissingSpectrum):
-        bootstrap_ci(x, fit, None, reps=50)
+        bootstrap_ci(fit, None, reps=50)
 
 
 @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), -1, "1", np.random.SeedSequence(1)])
@@ -385,22 +392,30 @@ def test_bootstrap_rejects_non_integer_seeds(seed):
     x, fit = make_linear_fit()
     sp = estimate_spectrum(x, levels=5)
     with pytest.raises(WavetrendError, match="seed must be a nonnegative integer"):
-        bootstrap_ci(x, fit, sp, reps=40, seed=seed)
+        bootstrap_ci(fit, sp, reps=40, seed=seed)
 
 
 def test_bootstrap_accepts_numpy_integer_seed():
     x, fit = make_linear_fit()
     sp = estimate_spectrum(x, levels=5)
-    a = bootstrap_ci(x, fit, sp, reps=40, seed=np.int64(3))
-    assert np.array_equal(a.ci_lo, bootstrap_ci(x, fit, sp, reps=40, seed=3).ci_lo)
+    a = bootstrap_ci(fit, sp, reps=40, seed=np.int64(3))
+    assert np.array_equal(a.ci_lo, bootstrap_ci(fit, sp, reps=40, seed=3).ci_lo)
+
+
+def test_bootstrap_seed_none_is_seed_zero():
+    x, fit = make_linear_fit()
+    sp = estimate_spectrum(x, levels=5)
+    a = bootstrap_ci(fit, sp, reps=40, seed=None)
+    b = bootstrap_ci(fit, sp, reps=40, seed=0)
+    assert a.ci_lo.tobytes() == b.ci_lo.tobytes() and a.ci_hi.tobytes() == b.ci_hi.tobytes()
 
 
 def test_bootstrap_determinism_and_shape():
     x, fit = make_linear_fit(seed=6)
     sp = estimate_spectrum(x, levels=5)
-    a = bootstrap_ci(x, fit, sp, reps=40, seed=9)
-    b = bootstrap_ci(x, fit, sp, reps=40, seed=9)
-    c = bootstrap_ci(x, fit, sp, reps=40, seed=10)
+    a = bootstrap_ci(fit, sp, reps=40, seed=9)
+    b = bootstrap_ci(fit, sp, reps=40, seed=9)
+    c = bootstrap_ci(fit, sp, reps=40, seed=10)
     assert np.array_equal(a.ci_lo, b.ci_lo) and np.array_equal(a.ci_hi, b.ci_hi)
     assert not np.array_equal(a.ci_lo, c.ci_lo)
     assert a.reps == 40 and a.ci_type == BOOT_PERCENTILE
@@ -409,7 +424,7 @@ def test_bootstrap_determinism_and_shape():
 def test_bootstrap_normal_symmetric():
     x, fit = make_linear_fit(seed=7)
     sp = estimate_spectrum(x, levels=5)
-    out = bootstrap_ci(x, fit, sp, reps=40, ci_type=BOOT_NORMAL, seed=1)
+    out = bootstrap_ci(fit, sp, reps=40, ci_type=BOOT_NORMAL, seed=1)
     assert np.allclose(out.ci_hi - out.values, out.values - out.ci_lo, atol=1e-9)
 
 
@@ -417,7 +432,7 @@ def test_bootstrap_zero_spectrum_zero_width():
     x, fit = make_linear_fit(seed=8)
     sp = estimate_spectrum(x, levels=5)
     zero = replace(sp, S=np.zeros_like(sp.S))
-    out = bootstrap_ci(x, fit, zero, reps=40, seed=2)
+    out = bootstrap_ci(fit, zero, reps=40, seed=2)
     assert np.allclose(out.ci_hi - out.ci_lo, 0.0, atol=1e-12)
 
 
@@ -438,9 +453,9 @@ def test_nonfinite_series_rejected(estimator):
         if estimator == "spectrum":
             estimate_spectrum(x, levels=5)
         elif estimator == "linear":
-            linear_trend(x)
+            estimate_trend(x, EstimatorConfig())
         else:
-            nonlinear_trend(x, sp, levels=5)
+            estimate_trend(x, EstimatorConfig(method=NONLINEAR, levels=5), sp)
 
 
 def test_bootstrap_adjacent_seeds_independent():
@@ -450,7 +465,7 @@ def test_bootstrap_adjacent_seeds_independent():
     sp = estimate_spectrum(x, levels=5)
 
     def width(seed):
-        out = bootstrap_ci(x, fit, sp, reps=40, ci_type=BOOT_NORMAL, seed=seed)
+        out = bootstrap_ci(fit, sp, reps=40, ci_type=BOOT_NORMAL, seed=seed)
         return out.ci_hi - out.ci_lo
 
     w0 = width(0)
@@ -507,6 +522,6 @@ def test_blocked_bootstrap_matches_per_replicate_loop(case):
     x = np.sin(6.0 * t) + (0.5 + t) * rng.standard_normal(n)
     sp = estimate_spectrum(x)
     fit = estimate_trend(x, config, spectrum=sp)
-    out = bootstrap_ci(x, fit, sp, reps=reps, alpha=0.1, ci_type=ci_type, seed=11)
+    out = bootstrap_ci(fit, sp, reps=reps, alpha=0.1, ci_type=ci_type, seed=11)
     lo, hi = per_replicate_interval(x, fit, sp, reps, 0.1, ci_type, 11)
     assert np.array_equal(out.ci_lo, lo) and np.array_equal(out.ci_hi, hi)
