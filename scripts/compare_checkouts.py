@@ -7,14 +7,17 @@ Each tree first simulates x1 (seed 21) and x2 (seed 5), then runs every
 case on them, in its own temporary working directory with the same
 relative input paths and ``--out-dir`` (``metadata.json`` records both).
 Per case it prints the exit codes, whether stderr matches (the source
-directory in warnings replaced by ``<src>``) and every ``compare_outputs.py``
-line other than "identical", which names the files only one side wrote
-(A is the parent, B the change).  It exits 1 on any difference.
+directory in warnings replaced by ``<src>`` and the line number after
+``<src>/....py:`` dropped, so an edit that only moves lines is no
+difference) and every ``compare_outputs.py`` line other than
+"identical", which names the files only one side wrote (A is the
+parent, B the change).  It exits 1 on any difference.
 """
 
 import argparse
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,6 +70,11 @@ CASES = [
                                "--seed", "3"]),
     ("x2_median_lag2", ["analyze", X2, "--s-smooth-type", "median", "--s-do-diff",
                         "--s-lag", "2"]),
+    # the x2 settings of scripts/run_pipeline.py: lag-1 differences, median-129
+    ("x2_pipeline", ["analyze", X2, "--est-type", "nonlinear", "--t-filter-number", "6",
+                     "--t-family", "least_asymmetric", "--diff", "1", "--s-smooth-type",
+                     "median", "--s-binwidth", "129", "--ci", "normal", "--reps", "50",
+                     "--seed", "10"]),
     ("x1_order2_soft", ["analyze", X1, "--s-do-diff", "--s-diff-number", "2", "--est-type",
                         "nonlinear", "--t-thresh-type", "soft"]),
     ("x2_dec_nonlinear_normal", ["trend", X2, "--t-transform", "dec", "--est-type",
@@ -77,6 +85,7 @@ CASES = [
     # wide windows: half the columns edge-shrunk, blocks of 511
     ("x2_spec_b511", ["spec", X2, "--s-binwidth", "511"]),
     ("x2_spec_epan_b511", ["spec", X2, "--s-binwidth", "511", "--s-smooth-type", "epan"]),
+    ("x2_spec_median_b511", ["spec", X2, "--s-binwidth", "511", "--s-smooth-type", "median"]),
     ("x2_spec_unsmoothed", ["spec", X2, "--no-s-smooth"]),
     ("x1_spec_periodic_lag4", ["spec", X1, "--no-s-boundary-handle", "--diff", "4"]),
     ("x2_spec_la8_order2", ["spec", X2, "--s-family", "la", "--s-filter-number", "8",
@@ -122,7 +131,8 @@ def run_case(src: Path, work: Path, name: str, argv: list[str]) -> tuple[int, st
     env = {**os.environ, "PYTHONPATH": str(src)}
     cmd = [sys.executable, "-m", "wavetrend.cli", *argv, "--out-dir", out_dir(name, argv)]
     proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stderr.replace(str(src), "<src>")
+    stderr = proc.stderr.replace(str(src), "<src>")
+    return proc.returncode, re.sub(r"(<src>/[^\s:]+\.py):\d+", r"\1", stderr)
 
 
 def compare_case(a: tuple[int, str], b: tuple[int, str], dir_a: Path, dir_b: Path) -> list[str]:

@@ -23,6 +23,7 @@ never leak back into interior estimates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import InvalidBinwidth, ScaleTooDeep, SeriesTooShort, WavetrendError
 from .filters import WaveletFilter, wavelet_filter
 from .simulate import max_scales
-from .transforms import TREND_REFLECT, as_series, extend_series, ndwt_forward
+from .transforms import NO_EXTENSION, TREND_REFLECT, as_series, extend_series, ndwt_forward
 from .wavelets import (
     CorrectionMatrix,
     a_matrix,
@@ -51,9 +52,6 @@ _SMOOTHERS = (MEAN, MEDIAN, EPAN, NONE)
 # E[chi2_1] / median[chi2_1]; rescales a running median of squared Gaussian
 # coefficients onto the mean scale the correction matrices expect.
 MEDIAN_FACTOR = 1.0 / NormalDist().inv_cdf(0.75) ** 2
-
-# Window elements (8 MiB of float64) per np.median call of the running median.
-_MEDIAN_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -144,24 +142,15 @@ def default_binwidth(n: int) -> tuple[int, bool]:
     return max(b, 3), clamped
 
 
-def _embed_columns(rows: np.ndarray, n: int, lost: int) -> np.ndarray:
-    """Centre an (levels, n - lost) block inside n columns, edges replicated."""
-    m = rows.shape[1]
-    left = lost // 2
-    out = np.empty((rows.shape[0], n))
-    out[:, left : left + m] = rows
-    out[:, :left] = rows[:, :1]
-    out[:, left + m :] = rows[:, -1:]
-    return out
-
-
-def _check_finite(values: np.ndarray, what: str) -> None:
-    """Raise unless every value is finite: a huge finite series can overflow."""
+def _check_finite(
+    values: np.ndarray,
+    what: str,
+    problem: str = "of this series overflows float64; rescale the series "
+    "(divide it by its standard deviation)",
+) -> None:
+    """Raise unless every value is finite; by default the problem named is overflow."""
     if not np.isfinite(values).all():
-        raise WavetrendError(
-            f"the {what} of this series overflows float64; rescale the series "
-            "(divide it by its standard deviation)"
-        )
+        raise WavetrendError(f"the {what} {problem}")
 
 
 def wavelet_periodogram(
@@ -200,23 +189,21 @@ def wavelet_periodogram(
                 f"differencing at lag {lag}, order {order} leaves {n - lost} of {n} "
                 f"observations; {levels} levels need at least {2**levels}"
             )
-    if boundary:
-        # Extend before differencing: the reflected series differences
-        # smoothly across the seam, whereas reflecting an already
-        # differenced (noise dominated) series injects a level jump that
-        # inflates boundary coefficients several-fold.
-        y, desc = extend_series(x, TREND_REFLECT)
-        start = desc.offset - lost // 2
-        window = slice(start, start + n)
-    else:
-        y, window = x, slice(None)
+    # Extend before differencing: the reflected series differences smoothly
+    # across the seam, whereas reflecting an already differenced (noise
+    # dominated) series injects a level jump that inflates boundary
+    # coefficients several-fold.  Unextended, the window is the whole row.
+    y, desc = extend_series(x, TREND_REFLECT if boundary else NO_EXTENSION)
+    start = desc.offset - lost // 2 if boundary else 0
+    window = slice(start, start + n)
     if order:
         y = difference_series(y, lag, order)
     pyr = ndwt_forward(y, filt, levels)
     raw = np.stack([pyr.detail(j)[window] for j in range(1, levels + 1)]) ** 2
     _check_finite(raw, "periodogram")
     if lost and not boundary:
-        raw = _embed_columns(raw, n, lost)
+        # centre the shorter rows in n columns, edge columns replicated
+        raw = np.pad(raw, ((0, 0), (lost // 2, lost - lost // 2)), mode="edge")
     return Periodogram(
         raw=raw, filter=filt, diff=None if diff is None else (lag, order), boundary=boundary
     )
@@ -230,19 +217,19 @@ def _validate_binwidth(binwidth: int, n: int) -> int:
 
 
 def _running_median(row: np.ndarray, binwidth: int) -> np.ndarray:
-    n = row.size
-    half = binwidth // 2
-    out = np.empty(n)
-    # np.median copies the windows it is given, so hand it a bounded chunk
-    body = np.lib.stride_tricks.sliding_window_view(row, binwidth)
-    step = max(1, _MEDIAN_ELEMENTS // binwidth)
-    for start in range(0, body.shape[0], step):
-        rows = slice(start, start + step)
-        out[half : n - half][rows] = np.median(body[rows], axis=1)
-    for i in range(half):
-        out[i] = np.median(row[: i + half + 1])
-        out[n - 1 - i] = np.median(row[n - 1 - i - half :])
-    return out
+    """np.median of each edge-shrunk window, kept as one sorted list (Haerdle & Steiger 1995)."""
+    values = row.tolist()
+    n, half = len(values), binwidth // 2
+    window = sorted(values[:half])
+    out = []
+    for k in range(n):
+        if k + half < n:
+            insort(window, values[k + half])
+        if k > half:
+            del window[bisect_left(window, values[k - half - 1])]
+        mid, odd = divmod(len(window), 2)
+        out.append(window[mid] if odd else (window[mid - 1] + window[mid]) / 2)
+    return np.array(out)
 
 
 def _kernel_smooth(raw: np.ndarray, binwidth: int, degree: int) -> np.ndarray:
@@ -282,8 +269,9 @@ def _kernel_smooth(raw: np.ndarray, binwidth: int, degree: int) -> np.ndarray:
 
 
 def smooth_periodogram(pgram: Periodogram, config: SmootherConfig) -> Periodogram:
-    """Smooth each periodogram row along time."""
+    """Smooth each periodogram row along time; a non-finite one is refused."""
     raw = pgram.raw
+    _check_finite(raw, "periodogram", "holds NaN or infinite values and cannot be smoothed")
     if config.kind == NONE:
         return replace(pgram, smoothed=raw.copy(), smoother=config)
     b = _validate_binwidth(config.binwidth, raw.shape[1])

@@ -10,6 +10,7 @@ via an ExtensionDescriptor:
 * symmetric_triple: plain reflection [reverse(x), x, reverse(x)], then odd
   reflection padding to the next power of two at least three times the input
   length, original segment centred.
+* none: the series itself, for transforms that wrap it circularly.
 
 Alignment: a nondecimated coefficient at position k is computed from the
 window of data centred on k.  Concretely the level-j detail row is the
@@ -37,6 +38,7 @@ from .wavelets import support_length
 __all__ = [
     "TREND_REFLECT",
     "SYMMETRIC_TRIPLE",
+    "NO_EXTENSION",
     "NONDECIMATED",
     "DECIMATED",
     "ExtensionDescriptor",
@@ -57,6 +59,7 @@ __all__ = [
 
 TREND_REFLECT = "trend_reflect"
 SYMMETRIC_TRIPLE = "symmetric_triple"
+NO_EXTENSION = "none"
 NONDECIMATED = "nondecimated"
 DECIMATED = "decimated"
 
@@ -100,6 +103,8 @@ def extension_descriptor(n: int, policy: str) -> ExtensionDescriptor:
     elif policy == SYMMETRIC_TRIPLE:
         target = next_pow2(3 * n)
         offset = (target - 3 * n) // 2 + n
+    elif policy == NO_EXTENSION:
+        target, offset = n, 0
     else:
         raise ValueError(f"unknown extension policy {policy!r}")
     return ExtensionDescriptor(
@@ -108,7 +113,9 @@ def extension_descriptor(n: int, policy: str) -> ExtensionDescriptor:
 
 
 def extend_rows(x: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
-    """Extend every row along the last axis of x as desc says; rows are not checked."""
+    """Extend every row along the last axis of x as desc says (none: x itself); rows unchecked."""
+    if desc.policy == NO_EXTENSION:
+        return x
     left = desc.offset
     if desc.policy == SYMMETRIC_TRIPLE:
         x = np.concatenate([x[..., ::-1], x, x[..., ::-1]], axis=-1)
@@ -119,13 +126,15 @@ def extend_rows(x: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
 
 
 def extend_adjoint(b: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
-    """Adjoint of extend_rows along the last axis of b, for symmetric_triple only.
+    """Adjoint of extend_rows along the last axis of b, for symmetric_triple or none.
 
     Every extended sample reads the data at one mirror index, and in the
     odd-reflection pads also at one edge index (2 x[edge] - x[mirror]);
     padding the index row of [reverse, identity, reverse] like the data
     gives both.  The pads are shorter than 3n, so one reflection covers them.
     """
+    if desc.policy == NO_EXTENSION:
+        return b
     if desc.policy != SYMMETRIC_TRIPLE:
         raise ValueError(f"extend_adjoint supports only {SYMMETRIC_TRIPLE!r}, not {desc.policy!r}")
     n = desc.original_length

@@ -53,6 +53,7 @@ from .spectrum import SpectrumEstimate, default_levels
 from .transforms import (
     _BLOCK_ELEMENTS,
     DECIMATED,
+    NO_EXTENSION,
     NONDECIMATED,
     SYMMETRIC_TRIPLE,
     CoefficientPyramid,
@@ -177,9 +178,7 @@ def _interior_mask(
 
 def _extension(n: int, boundary: bool) -> ExtensionDescriptor:
     """Where a length-n series sits in the array the trend estimators transform."""
-    if boundary:
-        return extension_descriptor(n, SYMMETRIC_TRIPLE)
-    return ExtensionDescriptor(policy="none", original_length=n, extended_length=n, offset=0)
+    return extension_descriptor(n, SYMMETRIC_TRIPLE if boundary else NO_EXTENSION)
 
 
 def _edited_fit(
@@ -196,12 +195,11 @@ def _edited_fit(
     _extension of the series length.  edit(mode, level, detail) returns the
     replacement detail rows.
     """
-    ext = x if desc.policy == "none" else extend_rows(x, desc)
     if transform == DECIMATED:
         forward, inverse = dwt_forward, dwt_inverse
     else:
         forward, inverse = ndwt_forward, ndwt_average_basis
-    pyr = forward(ext, filt, levels)
+    pyr = forward(extend_rows(x, desc), filt, levels)
     details = tuple(edit(pyr.mode, j, pyr.detail(j)) for j in range(1, levels + 1))
     # a copy, so the fit does not keep the whole extended reconstruction alive
     return inverse(pyr.with_details(details))[..., desc.window()].copy()
@@ -381,8 +379,9 @@ def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
         coeffs[np.arange(first, first + p.size), p] = 1.0
         first += p.size
     basis = dwt_inverse(CoefficientPyramid(DECIMATED, filt, tuple(units[:-1]), units[-1]))
-    u = basis[:, desc.window()].copy()
-    return u, (u if desc.policy == "none" else extend_adjoint(basis, desc))
+    # extended, a copy, so U does not keep the whole basis alive; unextended,
+    # the window is all of basis, so U and V share it without a copy
+    return np.ascontiguousarray(basis[:, desc.window()]), extend_adjoint(basis, desc)
 
 
 def analytic_ci(

@@ -147,18 +147,47 @@ def test_kernel_smoother_matches_fsum_oracle(kind, n, binwidth):
     assert np.max(np.abs(got.smoothed - want) / want) < 1e-12
 
 
-# binwidth 5: 40 windows fill 10 chunks of 4 exactly, 41 and 43 end in a
-# partial chunk; a cap below the binwidth gives one window per chunk
-@pytest.mark.parametrize("n,cap", [(44, 20), (45, 20), (47, 20), (47, 3)])
-def test_running_median_chunks_match_one_shot(monkeypatch, n, cap):
-    b = 5
-    row = np.random.default_rng(n).standard_normal(n) ** 2
-    one_shot = np.median(np.lib.stride_tricks.sliding_window_view(row, b), axis=1)
-    full = spectrum._running_median(row, b)
-    monkeypatch.setattr(spectrum, "_MEDIAN_ELEMENTS", cap)
-    chunked = spectrum._running_median(row, b)
-    assert np.array_equal(chunked[b // 2 : n - b // 2], one_shot)
-    assert np.array_equal(chunked, full)
+def chunked_median(row, binwidth):
+    """The running median as np.median over chunks of 2**20 window elements."""
+    n = row.size
+    half = binwidth // 2
+    out = np.empty(n)
+    body = np.lib.stride_tricks.sliding_window_view(row, binwidth)
+    step = max(1, 2**20 // binwidth)
+    for start in range(0, body.shape[0], step):
+        rows = slice(start, start + step)
+        out[half : n - half][rows] = np.median(body[rows], axis=1)
+    for i in range(half):
+        out[i] = np.median(row[: i + half + 1])
+        out[n - 1 - i] = np.median(row[n - 1 - i - half :])
+    return out
+
+
+def median_cases():
+    """(row, binwidth): squared normals, ties, exact zeros; b = 3, 5, 129, n or n - 1."""
+    rng = np.random.default_rng(16)
+    for n in (7, 8, 50, 100, 101, 1024):
+        widest = n if n % 2 else n - 1
+        rows = [rng.standard_normal(n) ** 2, np.round(rng.standard_normal(n) ** 2, 1)]
+        rows.append(np.where(rng.random(n) < 0.4, 0.0, rng.standard_normal(n) ** 2))
+        for b in sorted({3, 5, min(129, widest), widest}):
+            yield from ((row, b) for row in rows)
+
+
+def test_running_median_matches_chunked_np_median():
+    # even-length edge windows (b + 1) / 2 ... b - 1 are covered at every b
+    cases = list(median_cases())
+    assert len(cases) == 57
+    for row, b in cases:
+        assert np.array_equal(spectrum._running_median(row, b), chunked_median(row, b))
+
+
+@pytest.mark.parametrize("kind", [MEAN, MEDIAN, "epan", NONE])
+def test_nonfinite_periodogram_refused_before_smoothing(kind):
+    raw = np.arange(1.0, 12.0)[None, :]
+    raw[0, 5] = np.nan
+    with pytest.raises(WavetrendError, match="periodogram holds NaN"):
+        smooth_periodogram(Periodogram(raw=raw, filter=EP4), SmootherConfig(kind, 3))
 
 
 def test_none_smoother_passthrough():

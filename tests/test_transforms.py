@@ -7,6 +7,7 @@ from wavetrend.errors import ModeMismatch, NonDyadicLength, ScaleTooDeep
 from wavetrend.filters import EXTREMAL_PHASE, LEAST_ASYMMETRIC, wavelet_filter
 from wavetrend.transforms import (
     DECIMATED,
+    NO_EXTENSION,
     NONDECIMATED,
     SYMMETRIC_TRIPLE,
     TREND_REFLECT,
@@ -142,6 +143,16 @@ def test_extend_adjoint_is_transpose_of_extension(n):
     dense = b @ extend_rows(np.eye(n), desc).T
     np.testing.assert_allclose(extend_adjoint(b, desc), dense, rtol=0, atol=1e-15)
     np.testing.assert_allclose(extend_adjoint(b[0, 0], desc), dense[0, 0], rtol=0, atol=1e-15)
+
+
+def test_no_extension_is_the_identity_without_a_copy():
+    desc = extension_descriptor(10, NO_EXTENSION)
+    assert (desc.extended_length, desc.offset, desc.window()) == (10, 0, slice(0, 10))
+    x = np.arange(30.0).reshape(3, 10)
+    assert extend_rows(x, desc) is x
+    assert extend_adjoint(x, desc) is x
+    ext, _ = extend_series(x[0], NO_EXTENSION)
+    assert np.shares_memory(ext, x)
 
 
 def test_extend_adjoint_rejects_other_policies():
