@@ -15,6 +15,7 @@ parent, B the change).  It exits 1 on any difference.
 """
 
 import argparse
+import math
 import os
 import random
 import re
@@ -105,11 +106,16 @@ CASES = [
     ("missing_input", ["trend", "missing.csv"]),
     # squares of a series of magnitude 1e160 overflow float64
     ("huge_values", ["analyze", "huge.csv"]),
+    # a longer, non-dyadic series: cropped trend and periodogram transforms
+    ("long_nonlinear_diff_normal", ["analyze", "long.csv", "--est-type", "nonlinear", "--diff",
+                                    "1", "--ci", "normal", "--reps", "40"]),
+    ("long_analyze", ["analyze", "long.csv"]),
 ]
 
 # input files: series with a row wider or narrower than the first, a
 # length-64 trend and 6 x 64 spectrum (power at scales 1, 3 and 4) for
-# sim_csv, and 256 seeded standard normals scaled by 1e160
+# sim_csv, 256 seeded standard normals scaled by 1e160, and 3000 seeded
+# normals with a growing spread around a slow sine
 _rng = random.Random(5)
 INPUTS = {
     "ragged_long.csv": "time,value\n0,1.5\n1,2.5,9\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
@@ -118,6 +124,9 @@ INPUTS = {
     "spec.csv": "".join(",".join(str(p * (1 + t / 64)) for t in range(64)) + "\n"
                         for p in (1.0, 0.0, 0.5, 2.0, 0.0, 0.0)),
     "huge.csv": "value\n" + "".join(f"{1e160 * _rng.gauss(0.0, 1.0)!r}\n" for _ in range(256)),
+    "long.csv": "value\n" + "".join(
+        f"{math.sin(t / 400) + (0.5 + t / 3000) * _rng.gauss(0.0, 1.0)!r}\n" for t in range(3000)
+    ),
 }
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MatrixMismatch
 from .spectrum import SpectrumEstimate
+from .transforms import _BLOCK_ELEMENTS
 from .wavelets import AutocorrelationWavelet
 
 
@@ -78,7 +79,11 @@ def lacv_from_spectrum(
     if lag_max < 0:
         raise DimensionMismatch("lag_max must be nonnegative")
     psi = acw.window(levels, lag_max)[:, lag_max:]  # tau = 0, 1, ..., lag_max
-    lacv = S.T @ psi
+    # einsum, not BLAS: a BLAS product's sums change with its thread count
+    St, lacv = np.ascontiguousarray(S.T), np.empty((n, lag_max + 1))
+    block = max(1, _BLOCK_ELEMENTS // (lag_max + 1))
+    for r in range(0, n, block):
+        np.einsum("tj,jl->tl", St[r : r + block], psi, out=lacv[r : r + block])
     if np.any(lacv[:, 0] <= 0):
         warnings.warn(
             "nonpositive variance estimates; autocorrelation set to NaN there",

@@ -32,7 +32,16 @@ import numpy as np
 from .errors import InvalidBinwidth, ScaleTooDeep, SeriesTooShort, WavetrendError
 from .filters import WaveletFilter, wavelet_filter
 from .simulate import max_scales
-from .transforms import NO_EXTENSION, TREND_REFLECT, as_series, extend_series, ndwt_forward
+from .transforms import (
+    NO_EXTENSION,
+    TREND_REFLECT,
+    as_series,
+    centre_shift,
+    crop_extension,
+    extend_rows,
+    extension_descriptor,
+    ndwt_forward,
+)
 from .wavelets import (
     CorrectionMatrix,
     a_matrix,
@@ -40,6 +49,7 @@ from .wavelets import (
     check_diff,
     d_matrix,
     difference_series,
+    support_length,
 )
 
 MEAN = "mean"
@@ -193,7 +203,13 @@ def wavelet_periodogram(
     # across the seam, whereas reflecting an already differenced (noise
     # dominated) series injects a level jump that inflates boundary
     # coefficients several-fold.  Unextended, the window is the whole row.
-    y, desc = extend_series(x, TREND_REFLECT if boundary else NO_EXTENSION)
+    # Extended, only the span the window's coefficients read is transformed:
+    # the level-J coefficient at p reads y[p - s_J, p - s_J + L_J - 1], and
+    # each differenced sample reads lost more samples of the extension.
+    desc = extension_descriptor(n, TREND_REFLECT if boundary else NO_EXTENSION)
+    shift, reach = centre_shift(filt.length, levels), support_length(filt.length, levels) - 1
+    desc = crop_extension(desc, shift + lost // 2, reach - shift + lost - lost // 2)
+    y = extend_rows(x, desc)
     start = desc.offset - lost // 2 if boundary else 0
     window = slice(start, start + n)
     if order:

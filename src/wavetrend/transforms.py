@@ -12,6 +12,17 @@ via an ExtensionDescriptor:
   length, original segment centred.
 * none: the series itself, for transforms that wrap it circularly.
 
+A nondecimated transform need not run over the whole extension.  At stride 1
+it is exactly shift-equivariant (Nason & Silverman 1995; Percival & Walden
+2000, ch. 5): every coefficient and every reconstructed sample is the same
+sequence of multiply-adds on the same inputs wherever it sits, and reads only
+a fixed stretch of input around its own position (a level-j coefficient at p
+reads x[p - s_j, p - s_j + L_j - 1], with s_j = centre_shift(L, j) and
+L_j = support_length(L, j)).  crop_extension describes the span of the
+extension that reaches a given number of samples past each end of the data
+window, and extend_rows returns only that span, so every output inside the
+window comes out bit-identical while the transform runs on fewer samples.
+
 Alignment: a nondecimated coefficient at position k is computed from the
 window of data centred on k.  Concretely the level-j detail row is the
 circular correlation of the data with psi_j assigned to the rightmost filter
@@ -45,6 +56,7 @@ __all__ = [
     "CoefficientPyramid",
     "as_series",
     "extension_descriptor",
+    "crop_extension",
     "extend_rows",
     "extend_adjoint",
     "extend_series",
@@ -84,7 +96,8 @@ def as_series(x, min_length: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExtensionDescriptor:
-    """Where the original data sits inside an extended series."""
+    """Where the original data sits inside an extended series, or inside the
+    span of it that crop_extension keeps."""
 
     policy: str
     original_length: int
@@ -112,21 +125,40 @@ def extension_descriptor(n: int, policy: str) -> ExtensionDescriptor:
     )
 
 
+def crop_extension(desc: ExtensionDescriptor, before: int, after: int) -> ExtensionDescriptor:
+    """desc for the span of its extension from before samples ahead of the
+    data window to after samples past it.
+
+    desc itself when there is no extension or the span does not fit inside
+    it; the span is never longer than the extension.
+    """
+    lo, hi = desc.offset - before, desc.offset + desc.original_length + after
+    if desc.policy == NO_EXTENSION or lo < 0 or hi > desc.extended_length:
+        return desc
+    return replace(desc, extended_length=hi - lo, offset=before)
+
+
 def extend_rows(x: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
-    """Extend every row along the last axis of x as desc says (none: x itself); rows unchecked."""
+    """Extend every row along the last axis of x as desc says (none: x itself); rows unchecked.
+
+    For a desc from crop_extension this is its span of the whole extension.
+    """
     if desc.policy == NO_EXTENSION:
         return x
-    left = desc.offset
+    whole = extension_descriptor(desc.original_length, desc.policy)
+    left = whole.offset
     if desc.policy == SYMMETRIC_TRIPLE:
         x = np.concatenate([x[..., ::-1], x, x[..., ::-1]], axis=-1)
         left -= desc.original_length
-    right = desc.extended_length - x.shape[-1] - left
+    right = whole.extended_length - x.shape[-1] - left
     widths = [(0, 0)] * (x.ndim - 1) + [(left, right)]
-    return np.pad(x, widths, mode="reflect", reflect_type="odd")
+    lo = whole.offset - desc.offset
+    return np.pad(x, widths, mode="reflect", reflect_type="odd")[..., lo : lo + desc.extended_length]
 
 
 def extend_adjoint(b: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
-    """Adjoint of extend_rows along the last axis of b, for symmetric_triple or none.
+    """Adjoint of extend_rows along the last axis of b, for the whole
+    symmetric_triple extension or none.
 
     Every extended sample reads the data at one mirror index, and in the
     odd-reflection pads also at one edge index (2 x[edge] - x[mirror]);
@@ -135,8 +167,8 @@ def extend_adjoint(b: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
     """
     if desc.policy == NO_EXTENSION:
         return b
-    if desc.policy != SYMMETRIC_TRIPLE:
-        raise ValueError(f"extend_adjoint supports only {SYMMETRIC_TRIPLE!r}, not {desc.policy!r}")
+    if desc != extension_descriptor(desc.original_length, SYMMETRIC_TRIPLE):
+        raise ValueError(f"extend_adjoint supports only the whole {SYMMETRIC_TRIPLE!r} extension")
     n = desc.original_length
     index = np.arange(n)
     triple = np.concatenate([index[::-1], index, index[::-1]])

@@ -7,7 +7,7 @@ import pytest
 
 from wavetrend import spectrum
 from wavetrend.errors import InvalidBinwidth, InvalidDiffSpec, SeriesTooShort, WavetrendError
-from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
+from wavetrend.filters import EXTREMAL_PHASE, LEAST_ASYMMETRIC, wavelet_filter
 from wavetrend.scenarios import scenario
 from wavetrend.simulate import max_scales
 from wavetrend.spectrum import (
@@ -24,7 +24,8 @@ from wavetrend.spectrum import (
     smooth_periodogram,
     wavelet_periodogram,
 )
-from wavetrend.wavelets import a_matrix, autocorrelation_wavelets, d_matrix
+from wavetrend.transforms import TREND_REFLECT, extend_series, ndwt_forward
+from wavetrend.wavelets import a_matrix, autocorrelation_wavelets, d_matrix, difference_series
 
 EP4 = wavelet_filter(EXTREMAL_PHASE, 4)
 HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
@@ -343,3 +344,47 @@ def test_x2_scale3_peak_location():
         peak = int(np.argmax(est.S[2]))
         hits += 300 <= peak <= 500
     assert hits >= 16
+
+
+def uncropped_periodogram(x, filt, levels, diff):
+    """The raw periodogram from a transform of the whole trend-reflect extension."""
+    n = x.size
+    lag, order = (0, 0) if diff is None else diff
+    y, desc = extend_series(x, TREND_REFLECT)
+    if order:
+        y = difference_series(y, lag, order)
+    start = desc.offset - lag * order // 2
+    pyr = ndwt_forward(y, filt, levels)
+    return np.stack([pyr.detail(j)[start : start + n] for j in range(1, levels + 1)]) ** 2
+
+
+@pytest.mark.parametrize("diff", [None, (1, 1), (2, 1)])
+@pytest.mark.parametrize("number,family", [
+    (1, EXTREMAL_PHASE), (2, EXTREMAL_PHASE), (4, EXTREMAL_PHASE), (10, EXTREMAL_PHASE),
+    (4, LEAST_ASYMMETRIC), (8, LEAST_ASYMMETRIC), (10, LEAST_ASYMMETRIC),
+])
+def test_cropped_periodogram_matches_uncropped(number, family, diff):
+    # 287 of these 420 periodograms crop; at n = 64 the default EP4 span
+    # (169) is longer than the extension (128), so that one does not
+    filt = wavelet_filter(family, number)
+    for n in (64, 300, 1000, 1024, 2500):
+        x = np.random.default_rng(n).standard_normal(n) + np.linspace(0.0, 3.0, n)
+        for levels in {1, 3, default_levels(n), max_scales(n)}:
+            raw = wavelet_periodogram(x, filt, levels, diff=diff).raw
+            assert np.array_equal(raw, uncropped_periodogram(x, filt, levels, diff)), (n, levels)
+
+
+def test_cropped_periodogram_span(monkeypatch):
+    # EP4 at the default depth: n + L_11 - 1 of the 131,072 extended samples
+    lengths = []
+
+    def forward(y, filt, levels):
+        lengths.append(y.shape[-1])
+        return ndwt_forward(y, filt, levels)
+
+    monkeypatch.setattr(spectrum, "ndwt_forward", forward)
+    x = np.random.default_rng(1).standard_normal(65536)
+    wavelet_periodogram(x, EP4, default_levels(65536))
+    wavelet_periodogram(x, EP4, default_levels(65536), diff=(2, 1))
+    wavelet_periodogram(x, EP4, default_levels(65536), boundary=False)
+    assert lengths == [79_865, 79_865, 65_536]

@@ -55,3 +55,9 @@ def test_analyze_outputs_identical_across_thread_counts(tmp_path, flags):
 def test_wide_smoother_identical_across_thread_counts(tmp_path, kind):
     flags = ["--s-binwidth", "10001", "--s-smooth-type", kind]
     assert_outputs_identical_across_thread_counts(tmp_path, 24000, "spec", flags)
+
+
+# At n = 8192 the lacv product of 9 levels by 301 lags is long enough for
+# OpenBLAS to thread it; lacv.csv then changed with the thread count.
+def test_long_lacv_identical_across_thread_counts(tmp_path):
+    assert_outputs_identical_across_thread_counts(tmp_path, 8192, "analyze", ["--lag-max", "300"])

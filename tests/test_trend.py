@@ -1,5 +1,6 @@
 """Trend estimators, thresholding, and confidence intervals."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
@@ -21,7 +22,13 @@ from wavetrend.lacv import lacv_from_spectrum
 from wavetrend.scenarios import scenario
 from wavetrend.simulate import max_scales, tlsw_sim
 from wavetrend.spectrum import default_levels, estimate_spectrum
-from wavetrend.transforms import DECIMATED, NONDECIMATED
+from wavetrend.transforms import (
+    DECIMATED,
+    NONDECIMATED,
+    extend_rows,
+    ndwt_average_basis,
+    ndwt_forward,
+)
 from wavetrend.trend import (
     BOOT_NORMAL,
     BOOT_PERCENTILE,
@@ -35,6 +42,7 @@ from wavetrend.trend import (
     _edited_fit,
     _extension,
     _operator_factors,
+    _visible_span,
     analytic_ci,
     bootstrap_ci,
     estimate_trend,
@@ -524,4 +532,123 @@ def test_blocked_bootstrap_matches_per_replicate_loop(case):
     fit = estimate_trend(x, config, spectrum=sp)
     out = bootstrap_ci(fit, sp, reps=reps, alpha=0.1, ci_type=ci_type, seed=11)
     lo, hi = per_replicate_interval(x, fit, sp, reps, 0.1, ci_type, 11)
+    assert np.array_equal(out.ci_lo, lo) and np.array_equal(out.ci_hi, hi)
+
+
+def uncropped_fit(x, config, spectrum=None):
+    """A nondecimated fit over the whole symmetric-triple extension.
+
+    Extend, transform, edit with the edit built on the full descriptor,
+    average the bases, cut out the window: estimate_trend as it was before
+    the transform was cropped to the span the window reads.
+    """
+    n = x.shape[-1]
+    filt = wavelet_filter(config.family, config.filter_number)
+    levels = default_levels(n) if config.levels is None else config.levels
+    desc = _extension(n, config.boundary)
+    edit = _edit_for(config, spectrum, filt, levels, desc)
+    pyr = ndwt_forward(extend_rows(x, desc), filt, levels)
+    details = tuple(edit(pyr.mode, j, pyr.detail(j)) for j in range(1, levels + 1))
+    return ndwt_average_basis(pyr.with_details(details))[..., desc.window()]
+
+
+CROP_FILTERS = [(1, EXTREMAL_PHASE), (2, EXTREMAL_PHASE), (4, EXTREMAL_PHASE),
+                (10, EXTREMAL_PHASE), (4, LEAST_ASYMMETRIC), (8, LEAST_ASYMMETRIC),
+                (10, LEAST_ASYMMETRIC)]
+# 291 of the 420 fits crop; at n = 64 the default EP4 span (274) is longer
+# than the extension (256), so that one does not
+CROP_LENGTHS = [64, 300, 1000, 1024, 2500]
+CROP_METHODS = {
+    "linear": EstimatorConfig(),
+    "nonlinear_hard": EstimatorConfig(method=NONLINEAR),
+    "nonlinear_soft": EstimatorConfig(method=NONLINEAR, policy=ThresholdPolicy(SOFT)),
+}
+
+
+def crop_series(n):
+    t = np.linspace(0.0, 1.0, n)
+    return np.sin(6.0 * t) + (0.5 + t) * np.random.default_rng(n).standard_normal(n)
+
+
+@pytest.fixture(scope="module")
+def crop_spectra():
+    return {n: estimate_spectrum(crop_series(n)) for n in CROP_LENGTHS}
+
+
+@pytest.mark.parametrize("depth", [1, 3, "default", "max"])
+@pytest.mark.parametrize("number,family", CROP_FILTERS)
+def test_cropped_fit_matches_uncropped(number, family, depth, crop_spectra):
+    for n, (name, base) in itertools.product(CROP_LENGTHS, CROP_METHODS.items()):
+        levels = {"default": None, "max": max_scales(n)}.get(depth, depth)
+        config = replace(base, filter_number=number, family=family, levels=levels)
+        x, sp = crop_series(n), crop_spectra[n]
+        fit = estimate_trend(x, config, sp)
+        assert np.array_equal(fit.values, uncropped_fit(x, config, sp)), (n, name)
+
+
+@pytest.mark.parametrize("name", CROP_METHODS)
+def test_cropped_block_of_rows_matches_uncropped(name, crop_spectra):
+    n, config = 1000, CROP_METHODS[name]
+    rows = np.stack([crop_series(n) * scale for scale in (0.5, 1.0, 2.0, -1.0, 3.0)])
+    sp, filt, levels = crop_spectra[n], EP4, default_levels(n)
+    desc = _visible_span(n, config, filt.length, levels)
+    assert desc.extended_length < _extension(n, True).extended_length
+    edit = _edit_for(config, sp, filt, levels, desc)
+    fits = _edited_fit(rows, filt, levels, NONDECIMATED, desc, edit)
+    assert np.array_equal(fits, uncropped_fit(rows, replace(config, levels=levels), sp))
+
+
+def test_cropped_span_sizes(monkeypatch):
+    # EP4 at the default depth; a silent fallback to the whole extension fails
+    config = EstimatorConfig()
+    assert _visible_span(65536, config, 8, 11).extended_length == 94_194
+    assert _visible_span(16384, config, 8, 9).extended_length == 23_538
+    span = _visible_span(1024, config, 8, 7)
+    assert (span.extended_length, span.offset) == (2_802, 889)
+    assert _block_rows(span, 7, NONDECIMATED) == 5
+    assert _visible_span(64, config, 8, 4) == _extension(64, True)
+    assert _visible_span(1024, replace(config, boundary=False), 8, 7) == _extension(1024, False)
+    assert _visible_span(1024, replace(config, transform=DECIMATED), 8, 7) == _extension(1024, True)
+    lengths = []
+
+    def forward(x, filt, levels):
+        lengths.append(x.shape[-1])
+        return ndwt_forward(x, filt, levels)
+
+    monkeypatch.setattr(wavetrend.trend, "ndwt_forward", forward)
+    estimate_trend(np.random.default_rng(9).standard_normal(16384), config)
+    assert lengths == [23_538]
+
+
+def uncropped_interval(fit, sp, reps, alpha, seed):
+    """The normal bootstrap interval from one tlsw_sim and one uncropped fit per replicate."""
+    n = fit.length
+    smat = np.zeros((max_scales(n), n))
+    smat[: sp.levels] = np.maximum(sp.S, 0.0)
+    fits = np.stack([
+        uncropped_fit(fit.values + tlsw_sim(spec=smat, seed=stream, family=sp.filter.family,
+                                            filter_number=sp.filter.number), fit.config, sp)
+        for stream in np.random.SeedSequence(seed).spawn(reps)
+    ])
+    half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * fits.std(axis=0, ddof=1)
+    return fit.values - half, fit.values + half
+
+
+# replicate blocks of 5 cropped rows at n = 1024 (reps = 41: a partial last
+# block) and of 1 at n = 4096, whose span of 7,666 is under the extension of 16,384
+@pytest.mark.parametrize("n,config", [
+    (1024, EstimatorConfig()),
+    (1024, EstimatorConfig(method=NONLINEAR)),
+    (4096, EstimatorConfig(method=NONLINEAR, policy=ThresholdPolicy(SOFT))),
+], ids=["linear_1024", "nonlinear_hard_1024", "nonlinear_soft_4096"])
+def test_cropped_bootstrap_matches_uncropped(n, config):
+    x = crop_series(n)
+    sp = estimate_spectrum(x)
+    fit = estimate_trend(x, config, spectrum=sp)
+    desc = _visible_span(n, fit.config, fit.filter.length, fit.levels)
+    assert desc.extended_length < _extension(n, True).extended_length
+    assert _block_rows(desc, fit.levels, NONDECIMATED) == (5 if n == 1024 else 1)
+    reps = 41 if n == 1024 else 21
+    out = bootstrap_ci(fit, sp, reps=reps, alpha=0.1, ci_type=BOOT_NORMAL, seed=4)
+    lo, hi = uncropped_interval(fit, sp, reps, 0.1, 4)
     assert np.array_equal(out.ci_lo, lo) and np.array_equal(out.ci_hi, hi)
