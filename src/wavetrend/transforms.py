@@ -14,14 +14,12 @@ via an ExtensionDescriptor:
 
 A nondecimated transform need not run over the whole extension.  At stride 1
 it is exactly shift-equivariant (Nason & Silverman 1995; Percival & Walden
-2000, ch. 5): every coefficient and every reconstructed sample is the same
-sequence of multiply-adds on the same inputs wherever it sits, and reads only
-a fixed stretch of input around its own position (a level-j coefficient at p
-reads x[p - s_j, p - s_j + L_j - 1], with s_j = centre_shift(L, j) and
-L_j = support_length(L, j)).  crop_extension describes the span of the
-extension that reaches a given number of samples past each end of the data
-window, and extend_rows returns only that span, so every output inside the
-window comes out bit-identical while the transform runs on fewer samples.
+2000, ch. 5): each output is the same multiply-adds, in the same order, on a
+fixed stretch of input around its own position (a level-j coefficient at p
+reads x[p - s_j, p - s_j + L_j - 1], s_j = centre_shift(L, j), L_j =
+support_length(L, j)).  crop_extension describes the span of an extension
+that reaches far enough past each end of the data window, and extend_rows
+returns only that span, so the outputs in the window keep their bytes.
 
 Alignment: a nondecimated coefficient at position k is computed from the
 window of data centred on k.  Concretely the level-j detail row is the
@@ -153,7 +151,8 @@ def extend_rows(x: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
     right = whole.extended_length - x.shape[-1] - left
     widths = [(0, 0)] * (x.ndim - 1) + [(left, right)]
     lo = whole.offset - desc.offset
-    return np.pad(x, widths, mode="reflect", reflect_type="odd")[..., lo : lo + desc.extended_length]
+    extended = np.pad(x, widths, mode="reflect", reflect_type="odd")
+    return extended[..., lo : lo + desc.extended_length]
 
 
 def extend_adjoint(b: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:

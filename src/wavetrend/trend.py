@@ -17,15 +17,13 @@ method, through a factory
 one edit serves one fit or many blocks of fits.
 
 A nondecimated fit with boundary handling transforms only the span of the
-symmetric-triple extension that its data window can see, R = L_J - 1
-samples on each side (_visible_span): output t of the basis-averaged
-inverse reads x[t - R, t + R], and the stride-1 transform pair is exactly
-shift-equivariant, so the fit is bit-identical to one over the whole
-extension.  The edits are built on the cropped descriptor, whose masks and
-thresholds equal the uncropped ones on every coefficient the window reads.
-At n = 65536 and the default depth that is 94,194 samples instead of
-262,144.  The decimated transform is shift-equivariant only by 2**J and
-the unextended one wraps by design, so both run on their whole rows.
+symmetric-triple extension its data window can see, L_J - 1 samples on
+each side (_visible_span; 94,194 samples instead of 262,144 at n = 65536
+and the default depth).  The stride-1 transform pair is exactly
+shift-equivariant, and the edits are built on the cropped descriptor, so
+the fit is bit-identical to one over the whole extension.  The decimated
+transform is shift-equivariant only by 2**J and the unextended one wraps
+by design, so both run on their whole rows.
 
 Confidence intervals come in two flavours.  The analytic interval
 propagates the estimated local autocovariance through the linear

@@ -12,6 +12,7 @@ from wavetrend.transforms import (
     SYMMETRIC_TRIPLE,
     TREND_REFLECT,
     centre_shift,
+    crop_extension,
     detail_support,
     dwt_forward,
     dwt_inverse,
@@ -143,6 +144,30 @@ def test_extend_adjoint_is_transpose_of_extension(n):
     dense = b @ extend_rows(np.eye(n), desc).T
     np.testing.assert_allclose(extend_adjoint(b, desc), dense, rtol=0, atol=1e-15)
     np.testing.assert_allclose(extend_adjoint(b[0, 0], desc), dense[0, 0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("policy", [TREND_REFLECT, SYMMETRIC_TRIPLE])
+@pytest.mark.parametrize("n", [5, 100, 257])
+def test_cropped_extension_is_a_span_of_the_whole(policy, n):
+    whole = extension_descriptor(n, policy)
+    x = np.random.default_rng(n).standard_normal((2, n))
+    full = extend_rows(x, whole)
+    for before, after in [(0, 0), (1, 3), (whole.offset, 2), (3, whole.extended_length)]:
+        desc = crop_extension(whole, before, after)
+        if before > whole.offset or after > whole.extended_length - whole.offset - n:
+            assert desc == whole  # the span would run past the extension
+            continue
+        lo = whole.offset - before
+        assert (desc.extended_length, desc.offset) == (n + before + after, before)
+        assert np.array_equal(extend_rows(x, desc), full[:, lo : lo + n + before + after])
+        assert np.array_equal(extend_rows(x, desc)[:, desc.window()], x)
+    with pytest.raises(ValueError, match="whole"):
+        extend_adjoint(full, crop_extension(whole, 1, 1))
+
+
+def test_crop_leaves_no_extension_alone():
+    desc = extension_descriptor(10, NO_EXTENSION)
+    assert crop_extension(desc, 0, 0) == desc
 
 
 def test_no_extension_is_the_identity_without_a_copy():

@@ -499,9 +499,10 @@ def per_replicate_interval(x, fit, sp, reps, alpha, ci_type, seed):
 
 
 # (n, config, ci_type, reps).  Replicate blocks (trend._block_rows) hold
-# 18 rows at n = 300, 3 at n = 1024 and 32 at n = 512 nondecimated, so
+# 25 rows at n = 300, 5 at n = 1024 and 32 at n = 512 nondecimated, so
 # reps = 41 leaves a partial last block; n = 2048 nondecimated gives
-# blocks of 1 row, and the decimated cases fit all replicates in one block
+# blocks of 3 rows of its cropped span (test_cropped_bootstrap_matches_uncropped
+# has blocks of 1), and the decimated cases fit all replicates in one block
 BLOCKED_BOOTSTRAP_CASES = {
     "linear_nondec": (300, EstimatorConfig(), BOOT_NORMAL, 41),
     "linear_dec_no_boundary": (256, EstimatorConfig(transform=DECIMATED, boundary=False),
@@ -608,7 +609,8 @@ def test_cropped_span_sizes(monkeypatch):
     assert _block_rows(span, 7, NONDECIMATED) == 5
     assert _visible_span(64, config, 8, 4) == _extension(64, True)
     assert _visible_span(1024, replace(config, boundary=False), 8, 7) == _extension(1024, False)
-    assert _visible_span(1024, replace(config, transform=DECIMATED), 8, 7) == _extension(1024, True)
+    decimated = replace(config, transform=DECIMATED)
+    assert _visible_span(1024, decimated, 8, 7) == _extension(1024, True)
     lengths = []
 
     def forward(x, filt, levels):
