@@ -53,6 +53,8 @@ CASES = [
     ("x1_analyze", ["analyze", X1]),
     ("x2_analyze", ["analyze", X2]),
     ("x1_trend", ["trend", X1]),
+    # no interval, no threshold: no spectrum is estimated, so --diff pairs nothing
+    ("x1_trend_linear_diff", ["trend", X1, "--diff", "1"]),
     ("x1_trend_soft_policy", ["trend", X1, "--t-thresh-type", "soft",
                               "--no-t-thresh-normal"]),
     ("x1_trend_nonlinear_percentile", ["trend", X1, "--est-type", "nonlinear", "--ci",
@@ -88,6 +90,7 @@ CASES = [
     ("x2_spec_epan_b511", ["spec", X2, "--s-binwidth", "511", "--s-smooth-type", "epan"]),
     ("x2_spec_median_b511", ["spec", X2, "--s-binwidth", "511", "--s-smooth-type", "median"]),
     ("x2_spec_unsmoothed", ["spec", X2, "--no-s-smooth"]),
+    ("x2_spec_unsmoothed_lag3", ["spec", X2, "--no-s-smooth", "--s-lag", "3"]),
     ("x1_spec_periodic_lag4", ["spec", X1, "--no-s-boundary-handle", "--diff", "4"]),
     ("x2_spec_la8_order2", ["spec", X2, "--s-family", "la", "--s-filter-number", "8",
                             "--s-do-diff", "--s-diff-number", "2"]),

@@ -165,21 +165,23 @@ def _spectrum_for(args: argparse.Namespace, x: np.ndarray) -> SpectrumEstimate:
     )
 
 
-def _spectrum_meta(args: argparse.Namespace, est: SpectrumEstimate) -> dict:
-    smoother = est.periodogram.smoother
+def _spectrum_meta(est: SpectrumEstimate) -> dict:
+    """The spectrum block of metadata.json in flag spellings; a setting that did not act is None."""
+    smoother, diff = est.periodogram.smoother, est.periodogram.diff
+    smoothed = smoother.kind != NONE
+    lag, diff_number = diff or (None, None)
     return {
         "filter_number": est.filter.number,
         "family": est.filter.family,
         "max_scale": est.levels,
-        "smooth": args.s_smooth,
+        "smooth": smoothed,
         "smooth_type": smoother.kind,
-        "binwidth": smoother.binwidth,
-        "binwidth_clamped": est.binwidth_clamped,
-        "boundary_handle": args.s_boundary_handle,
-        "do_diff": args.s_do_diff,
-        "lag": args.s_lag,
-        "diff_number": args.s_diff_number,
-        "floored": est.floored,
+        "binwidth": smoother.binwidth if smoothed else None,
+        "binwidth_clamped": est.binwidth_clamped if smoothed else None,
+        "boundary_handle": est.periodogram.boundary,
+        "do_diff": diff is not None,
+        "lag": lag,
+        "diff_number": diff_number,
     }
 
 
@@ -224,7 +226,6 @@ def _trend_meta(fit) -> dict:
         "boundary_handle": config.boundary,
         "thresh_type": config.policy.kind,
         "thresh_normal": config.policy.normal_assumption,
-        "spectrum_floored_for_threshold": config.method == NONLINEAR,
         "ci": ci,
         "ci_type": {v: k for k, v in _CI_TYPES.items()}[fit.ci_type] if ci else None,
         "sig_lvl": fit.alpha,
@@ -232,13 +233,15 @@ def _trend_meta(fit) -> dict:
     }
 
 
-def _pairing_notes(args: argparse.Namespace) -> list[str]:
-    notes = []
-    if args.t_est_type == NONLINEAR and not args.s_do_diff:
-        notes.append("nonlinear trend paired with undifferenced spectrum; differenced recommended")
-    if args.t_est_type == LINEAR and args.s_do_diff:
-        notes.append("linear trend paired with differenced spectrum; direct recommended")
-    return notes
+def _pairing_notes(fit, spectrum: SpectrumEstimate | None) -> list[str]:
+    if spectrum is None:
+        return []
+    differenced = spectrum.periodogram.diff is not None
+    if fit.config.method == NONLINEAR and not differenced:
+        return ["nonlinear trend paired with undifferenced spectrum; differenced recommended"]
+    if fit.config.method == LINEAR and differenced:
+        return ["linear trend paired with differenced spectrum; direct recommended"]
+    return []
 
 
 # ---------------------------------------------------------------- commands
@@ -311,10 +314,10 @@ def cmd_estimate(args: argparse.Namespace) -> None:
         "seed": args.seed,
     }
     if spectrum is not None:
-        meta["spectrum"] = _spectrum_meta(args, spectrum)
+        meta["spectrum"] = _spectrum_meta(spectrum)
     if fit is not None:
         meta["trend"] = _trend_meta(fit)
-        meta["notes"] = _pairing_notes(args)
+        meta["notes"] = _pairing_notes(fit, spectrum)
     if lacv is not None:
         meta["lacv"] = {"lag_max": lacv.lag_max}
     if "spectrum" in writes:

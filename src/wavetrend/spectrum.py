@@ -9,9 +9,9 @@ the data window, smooth along time, then unmix the scales with the
 operator inverse.  The periodogram records its filter, depth and
 differencing, and those fix the operator (the A matrix, or the matching D
 matrix), so correct_periodogram builds it itself and no mismatched one can
-be passed in.  Negative corrected values are reported as-is unless the
-caller asks for flooring; the correction is a plain linear unmixing and
-clipping it silently would bias everything downstream.
+be passed in.  Negative corrected values are reported as-is; the
+correction is a plain linear unmixing and clipping it silently would bias
+everything downstream.
 
 Smoothers: running mean, running median (rescaled so that the median of a
 squared standard normal maps back to its mean), and an Epanechnikov
@@ -111,8 +111,8 @@ class SpectrumEstimate:
     """Corrected spectrum matrix with full provenance.
 
     S[j - 1, k] estimates the spectrum at scale j and time k; negative
-    entries are possible unless floored is set.  The depth and the filter
-    are the periodogram's.
+    entries are possible (no estimator here clips them or sets floored).
+    The depth and the filter are the periodogram's.
     """
 
     S: np.ndarray = field(repr=False)
@@ -331,7 +331,6 @@ def estimate_spectrum(
     binwidth: int | None = None,
     boundary: bool = True,
     diff: tuple[int, int] | None = None,
-    floor_negatives: bool = False,
 ) -> SpectrumEstimate:
     """Full spectrum pipeline with the standard defaults.
 
@@ -349,8 +348,6 @@ def estimate_spectrum(
     pgram = wavelet_periodogram(x, filt, levels, boundary=boundary, diff=diff)
     pgram = smooth_periodogram(pgram, SmootherConfig(kind=smoother, binwidth=binwidth))
     est = correct_periodogram(pgram)
-    if floor_negatives:
-        est = replace(est, S=np.maximum(est.S, 0.0), floored=True)
     if clamped:
         est = replace(est, binwidth_clamped=True)
     return est

@@ -264,7 +264,7 @@ def _threshold_edit(
     level's lambda row is built on first use and reused for later batches.
     """
     n = desc.original_length
-    floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0), floored=True)
+    floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0))
     sigma = np.sqrt(variance_matrix(floored, filt, levels))
     lam_scale = policy.scale(n)
     lams: dict[int, np.ndarray] = {}

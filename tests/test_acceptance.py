@@ -276,9 +276,7 @@ def test_c07_trend_accuracy():
     wins = 0
     for r in range(100):
         x = x2.simulate(seed=4000 + r)
-        sp = estimate_spectrum(
-            x, diff=(1, 1), smoother="median", binwidth=129, floor_negatives=True
-        )
+        sp = estimate_spectrum(x, diff=(1, 1), smoother="median", binwidth=129)
         config = EstimatorConfig(NONLINEAR, filter_number=6, family=LEAST_ASYMMETRIC)
         fit = estimate_trend(x, config, sp)
         wins += np.sqrt(np.mean((fit.values - x2.trend) ** 2)) < 1.0

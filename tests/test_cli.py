@@ -177,13 +177,21 @@ def test_nonlinear_pairing_note(tmp_path):
     assert run("sim", "--scenario", "x1", "--seed", 8, "--out-dir", d) == 0
     assert run("trend", d / "series.csv", "--out-dir", d, "--est-type", "nonlinear") == 0
     meta = json.loads((d / "metadata.json").read_text())
-    assert meta["trend"]["spectrum_floored_for_threshold"] is True
     assert any("undifferenced" in note for note in meta["notes"])
     assert run("trend", d / "series.csv", "--out-dir", d, "--est-type", "nonlinear",
                "--diff", 1) == 0
     meta = json.loads((d / "metadata.json").read_text())
     assert meta["notes"] == []
     assert meta["spectrum"]["do_diff"] is True and meta["spectrum"]["lag"] == 1
+
+
+def test_linear_trend_without_spectrum_has_no_pairing_note(tmp_path):
+    # no interval and no threshold: no spectrum is estimated, so --diff pairs nothing
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(29).standard_normal(64))
+    assert run("trend", src, "--out-dir", tmp_path, "--diff", 1) == 0
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["notes"] == [] and "spectrum" not in meta
 
 
 def test_spec_binwidth_clamped_on_short_series(tmp_path):
@@ -319,8 +327,8 @@ def test_metadata_keys_per_command(tmp_path, argv, extra):
 TREND_META = {
     "est_type": "linear", "transform": "nondec", "filter_number": 4,
     "family": "extremal_phase", "max_scale": 4, "boundary_handle": True,
-    "thresh_type": "hard", "thresh_normal": True, "spectrum_floored_for_threshold": False,
-    "ci": False, "ci_type": None, "sig_lvl": None, "reps": None,
+    "thresh_type": "hard", "thresh_normal": True, "ci": False, "ci_type": None,
+    "sig_lvl": None, "reps": None,
 }
 
 
@@ -332,8 +340,8 @@ TREND_META = {
      {"thresh_type": "soft", "thresh_normal": False, "family": "least_asymmetric",
       "filter_number": 6, "max_scale": 3, "boundary_handle": False}),
     (("--est-type", "nonlinear", "--ci", "percentile", "--t-sig-lvl", 0.1),
-     {"est_type": "nonlinear", "spectrum_floored_for_threshold": True, "ci": True,
-      "ci_type": "percentile", "sig_lvl": 0.1, "reps": 200}),
+     {"est_type": "nonlinear", "ci": True, "ci_type": "percentile", "sig_lvl": 0.1,
+      "reps": 200}),
 ])
 def test_trend_metadata_fields(tmp_path, flags, changed):
     src = tmp_path / "series.csv"
@@ -341,6 +349,32 @@ def test_trend_metadata_fields(tmp_path, flags, changed):
     d = tmp_path / "out"
     assert run("trend", src, "--out-dir", d, *flags) == 0
     assert json.loads((d / "metadata.json").read_text())["trend"] == TREND_META | changed
+
+
+SPEC_META = {
+    "filter_number": 4, "family": "extremal_phase", "max_scale": 5, "smooth": True,
+    "smooth_type": "mean", "binwidth": 97, "binwidth_clamped": False, "boundary_handle": True,
+    "do_diff": False, "lag": None, "diff_number": None,
+}
+
+
+@pytest.mark.parametrize("flags,changed", [
+    ((), {}),
+    (("--no-s-smooth", "--s-lag", 3),
+     {"smooth": False, "smooth_type": "none", "binwidth": None, "binwidth_clamped": None}),
+    (("--diff", 2), {"do_diff": True, "lag": 2, "diff_number": 1}),
+    (("--s-do-diff", "--s-diff-number", 2), {"do_diff": True, "lag": 1, "diff_number": 2}),
+    (("--s-smooth-type", "median", "--s-binwidth", 129, "--no-s-boundary-handle",
+      "--s-family", "la", "--s-filter-number", 6),
+     {"smooth_type": "median", "binwidth": 129, "boundary_handle": False,
+      "family": "least_asymmetric", "filter_number": 6}),
+])
+def test_spectrum_metadata_fields(tmp_path, flags, changed):
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(30).standard_normal(256))
+    d = tmp_path / "out"
+    assert run("spec", src, "--out-dir", d, *flags) == 0
+    assert json.loads((d / "metadata.json").read_text())["spectrum"] == SPEC_META | changed
 
 
 @pytest.mark.parametrize("argv", [

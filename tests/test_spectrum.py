@@ -327,13 +327,6 @@ def test_stationary_unbiasedness():
     assert np.all(bias < 3 * se + 0.02)
 
 
-def test_floor_negatives_flag():
-    rng = np.random.default_rng(8)
-    est = estimate_spectrum(rng.standard_normal(256), floor_negatives=True)
-    assert est.floored
-    assert np.all(est.S >= 0.0)
-
-
 def test_x2_scale3_peak_location():
     # the localised bump should place the running maximum near its centre
     x2 = scenario("x2")

@@ -232,7 +232,8 @@ def test_analytic_ci_zero_lacv():
 
 def test_analytic_ci_width_scales_with_quantile():
     x, fit = make_linear_fit(seed=4)
-    sp = estimate_spectrum(x, levels=5, floor_negatives=True)
+    sp = estimate_spectrum(x, levels=5)
+    sp = replace(sp, S=np.maximum(sp.S, 0.0))
     acw = autocorrelation_wavelets(EP4, 5)
     lv = lacv_from_spectrum(sp, acw)
     wide = analytic_ci(fit, lv, alpha=0.05)
@@ -455,7 +456,7 @@ def test_soft_threshold_contraction_element():
 @pytest.mark.parametrize("estimator", ["spectrum", "linear", "nonlinear"])
 def test_nonfinite_series_rejected(estimator):
     x = np.random.default_rng(3).standard_normal(128)
-    sp = estimate_spectrum(x, levels=5, floor_negatives=True)
+    sp = estimate_spectrum(x, levels=5)
     x[40] = np.nan
     with pytest.raises(WavetrendError, match="finite"):
         if estimator == "spectrum":
