@@ -49,6 +49,9 @@ CASES = [
     ("x2_soft_percentile", ["analyze", X2, "--est-type", "nonlinear", "--t-thresh-type",
                             "soft", "--ci", "percentile", "--reps", "45", "--seed", "7"]),
     ("x1_dec_analytic", ["analyze", X1, "--t-transform", "dec", "--ci", "analytic"]),
+    # 20 taps: long extension pads, so folding them back can reorder sums
+    ("x1_dec_analytic_ep10", ["analyze", X1, "--t-transform", "dec", "--ci", "analytic",
+                              "--t-filter-number", "10"]),
     # trend settings and the metadata written from them
     ("x1_analyze", ["analyze", X1]),
     ("x2_analyze", ["analyze", X2]),

@@ -66,10 +66,10 @@ MEDIAN_FACTOR = 1.0 / NormalDist().inv_cdf(0.75) ** 2
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Time-direction smoother for periodogram rows."""
+    """Time-direction smoother for periodogram rows; the none kind reads no binwidth."""
 
     kind: str = MEAN
-    binwidth: int = 15
+    binwidth: int | None = 15
 
     def __post_init__(self) -> None:
         if self.kind not in _SMOOTHERS:
@@ -215,7 +215,8 @@ def wavelet_periodogram(
     if order:
         y = difference_series(y, lag, order)
     pyr = ndwt_forward(y, filt, levels)
-    raw = np.stack([pyr.detail(j)[window] for j in range(1, levels + 1)]) ** 2
+    with np.errstate(over="ignore"):  # reported as one error just below
+        raw = np.stack([pyr.detail(j)[window] for j in range(1, levels + 1)]) ** 2
     _check_finite(raw, "periodogram")
     if lost and not boundary:
         # centre the shorter rows in n columns, edge columns replicated
@@ -291,10 +292,11 @@ def smooth_periodogram(pgram: Periodogram, config: SmootherConfig) -> Periodogra
     if config.kind == NONE:
         return replace(pgram, smoothed=raw.copy(), smoother=config)
     b = _validate_binwidth(config.binwidth, raw.shape[1])
-    if config.kind == MEDIAN:
-        smoothed = np.stack([_running_median(row, b) for row in raw]) * MEDIAN_FACTOR
-    else:
-        smoothed = _kernel_smooth(raw, b, 0 if config.kind == MEAN else 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # correct_periodogram reports it
+        if config.kind == MEDIAN:
+            smoothed = np.stack([_running_median(row, b) for row in raw]) * MEDIAN_FACTOR
+        else:
+            smoothed = _kernel_smooth(raw, b, 0 if config.kind == MEAN else 2)
     return replace(pgram, smoothed=smoothed, smoother=config)
 
 
@@ -305,7 +307,8 @@ def correct_periodogram(pgram: Periodogram) -> SpectrumEstimate:
     unmixing; that raises WavetrendError instead of returning non-finite S.
     """
     correction = correction_for(pgram.filter, pgram.levels, pgram.diff)
-    S = correction.inverse @ pgram.values()
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as one error just below
+        S = correction.inverse @ pgram.values()
     _check_finite(S, "spectrum")
     return SpectrumEstimate(S=S, periodogram=pgram, correction=correction)
 
@@ -334,8 +337,8 @@ def estimate_spectrum(
 ) -> SpectrumEstimate:
     """Full spectrum pipeline with the standard defaults.
 
-    levels defaults to floor(0.7 log2 n) and binwidth to the odd value near
-    6 sqrt(n) capped at n / 2.
+    levels defaults to floor(0.7 log2 n) and, for a smoother that runs,
+    binwidth to the odd value near 6 sqrt(n) capped at n / 2.
     """
     x = as_series(x, 16)
     n = x.size
@@ -343,11 +346,8 @@ def estimate_spectrum(
     if levels is None:
         levels = default_levels(n)
     clamped = False
-    if binwidth is None:
+    if binwidth is None and smoother != NONE:
         binwidth, clamped = default_binwidth(n)
     pgram = wavelet_periodogram(x, filt, levels, boundary=boundary, diff=diff)
     pgram = smooth_periodogram(pgram, SmootherConfig(kind=smoother, binwidth=binwidth))
-    est = correct_periodogram(pgram)
-    if clamped:
-        est = replace(est, binwidth_clamped=True)
-    return est
+    return replace(correct_periodogram(pgram), binwidth_clamped=clamped)

@@ -29,8 +29,9 @@ Confidence intervals come in two flavours.  The analytic interval
 propagates the estimated local autocovariance through the linear
 estimator in factored form, R = U^T V with one row of U and V per kept
 coefficient whose support meets the data window (K of them, 78 to 122
-with the default filter), so the n x n operator is never built.  It is
-restricted to the decimated linear estimator, whose edit is data
+with the default filter), so the n x n operator is never built: the rows
+are one inverted template per level, shifted by 2**j per coefficient.
+It is restricted to the decimated linear estimator, whose edit is data
 independent and whose transform is orthogonal.  The bootstrap interval
 resimulates noise from the estimated spectrum around the fitted trend and
 re-runs the identical estimator, which works for any configuration.  It
@@ -387,31 +388,34 @@ def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
     orthogonal DWT, M keeps the scaling and boundary detail coefficients
     and P cuts out the data window.  W^T M W sums b b^T over the basis rows
     b of the kept coefficients, and only a b whose support meets the
-    window reaches P.  One batched dwt_inverse of a unit pyramid per such
-    coefficient gives the rows B; U = B on the window and V = E^T B.
+    window reaches P.  The periodic DWT is shift-equivariant by 2**j at
+    level j (Percival & Walden 2000, ch. 4), so row k of level j is row 0
+    circularly shifted by k 2**j, with the same multiply-adds: one
+    dwt_inverse of levels + 1 unit pyramids gives a template per depth,
+    and the rows B gather shifted templates.  U = B on the window, V = E^T B.
     """
     filt, levels = trend.filter, trend.levels
     desc = _extension(trend.length, trend.config.boundary)
     total = desc.extended_length
     depths = [*range(1, levels + 1), levels]  # detail rows 1..levels, then scaling
-    picks = []
-    for i, j in enumerate(depths):
-        count = total >> j
-        start, length = detail_support(DECIMATED, filt.length, j, np.arange(count))
+    units = [np.zeros((levels + 1, total >> j)) for j in depths]
+    shifts = []
+    for i, (j, coeffs) in enumerate(zip(depths, units)):
+        coeffs[i, 0] = 1.0
+        start, length = detail_support(DECIMATED, filt.length, j, np.arange(total >> j))
         keep = _meets_window(start, length, desc)
         if i < levels:
-            keep &= ~_interior_mask(DECIMATED, filt.length, j, count, desc)
-        picks.append(np.flatnonzero(keep))
-    k = sum(p.size for p in picks)
-    units = [np.zeros((k, total >> j)) for j in depths]
-    first = 0
-    for coeffs, p in zip(units, picks):
-        coeffs[np.arange(first, first + p.size), p] = 1.0
-        first += p.size
-    basis = dwt_inverse(CoefficientPyramid(DECIMATED, filt, tuple(units[:-1]), units[-1]))
-    # extended, a copy, so U does not keep the whole basis alive; unextended,
-    # the window is all of basis, so U and V share it without a copy
-    return np.ascontiguousarray(basis[:, desc.window()]), extend_adjoint(basis, desc)
+            keep &= ~_interior_mask(DECIMATED, filt.length, j, start.size, desc)
+        # row s of a template's windows is the template rolled left by s
+        shifts.append(-(np.flatnonzero(keep) << j) % total)
+    templates = dwt_inverse(CoefficientPyramid(DECIMATED, filt, tuple(units[:-1]), units[-1]))
+    depth = np.repeat(np.arange(levels + 1), [s.size for s in shifts])
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(templates, 2), total, axis=-1)
+    basis = windows[depth, np.concatenate(shifts)]  # gathers K rows, never all the windows
+    del windows  # and the tiled templates under it
+    v = extend_adjoint(basis, desc)  # before U, so its scratch is freed first
+    # a copy that frees the basis; unextended, U and V share it without one
+    return np.ascontiguousarray(basis[:, desc.window()]), v
 
 
 def analytic_ci(

@@ -41,24 +41,37 @@ def test_defaults():
     assert binwidth % 2 == 1 and binwidth <= 10 and clamped
 
 
+def test_unsmoothed_spectrum_reports_no_clamp():
+    # a length-20 series clamps the default binwidth, but only a smoother uses it
+    x = np.random.default_rng(20).standard_normal(20)
+    assert estimate_spectrum(x).binwidth_clamped
+    est = estimate_spectrum(x, smoother=NONE)
+    assert not est.binwidth_clamped
+    assert est.periodogram.smoother == SmootherConfig(NONE, None)
+    assert np.array_equal(est.periodogram.smoothed, est.periodogram.raw)
+
+
 def test_zero_series_zero_raw():
     raw = wavelet_periodogram(np.zeros(64), EP4, 3).raw
     assert raw.shape == (3, 64)
     assert np.all(raw == 0.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_huge_series_raises_instead_of_nonfinite_spectrum():
     # squares overflow from about 1e154; at 1e153 the periodogram is finite
-    # but the mean smoother's window sums overflow
+    # but the smoothers' window sums overflow.  No overflow warning comes
+    # before the error.
     x = np.random.default_rng(5).standard_normal(256)
     with pytest.raises(WavetrendError, match="rescale the series"):
         wavelet_periodogram(x * 1e160, EP4, 5)
     with pytest.raises(WavetrendError, match="rescale the series"):
         estimate_spectrum(x * 1e160, diff=(1, 1))
     assert np.isfinite(wavelet_periodogram(x * 1e153, EP4, 5).raw).all()
-    with pytest.raises(WavetrendError, match="rescale the series"):
-        estimate_spectrum(x * 1e153)
-    assert np.isfinite(estimate_spectrum(x * 1e150).S).all()
+    for smoother in (MEAN, "epan"):
+        with pytest.raises(WavetrendError, match="rescale the series"):
+            estimate_spectrum(x * 1e153, smoother=smoother)
+        assert np.isfinite(estimate_spectrum(x * 1e150, smoother=smoother).S).all()
 
 
 def test_linear_trend_annihilated():

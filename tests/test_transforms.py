@@ -146,6 +146,44 @@ def test_extend_adjoint_is_transpose_of_extension(n):
     np.testing.assert_allclose(extend_adjoint(b[0, 0], desc), dense[0, 0], rtol=0, atol=1e-15)
 
 
+def add_at_adjoint(b, desc):
+    """extend_adjoint by scatter: every extended sample adds to the data at
+    its mirror index, and in the odd-reflection pads also at its edge index
+    (2 x[edge] - x[mirror]); padding the index row of [reverse, identity,
+    reverse] like the data gives both.  One np.add.at pass per row."""
+    if desc.policy == NO_EXTENSION:
+        return b
+    n = desc.original_length
+    index = np.arange(n)
+    triple = np.concatenate([index[::-1], index, index[::-1]])
+    left = desc.offset - n
+    widths = (left, desc.extended_length - 3 * n - left)
+    mirror = np.pad(triple, widths, mode="reflect")
+    edge = np.pad(triple, widths, mode="edge")
+    pad = np.ones(desc.extended_length, dtype=bool)
+    pad[left : left + 3 * n] = False
+    sign = np.where(pad, -1.0, 1.0)
+    rows = b.reshape(-1, desc.extended_length)
+    out = np.zeros((rows.shape[0], n))
+    for row, acc in zip(rows, out):
+        np.add.at(acc, mirror, sign * row)
+        np.add.at(acc, edge[pad], 2.0 * row[pad])
+    return out.reshape(b.shape[:-1] + (n,))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 100, 257, 300])
+def test_extend_adjoint_matches_scatter_oracle(n):
+    # n = 5: 3n = 15 leaves no left pad and a one-sample right pad
+    desc = extension_descriptor(n, SYMMETRIC_TRIPLE)
+    rng = np.random.default_rng(n)
+    b = rng.integers(-8, 9, (3, desc.extended_length)).astype(float)
+    assert np.array_equal(extend_adjoint(b, desc), add_at_adjoint(b, desc))
+    b = rng.standard_normal((2, 3, desc.extended_length))
+    got, want = extend_adjoint(b, desc), add_at_adjoint(b, desc)
+    assert got.shape == (2, 3, n)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("policy", [TREND_REFLECT, SYMMETRIC_TRIPLE])
 @pytest.mark.parametrize("n", [5, 100, 257])
 def test_cropped_extension_is_a_span_of_the_whole(policy, n):

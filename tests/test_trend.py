@@ -25,6 +25,9 @@ from wavetrend.spectrum import default_levels, estimate_spectrum
 from wavetrend.transforms import (
     DECIMATED,
     NONDECIMATED,
+    CoefficientPyramid,
+    detail_support,
+    dwt_inverse,
     extend_rows,
     ndwt_average_basis,
     ndwt_forward,
@@ -41,6 +44,8 @@ from wavetrend.trend import (
     _edit_for,
     _edited_fit,
     _extension,
+    _interior_mask,
+    _meets_window,
     _operator_factors,
     _visible_span,
     analytic_ci,
@@ -50,6 +55,8 @@ from wavetrend.trend import (
     variance_matrix,
 )
 from wavetrend.wavelets import autocorrelation_wavelets
+
+from test_transforms import add_at_adjoint
 
 EP4 = wavelet_filter(EXTREMAL_PHASE, 4)
 HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
@@ -322,6 +329,48 @@ def test_operator_factors_match_dense_operator(number, family, n, boundary):
     assert u.shape == v.shape == (u.shape[0], n)
     rows = _linear_operator(fit)
     assert np.max(np.abs(u.T @ v - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
+def unit_pyramid_factors(fit):
+    """(U, V) from one unit pyramid per kept coefficient, inverted in one
+    batch, and the scatter adjoint of the extension."""
+    filt, levels = fit.filter, fit.levels
+    desc = _extension(fit.length, fit.config.boundary)
+    total = desc.extended_length
+    depths = [*range(1, levels + 1), levels]
+    picks = []
+    for i, j in enumerate(depths):
+        count = total >> j
+        start, length = detail_support(DECIMATED, filt.length, j, np.arange(count))
+        keep = _meets_window(start, length, desc)
+        if i < levels:
+            keep &= ~_interior_mask(DECIMATED, filt.length, j, count, desc)
+        picks.append(np.flatnonzero(keep))
+    k = sum(p.size for p in picks)
+    units = [np.zeros((k, total >> j)) for j in depths]
+    first = 0
+    for coeffs, p in zip(units, picks):
+        coeffs[np.arange(first, first + p.size), p] = 1.0
+        first += p.size
+    basis = dwt_inverse(CoefficientPyramid(DECIMATED, filt, tuple(units[:-1]), units[-1]))
+    return basis[:, desc.window()], add_at_adjoint(basis, desc)
+
+
+@pytest.mark.parametrize("number,family", [(1, EXTREMAL_PHASE), (4, EXTREMAL_PHASE),
+                                           (8, LEAST_ASYMMETRIC), (10, EXTREMAL_PHASE)])
+@pytest.mark.parametrize("n,boundary", [(64, True), (100, True), (257, True), (300, True),
+                                        (512, True), (64, False), (512, False)])
+def test_operator_factors_match_unit_pyramid_oracle(number, family, n, boundary):
+    # the basis rows are shifted templates with the same multiply-adds, so U
+    # is exact; V folds the extension pads in another order
+    x = np.random.default_rng(n).standard_normal(n)
+    config = EstimatorConfig(filter_number=number, family=family, transform=DECIMATED,
+                             boundary=boundary)
+    fit = estimate_trend(x, config)
+    (u, v), (want_u, want_v) = _operator_factors(fit), unit_pyramid_factors(fit)
+    assert np.array_equal(u, want_u)
+    assert v.shape == want_v.shape
+    assert np.max(np.abs(v - want_v)) <= 1e-15 * np.max(np.abs(want_v))
 
 
 def dense_half_widths(fit, lv, alpha=0.05):
