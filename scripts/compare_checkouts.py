@@ -71,6 +71,13 @@ CASES = [
                                  "10", "--t-max-scale", "6", "--no-t-boundary-handle",
                                  "--est-type", "nonlinear", "--ci", "percentile", "--reps",
                                  "40"]),
+    # the decimated transform on the unextended row: no cropped span, no pads
+    ("x1_dec_no_boundary_analytic", ["analyze", X1, "--t-transform", "dec",
+                                     "--no-t-boundary-handle", "--ci", "analytic"]),
+    ("x2_dec_no_boundary_nonlinear_percentile", ["trend", X2, "--t-transform", "dec",
+                                                 "--no-t-boundary-handle", "--est-type",
+                                                 "nonlinear", "--ci", "percentile", "--reps",
+                                                 "40"]),
     ("x1_no_boundary_normal", ["analyze", X1, "--t-max-scale", "4", "--no-t-boundary-handle",
                                "--ci", "normal", "--reps", "40", "--t-sig-lvl", "0.1",
                                "--seed", "3"]),
@@ -106,6 +113,7 @@ CASES = [
     ("diff_lag_0", ["analyze", X1, "--diff", "0"]),
     ("unknown_filter", ["trend", X1, "--t-filter-number", "11"]),
     ("deep_trend", ["trend", X1, "--t-max-scale", "12"]),
+    ("negative_trend_depth", ["trend", X1, "--t-max-scale", "-1"]),
     ("analytic_nonlinear", ["trend", X1, "--t-transform", "dec", "--est-type", "nonlinear",
                             "--ci", "analytic"]),
     ("too_few_reps", ["trend", X1, "--ci", "normal", "--reps", "10"]),

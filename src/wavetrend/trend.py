@@ -11,10 +11,10 @@ spectrum floored at zero: a negative estimate would zero the threshold in
 patches and let raw noise through.
 
 estimate_trend(x, EstimatorConfig(...), spectrum) is the one fit.  Every
-fit takes its edit from _edit_for, the one place that dispatches on the
-method, through a factory
-(_zero_interior, _threshold_edit) that builds what the edit needs once, so
-one edit serves one fit or many blocks of fits.
+fit takes its edits from _edit_for, the one place that dispatches on the
+method: one edit per level, built once as data (a mask of the details
+_inside the window, or a row of thresholds), so one list of edits serves
+one fit or many blocks of fits.
 
 A nondecimated fit with boundary handling transforms only the span of the
 symmetric-triple extension its data window can see, L_J - 1 samples on
@@ -35,7 +35,7 @@ It is restricted to the decimated linear estimator, whose edit is data
 independent and whose transform is orthogonal.  The bootstrap interval
 resimulates noise from the estimated spectrum around the fitted trend and
 re-runs the identical estimator, which works for any configuration.  It
-builds the noise plan and the edit once, then fits the replicates in
+builds the noise plan and the edits once, then fits the replicates in
 blocks of _block_rows series; the interval is byte-identical to one
 tlsw_sim and one estimate_trend per replicate.
 """
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -53,6 +54,7 @@ from .errors import (
     MethodMismatch,
     MissingSpectrum,
     NegativeThreshold,
+    ScaleTooDeep,
     TooFewReps,
     WavetrendError,
 )
@@ -129,6 +131,8 @@ class EstimatorConfig:
             raise MethodMismatch(f"unknown trend method {self.method!r}")
         if self.transform not in (DECIMATED, NONDECIMATED):
             raise MethodMismatch(f"unknown trend transform {self.transform!r}")
+        if self.levels is not None and self.levels < 1:
+            raise ScaleTooDeep("levels must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -174,17 +178,22 @@ def threshold(values, lam, kind: str = HARD):
     return out
 
 
-def _interior_mask(
-    mode: str, filter_length: int, level: int, count: int, desc: ExtensionDescriptor
-) -> np.ndarray:
-    """True where a detail coefficient's support lies inside the data window."""
+def _supports(
+    mode: str, filter_length: int, level: int, desc: ExtensionDescriptor
+) -> tuple[np.ndarray, int]:
+    """(start, length) of every level-j detail coefficient of a row placed as
+    desc says; start is taken mod the row, so a support may run past its end."""
     total = desc.extended_length
-    if desc.original_length == total:
-        return np.ones(count, dtype=bool)
+    count = total >> level if mode == DECIMATED else total
     start, length = detail_support(mode, filter_length, level, np.arange(count))
-    start = start % total
-    end = desc.offset + desc.original_length  # never past total
-    return (start >= desc.offset) & (start + length <= end)
+    return start % total, length
+
+
+def _inside(start: np.ndarray, length: int, desc: ExtensionDescriptor) -> np.ndarray:
+    """True where a support lies inside the data window; all True unextended."""
+    if desc.original_length == desc.extended_length:
+        return np.ones(start.size, dtype=bool)
+    return (start >= desc.offset) & (start + length <= desc.offset + desc.original_length)
 
 
 def _extension(n: int, boundary: bool) -> ExtensionDescriptor:
@@ -212,75 +221,22 @@ def _visible_span(
 
 
 def _edited_fit(
-    x: np.ndarray,
-    filt: WaveletFilter,
-    levels: int,
-    transform: str,
-    desc: ExtensionDescriptor,
-    edit,
+    x: np.ndarray, filt: WaveletFilter, transform: str, desc: ExtensionDescriptor, edits
 ) -> np.ndarray:
     """Extend, transform, edit every detail row, invert, cut back to the data.
 
     x holds one series, or a batch of series along its last axis; desc is
-    _visible_span of the series length.  edit(mode, level, detail) returns
-    the replacement detail rows.
+    _visible_span of the series length.  edits[j - 1] maps the level-j
+    detail rows to their replacement, so there are as many levels as edits.
     """
     if transform == DECIMATED:
         forward, inverse = dwt_forward, dwt_inverse
     else:
         forward, inverse = ndwt_forward, ndwt_average_basis
-    pyr = forward(extend_rows(x, desc), filt, levels)
-    details = tuple(edit(pyr.mode, j, pyr.detail(j)) for j in range(1, levels + 1))
+    pyr = forward(extend_rows(x, desc), filt, len(edits))
+    details = tuple(edit(pyr.detail(j)) for j, edit in enumerate(edits, start=1))
     # a copy, so the fit does not keep the whole extended reconstruction alive
     return inverse(pyr.with_details(details))[..., desc.window()].copy()
-
-
-def _zero_interior(filter_length: int, desc: ExtensionDescriptor):
-    """The linear estimator's edit: zero every detail inside the data window.
-
-    Each level's mask is built on first use and reused for later batches.
-    """
-    masks: dict[int, np.ndarray] = {}
-
-    def edit(mode, level, d):
-        if level not in masks:
-            masks[level] = _interior_mask(mode, filter_length, level, d.shape[-1], desc)
-        return np.where(masks[level], 0.0, d)
-
-    return edit
-
-
-def _threshold_edit(
-    spectrum: SpectrumEstimate,
-    filt: WaveletFilter,
-    levels: int,
-    policy: ThresholdPolicy,
-    desc: ExtensionDescriptor,
-):
-    """The nonlinear estimator's edit: threshold each detail at its own lambda.
-
-    lambda = policy.scale(n) * sigma[level - 1, t], with sigma from
-    variance_matrix of the spectrum floored at zero, computed once here,
-    and t the in-window time nearest the coefficient's centre.  Each
-    level's lambda row is built on first use and reused for later batches.
-    """
-    n = desc.original_length
-    floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0))
-    sigma = np.sqrt(variance_matrix(floored, filt, levels))
-    lam_scale = policy.scale(n)
-    lams: dict[int, np.ndarray] = {}
-
-    def edit(mode, level, d):
-        if level not in lams:
-            centres = np.arange(d.shape[-1])
-            if mode == DECIMATED:
-                start, length = detail_support(mode, filt.length, level, centres)
-                centres = start + (length - 1) // 2
-            times = np.clip(centres - desc.offset, 0, n - 1)
-            lams[level] = lam_scale * sigma[level - 1, times]
-        return threshold(d, lams[level], policy.kind)
-
-    return edit
 
 
 def _edit_for(
@@ -289,17 +245,39 @@ def _edit_for(
     filt: WaveletFilter,
     levels: int,
     desc: ExtensionDescriptor,
-):
-    """The edit of config's estimator, for a series placed as desc says."""
+) -> list:
+    """config's estimator as one edit per level, for a series placed as desc says.
+
+    Linear: zero the details _inside the data window.  Nonlinear: threshold
+    each detail at lambda = policy.scale(n) * sigma[j - 1, t], with sigma
+    from variance_matrix of the spectrum floored at zero and t the
+    in-window time nearest the coefficient's centre (its index when
+    nondecimated).  The masks and lambda rows are built here, once, so one
+    list of edits serves one fit or many blocks of fits.
+    """
+    mode = config.transform
     if config.method == LINEAR:
-        return _zero_interior(filt.length, desc)
+        return [
+            partial(np.where, _inside(*_supports(mode, filt.length, j, desc), desc), 0.0)
+            for j in range(1, levels + 1)
+        ]
     if not isinstance(spectrum, SpectrumEstimate):
         raise MissingSpectrum("nonlinear trend needs a spectrum estimate")
-    if spectrum.length != desc.original_length:
-        raise MatrixMismatch(
-            f"spectrum covers {spectrum.length} points, series has {desc.original_length}"
-        )
-    return _threshold_edit(spectrum, filt, levels, config.policy, desc)
+    n = desc.original_length
+    if spectrum.length != n:
+        raise MatrixMismatch(f"spectrum covers {spectrum.length} points, series has {n}")
+    floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0))
+    sigma = np.sqrt(variance_matrix(floored, filt, levels))
+    lam_scale = config.policy.scale(n)
+    centres = np.arange(desc.extended_length)  # nondecimated, at every level
+    edits = []
+    for j in range(1, levels + 1):
+        if mode == DECIMATED:
+            start, length = _supports(mode, filt.length, j, desc)
+            centres = start + (length - 1) // 2
+        lam = lam_scale * sigma[j - 1, np.clip(centres - desc.offset, 0, n - 1)]
+        edits.append(partial(threshold, lam=lam, kind=config.policy.kind))
+    return edits
 
 
 def estimate_trend(
@@ -320,8 +298,8 @@ def estimate_trend(
     x = as_series(x, 2)
     levels = default_levels(x.size) if config.levels is None else config.levels
     desc = _visible_span(x.size, config, filt.length, levels)
-    edit = _edit_for(config, spectrum, filt, levels, desc)
-    fitted = _edited_fit(x, filt, levels, config.transform, desc, edit)
+    edits = _edit_for(config, spectrum, filt, levels, desc)
+    fitted = _edited_fit(x, filt, config.transform, desc, edits)
     return TrendEstimate(fitted, replace(config, levels=levels, family=filt.family))
 
 
@@ -372,15 +350,6 @@ def _check_lengths(trend: TrendEstimate, what: str, covered: int) -> None:
         raise MatrixMismatch(f"trend has {trend.length} points, {what} {covered}")
 
 
-def _meets_window(start: np.ndarray, length: int, desc: ExtensionDescriptor) -> np.ndarray:
-    """True where the circular support [start, start + length) meets the data window."""
-    total = desc.extended_length
-    start = start % total
-    # the window, and its copy one period on, which a wrapping support reaches
-    inside = (start < desc.offset + desc.original_length) & (start + length > desc.offset)
-    return inside | (start + length > desc.offset + total)
-
-
 def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
     """(U, V), both K x n, with trend.values = U.T @ V @ x up to rounding.
 
@@ -402,10 +371,12 @@ def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
     shifts = []
     for i, (j, coeffs) in enumerate(zip(depths, units)):
         coeffs[i, 0] = 1.0
-        start, length = detail_support(DECIMATED, filt.length, j, np.arange(total >> j))
-        keep = _meets_window(start, length, desc)
+        start, length = _supports(DECIMATED, filt.length, j, desc)
+        # meets the window, or its copy one period on, which a wrapping support reaches
+        keep = (start < desc.offset + desc.original_length) & (start + length > desc.offset)
+        keep |= start + length > desc.offset + total
         if i < levels:
-            keep &= ~_interior_mask(DECIMATED, filt.length, j, start.size, desc)
+            keep &= ~_inside(start, length, desc)
         # row s of a template's windows is the template rolled left by s
         shifts.append(-(np.flatnonzero(keep) << j) % total)
     templates = dwt_inverse(CoefficientPyramid(DECIMATED, filt, tuple(units[:-1]), units[-1]))
@@ -486,7 +457,7 @@ def bootstrap_ci(
     on every run.  The spectrum is not re-estimated per replicate.
 
     What no replicate changes is built once: the NoisePlan of the spectrum
-    and the estimator's edit (for the nonlinear estimator, its thresholds).
+    and the estimator's edits (for the nonlinear estimator, its thresholds).
     Replicates are then drawn (one NoisePlan.draw) and fitted (one batched
     transform pair) in blocks of _block_rows series.  Every replicate still
     draws from its own stream in tlsw_sim's order, and every row of a block
@@ -509,13 +480,13 @@ def bootstrap_ci(
     floored = dict(enumerate(np.maximum(spectrum.S, 0.0), start=1))  # deeper scales get zeros
     plan = NoisePlan.build(floored, n, spectrum.filter)
     desc = _visible_span(n, config, filt.length, levels)
-    edit = _edit_for(config, spectrum, filt, levels, desc)
+    edits = _edit_for(config, spectrum, filt, levels, desc)
     block = _block_rows(desc, levels, config.transform)
     fits = np.empty((reps, n))
     for s in range(0, reps, block):
         noise = plan.draw([np.random.default_rng(b) for b in streams[s : s + block]])
         fits[s : s + len(noise)] = _edited_fit(
-            trend.values + noise, filt, levels, config.transform, desc, edit
+            trend.values + noise, filt, config.transform, desc, edits
         )
     if ci_type == BOOT_NORMAL:
         half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * fits.std(axis=0, ddof=1)

@@ -295,6 +295,19 @@ def test_zero_difference_order_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "metadata.json").exists()
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+@pytest.mark.parametrize("boundary", ["--t-boundary-handle", "--no-t-boundary-handle"])
+def test_trend_depth_below_one_exits_2(tmp_path, capsys, depth, boundary):
+    # -1 with boundary handling once ended in a TypeError traceback (exit 1)
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(29).standard_normal(64))
+    assert run("trend", src, "--out-dir", tmp_path / "out", "--t-max-scale", depth,
+               boundary) == 2
+    err = capsys.readouterr().err
+    assert err == "ScaleTooDeep: levels must be at least 1\n"
+    assert not (tmp_path / "out" / "trend.csv").exists()
+
+
 def test_unknown_flag_raises_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("trend", tmp_path / "x.csv", "--bogus")

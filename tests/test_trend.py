@@ -14,6 +14,7 @@ from wavetrend.errors import (
     MethodMismatch,
     MissingSpectrum,
     NegativeThreshold,
+    ScaleTooDeep,
     TooFewReps,
     WavetrendError,
 )
@@ -44,8 +45,6 @@ from wavetrend.trend import (
     _edit_for,
     _edited_fit,
     _extension,
-    _interior_mask,
-    _meets_window,
     _operator_factors,
     _visible_span,
     analytic_ci,
@@ -141,6 +140,13 @@ def test_config_rejects_unknown_method_or_transform():
     for fields in ({"transform": "dec"}, {"method": "bogus"}):
         with pytest.raises(MethodMismatch):
             EstimatorConfig(**fields)
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_config_rejects_depth_below_one(levels):
+    # -1 once reached the cropped span as float bounds and failed with a TypeError
+    with pytest.raises(ScaleTooDeep, match="levels must be at least 1"):
+        EstimatorConfig(levels=levels)
 
 
 def test_policy_rejects_unknown_kind():
@@ -277,12 +283,12 @@ def _linear_operator(trend):
     """
     n = trend.length
     desc = _extension(n, trend.config.boundary)
-    edit = _edit_for(trend.config, None, trend.filter, trend.levels, desc)
+    edits = _edit_for(trend.config, None, trend.filter, trend.levels, desc)
     block = _block_rows(desc, trend.levels, DECIMATED)
     rows = np.empty((n, n))
     for s in range(0, n, block):
         k = min(block, n - s)
-        fits = _edited_fit(np.eye(k, n, s), trend.filter, trend.levels, DECIMATED, desc, edit)
+        fits = _edited_fit(np.eye(k, n, s), trend.filter, DECIMATED, desc, edits)
         rows[:, s : s + k] = fits.T
     return rows
 
@@ -329,6 +335,76 @@ def test_operator_factors_match_dense_operator(number, family, n, boundary):
     assert u.shape == v.shape == (u.shape[0], n)
     rows = _linear_operator(fit)
     assert np.max(np.abs(u.T @ v - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
+def _interior_mask(mode, filter_length, level, count, desc):
+    """True where a detail coefficient's support lies inside the data window."""
+    total = desc.extended_length
+    if desc.original_length == total:
+        return np.ones(count, dtype=bool)
+    start, length = detail_support(mode, filter_length, level, np.arange(count))
+    start = start % total
+    end = desc.offset + desc.original_length  # never past total
+    return (start >= desc.offset) & (start + length <= end)
+
+
+def _meets_window(start, length, desc):
+    """True where the circular support [start, start + length) meets the data window."""
+    total = desc.extended_length
+    start = start % total
+    # the window, and its copy one period on, which a wrapping support reaches
+    inside = (start < desc.offset + desc.original_length) & (start + length > desc.offset)
+    return inside | (start + length > desc.offset + total)
+
+
+def _threshold_rows(spectrum, filt, levels, policy, mode, desc):
+    """Per level, lambda at the in-window time nearest each coefficient's centre."""
+    n, total = desc.original_length, desc.extended_length
+    floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0))
+    sigma = np.sqrt(variance_matrix(floored, filt, levels))
+    rows = []
+    for level in range(1, levels + 1):
+        centres = np.arange(total >> level if mode == DECIMATED else total)
+        if mode == DECIMATED:
+            start, length = detail_support(mode, filt.length, level, centres)
+            centres = start + (length - 1) // 2
+        times = np.clip(centres - desc.offset, 0, n - 1)
+        rows.append(policy.scale(n) * sigma[level - 1, times])
+    return rows
+
+
+# EP10 at depth 6 with n = 512: L_6 = 1198, so unextended supports wrap the
+# row more than twice
+GEOMETRY_CASES = [(number, family, None, 300) for number, family in
+                  [(1, EXTREMAL_PHASE), (4, EXTREMAL_PHASE), (8, LEAST_ASYMMETRIC),
+                   (10, EXTREMAL_PHASE)]] + [(10, EXTREMAL_PHASE, 6, 512)]
+
+
+@pytest.mark.parametrize("number,family,depth,n", GEOMETRY_CASES)
+@pytest.mark.parametrize("transform", [DECIMATED, NONDECIMATED])
+@pytest.mark.parametrize("boundary", [True, False])
+@pytest.mark.parametrize("span", ["whole", "visible"])
+def test_edits_match_geometry_oracles(number, family, depth, n, transform, boundary, span):
+    x = crop_series(n)
+    sp = estimate_spectrum(x)
+    filt = wavelet_filter(family, number)
+    levels = default_levels(n) if depth is None else depth
+    config = EstimatorConfig(transform=transform, boundary=boundary, levels=levels,
+                             filter_number=number, family=family)
+    desc = (_extension(n, boundary) if span == "whole"
+            else _visible_span(n, config, filt.length, levels))
+    masks = _edit_for(config, None, filt, levels, desc)
+    policy = ThresholdPolicy(SOFT)
+    nonlinear = replace(config, method=NONLINEAR, policy=policy)
+    lams = _edit_for(nonlinear, sp, filt, levels, desc)
+    want = _threshold_rows(sp, filt, levels, policy, transform, desc)
+    assert len(masks) == len(lams) == levels
+    for j in range(1, levels + 1):
+        count = desc.extended_length >> j if transform == DECIMATED else desc.extended_length
+        mask, lam = masks[j - 1].args[0], lams[j - 1].keywords["lam"]
+        assert np.array_equal(mask, _interior_mask(transform, filt.length, j, count, desc)), j
+        assert np.array_equal(lam, want[j - 1]), j
+        assert lams[j - 1].keywords["kind"] == SOFT
 
 
 def unit_pyramid_factors(fit):
@@ -597,9 +673,9 @@ def uncropped_fit(x, config, spectrum=None):
     filt = wavelet_filter(config.family, config.filter_number)
     levels = default_levels(n) if config.levels is None else config.levels
     desc = _extension(n, config.boundary)
-    edit = _edit_for(config, spectrum, filt, levels, desc)
+    edits = _edit_for(config, spectrum, filt, levels, desc)
     pyr = ndwt_forward(extend_rows(x, desc), filt, levels)
-    details = tuple(edit(pyr.mode, j, pyr.detail(j)) for j in range(1, levels + 1))
+    details = tuple(edit(pyr.detail(j)) for j, edit in enumerate(edits, start=1))
     return ndwt_average_basis(pyr.with_details(details))[..., desc.window()]
 
 
@@ -644,8 +720,8 @@ def test_cropped_block_of_rows_matches_uncropped(name, crop_spectra):
     sp, filt, levels = crop_spectra[n], EP4, default_levels(n)
     desc = _visible_span(n, config, filt.length, levels)
     assert desc.extended_length < _extension(n, True).extended_length
-    edit = _edit_for(config, sp, filt, levels, desc)
-    fits = _edited_fit(rows, filt, levels, NONDECIMATED, desc, edit)
+    edits = _edit_for(config, sp, filt, levels, desc)
+    fits = _edited_fit(rows, filt, NONDECIMATED, desc, edits)
     assert np.array_equal(fits, uncropped_fit(rows, replace(config, levels=levels), sp))
 
 
