@@ -117,6 +117,8 @@ CASES = [
     ("analytic_nonlinear", ["trend", X1, "--t-transform", "dec", "--est-type", "nonlinear",
                             "--ci", "analytic"]),
     ("too_few_reps", ["trend", X1, "--ci", "normal", "--reps", "10"]),
+    # lags of n or more are not lags of the series
+    ("lacf_lag_max_past_n", ["lacf", X1, "--lag-max", "5000"]),
     ("missing_input", ["trend", "missing.csv"]),
     # squares of a series of magnitude 1e160 overflow float64
     ("huge_values", ["analyze", "huge.csv"]),

@@ -2,8 +2,10 @@
 
 Everything raised on bad user input derives from WavetrendError so callers
 (and the command line driver) can distinguish configuration problems from
-genuine bugs.
+genuine bugs.  check_integer is the one check of an integer argument.
 """
+
+import operator
 
 
 class WavetrendError(Exception):
@@ -72,3 +74,20 @@ class MethodMismatch(WavetrendError):
 
 class TooFewReps(WavetrendError):
     """Not enough bootstrap replicates for the requested confidence level."""
+
+
+def check_integer(value, name, low, high=None, error=WavetrendError, message=None) -> int:
+    """value as an int in [low, high] (no upper bound when high is None).
+
+    A bool, a float, any other non-integer or an integer out of range raises
+    error, whose text is message when one is given."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise error(message or f"{name} must be an integer, got {value!r}") from None
+    if number < low or high is not None and number > high:
+        bound = f"at least {low}" if high is None else f"within [{low}, {high}]"
+        raise error(message or f"{name} must be {bound}")
+    return number

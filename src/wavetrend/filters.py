@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedFilter
+from .errors import UnsupportedFilter, check_integer
 
 __all__ = ["WaveletFilter", "wavelet_filter", "FAMILIES", "family_orders"]
 
@@ -375,15 +375,16 @@ def _mirror_highpass(h: np.ndarray) -> np.ndarray:
 def wavelet_filter(family: str, number: int) -> WaveletFilter:
     """Look up a filter pair by family and order.
 
-    Raises UnsupportedFilter for unknown families or orders outside the
-    tabulated range.
+    Raises UnsupportedFilter for unknown families and for orders that are
+    not integers in the tabulated range.
     """
     fam = canonical_family(family)
     table = _TABLES[fam]
-    if number not in table:
-        raise UnsupportedFilter(
-            f"family {fam!r} provides orders {sorted(table)}, not {number}"
-        )
+    orders = sorted(table)
+    number = check_integer(
+        number, "filter number", orders[0], orders[-1], UnsupportedFilter,
+        f"family {fam!r} provides orders {orders}, not {number}",
+    )
     h = np.array(table[number], dtype=np.float64)
     g = _mirror_highpass(h)
     h.setflags(write=False)

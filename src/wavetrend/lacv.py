@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MatrixMismatch
+from .errors import DimensionMismatch, MatrixMismatch, check_integer
 from .spectrum import SpectrumEstimate
 from .transforms import _BLOCK_ELEMENTS
 from .wavelets import AutocorrelationWavelet
@@ -55,8 +55,8 @@ def lacv_from_spectrum(
     """Mix a spectrum matrix into autocovariance via Psi_j(tau).
 
     Accepts a SpectrumEstimate, whose filter acw must share, or a plain
-    (levels, n) matrix, which names no filter to check; lag_max defaults to
-    floor(10 ln n).
+    (levels, n) matrix, which names no filter to check; lag_max, when given,
+    lies in 0..n - 1, and defaults to floor(10 ln n).
     """
     if isinstance(spectrum, SpectrumEstimate):
         if acw.filter.label != spectrum.filter.label:
@@ -76,8 +76,8 @@ def lacv_from_spectrum(
         )
     if lag_max is None:
         lag_max = default_lag_max(n)
-    if lag_max < 0:
-        raise DimensionMismatch("lag_max must be nonnegative")
+    else:
+        lag_max = check_integer(lag_max, "lag_max", 0, n - 1, DimensionMismatch)
     psi = acw.window(levels, lag_max)[:, lag_max:]  # tau = 0, 1, ..., lag_max
     # einsum, not BLAS: a BLAS product's sums change with its thread count
     St, lacv = np.ascontiguousarray(S.T), np.empty((n, lag_max + 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_integer
 
 GLOBAL = "global"
 BY_LEVEL = "by-level"
@@ -209,9 +209,7 @@ def lacf_figure(lacv: np.ndarray, times: list[int], title: str = "local autocorr
     n, lags = lacv.shape
     if not times:
         raise DimensionMismatch("need at least one time index")
-    for t in times:
-        if not 0 <= int(t) < n:
-            raise DimensionMismatch(f"time index {t} outside 0..{n - 1}")
+    times = [check_integer(t, "time index", 0, n - 1, DimensionMismatch) for t in times]
     panel_h = 120
     height = _TOP + len(times) * panel_h + (len(times) - 1) * _PANEL_GAP + _BOTTOM
     x0, x1 = _LEFT, _WIDTH - _RIGHT
@@ -221,7 +219,7 @@ def lacf_figure(lacv: np.ndarray, times: list[int], title: str = "local autocorr
     for i, t in enumerate(times):
         top = _TOP + i * (panel_h + _PANEL_GAP)
         bottom = top + panel_h
-        row = lacv[int(t)]
+        row = lacv[t]
         acf = row / row[0] if row[0] > 0 else np.full(lags, np.nan)
         finite = acf[np.isfinite(acf)]
         lo = min(-0.2, float(finite.min()) if finite.size else -1.0) - 0.05
@@ -241,7 +239,7 @@ def lacf_figure(lacv: np.ndarray, times: list[int], title: str = "local autocorr
                 f'y2="{_px(float(sy(acf[lag])))}" stroke="{_NEEDLE_STROKE}" stroke-width="1.5"/>'
             )
         body.append(_frame(x0, top, x1, bottom))
-        body.append(_text(x0 - 8, (top + bottom) / 2 + 4, f"t = {int(t)}", anchor="end", size=10))
+        body.append(_text(x0 - 8, (top + bottom) / 2 + 4, f"t = {t}", anchor="end", size=10))
         body.extend(_y_axis(_Scale(lo, hi, bottom, top), x0) if i == 0 else [])
     body.extend(_x_axis(sx, _TOP + len(times) * panel_h + (len(times) - 1) * _PANEL_GAP))
     body.append(_text((x0 + x1) / 2, height - 8, "lag"))

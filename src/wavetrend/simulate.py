@@ -41,6 +41,7 @@ from .errors import (
     NonDyadicFunctionalSpec,
     SeriesTooShort,
     WavetrendError,
+    check_integer,
 )
 from .filters import WaveletFilter, wavelet_filter
 from .wavelets import DiscreteWavelet, discrete_wavelets
@@ -65,10 +66,8 @@ SpecLike = (
 
 
 def max_scales(n: int) -> int:
-    """Number of scales a length-n series supports."""
-    if n < 2:
-        raise SeriesTooShort("need at least 2 observations")
-    return int(np.floor(np.log2(n)))
+    """Number of scales a length-n series supports, floor(log2 n)."""
+    return check_integer(n, "series length", 2, error=SeriesTooShort).bit_length() - 1
 
 
 def gaussian_innovations(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -132,11 +131,7 @@ def sample_spec(spec: SpecLike, n: int) -> np.ndarray:
     elif isinstance(spec, Mapping):
         out = np.zeros((levels, n))
         for scale, entry in spec.items():
-            scale = int(scale)
-            if not 1 <= scale <= levels:
-                raise DimensionMismatch(
-                    f"scale {scale} outside 1..{levels} for length {n}"
-                )
+            scale = check_integer(scale, "scale", 1, levels, DimensionMismatch)
             out[scale - 1] = _spec_row(entry, n)
     elif isinstance(spec, Sequence):
         if len(spec) != levels:
@@ -166,10 +161,10 @@ def synthesis_kernel(dw: DiscreteWavelet, level: int, n: int) -> np.ndarray:
     return kernel
 
 
-def check_seed(seed) -> None:
+def check_seed(seed) -> int | None:
     """A seed is None or a nonnegative integer; anything else is a WavetrendError."""
-    if not (seed is None or isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise WavetrendError(f"seed must be a nonnegative integer or None, got {seed!r}")
+    message = f"seed must be a nonnegative integer or None, got {seed!r}"
+    return None if seed is None else check_integer(seed, "seed", 0, message=message)
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,7 @@ def tlsw_sim(
     integer or a SeedSequence.
     """
     if not isinstance(seed, np.random.SeedSequence):
-        check_seed(seed)
+        seed = check_seed(seed)
     if n is None:
         if isinstance(spec, np.ndarray):
             n = spec.shape[1]
@@ -239,9 +234,7 @@ def tlsw_sim(
             n = len(trend)
         else:
             raise DimensionMismatch("series length n is required for functional inputs")
-    n = int(n)
-    if n < 8:
-        raise SeriesTooShort(f"simulation needs n >= 8, got {n}")
+    n = check_integer(n, "simulation length", 8, error=SeriesTooShort)
     trend_vals = sample_trend(trend, n)
     if spec is None:
         return trend_vals

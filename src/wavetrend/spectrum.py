@@ -29,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidBinwidth, ScaleTooDeep, SeriesTooShort, WavetrendError
+from .errors import InvalidBinwidth, ScaleTooDeep, SeriesTooShort, WavetrendError, check_integer
 from .filters import WaveletFilter, wavelet_filter
 from .simulate import max_scales
 from .transforms import (
@@ -182,23 +182,17 @@ def wavelet_periodogram(
     """
     x = as_series(x, 2)
     n = x.size
-    if levels < 1:
-        raise ScaleTooDeep("need at least one analysis level")
-    cap = max_scales(n)
-    if levels > cap:
-        raise ScaleTooDeep(f"{levels} levels exceeds floor(log2 {n}) = {cap}")
-    # only diff=None means no differencing; every other pair is checked
-    lag, order = (0, 0) if diff is None else map(int, diff)
+    levels = check_integer(levels, "levels", 1, max_scales(n), ScaleTooDeep)
+    # only diff=None means no differencing; every other pair is checked on
+    # the series itself: the reflected extension is long enough for any lag,
+    # but the data window cut from it would not be
+    lag, order = (0, 0) if diff is None else check_diff(diff, n)
     lost = lag * order
-    if diff is not None:
-        # on the series itself: the reflected extension is long enough for
-        # any lag, but the data window cut from it would not be
-        check_diff(n, lag, order)
-        if not boundary and n - lost < 2**levels:
-            raise SeriesTooShort(
-                f"differencing at lag {lag}, order {order} leaves {n - lost} of {n} "
-                f"observations; {levels} levels need at least {2**levels}"
-            )
+    if diff is not None and not boundary and n - lost < 2**levels:
+        raise SeriesTooShort(
+            f"differencing at lag {lag}, order {order} leaves {n - lost} of {n} "
+            f"observations; {levels} levels need at least {2**levels}"
+        )
     # Extend before differencing: the reflected series differences smoothly
     # across the seam, whereas reflecting an already differenced (noise
     # dominated) series injects a level jump that inflates boundary
@@ -224,13 +218,6 @@ def wavelet_periodogram(
     return Periodogram(
         raw=raw, filter=filt, diff=None if diff is None else (lag, order), boundary=boundary
     )
-
-
-def _validate_binwidth(binwidth: int, n: int) -> int:
-    b = int(binwidth)
-    if b % 2 == 0 or b < 3 or b > n:
-        raise InvalidBinwidth(f"binwidth must be odd and within [3, {n}], got {binwidth}")
-    return b
 
 
 def _running_median(row: np.ndarray, binwidth: int) -> np.ndarray:
@@ -291,7 +278,10 @@ def smooth_periodogram(pgram: Periodogram, config: SmootherConfig) -> Periodogra
     _check_finite(raw, "periodogram", "holds NaN or infinite values and cannot be smoothed")
     if config.kind == NONE:
         return replace(pgram, smoothed=raw.copy(), smoother=config)
-    b = _validate_binwidth(config.binwidth, raw.shape[1])
+    message = f"binwidth must be odd and within [3, {raw.shape[1]}], got {config.binwidth}"
+    b = check_integer(config.binwidth, "binwidth", 3, raw.shape[1], InvalidBinwidth, message)
+    if b % 2 == 0:
+        raise InvalidBinwidth(message)
     with np.errstate(over="ignore", invalid="ignore"):  # correct_periodogram reports it
         if config.kind == MEDIAN:
             smoothed = np.stack([_running_median(row, b) for row in raw]) * MEDIAN_FACTOR
@@ -322,7 +312,7 @@ def correction_for(
     acw = autocorrelation_wavelets(filt, levels)
     if diff is None:
         return a_matrix(acw, levels)
-    return d_matrix(acw, levels, *map(int, diff))
+    return d_matrix(acw, levels, *diff)
 
 
 def estimate_spectrum(

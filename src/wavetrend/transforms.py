@@ -82,7 +82,10 @@ def next_pow2(m: int) -> int:
 
 def as_series(x, min_length: int) -> np.ndarray:
     """x as a finite one dimensional float array of at least min_length values."""
-    x = np.asarray(x, dtype=np.float64)
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise WavetrendError(f"series values must be numbers: {exc}") from None
     if x.ndim != 1:
         raise SeriesTooShort("expected a one dimensional series")
     if x.size < min_length:

@@ -43,6 +43,7 @@ tlsw_sim and one estimate_trend per replicate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from statistics import NormalDist
@@ -57,6 +58,7 @@ from .errors import (
     ScaleTooDeep,
     TooFewReps,
     WavetrendError,
+    check_integer,
 )
 from .filters import EXTREMAL_PHASE, WaveletFilter, wavelet_filter
 from .lacv import LacvEstimate
@@ -131,8 +133,11 @@ class EstimatorConfig:
             raise MethodMismatch(f"unknown trend method {self.method!r}")
         if self.transform not in (DECIMATED, NONDECIMATED):
             raise MethodMismatch(f"unknown trend transform {self.transform!r}")
-        if self.levels is not None and self.levels < 1:
-            raise ScaleTooDeep("levels must be at least 1")
+        if self.levels is not None:
+            levels = check_integer(self.levels, "levels", 1, error=ScaleTooDeep)
+            object.__setattr__(self, "levels", levels)
+        number = wavelet_filter(self.family, self.filter_number).number
+        object.__setattr__(self, "filter_number", number)
 
 
 @dataclass(frozen=True)
@@ -341,8 +346,9 @@ def _block_rows(desc: ExtensionDescriptor, levels: int, transform: str) -> int:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:  # also rejects NaN
-        raise WavetrendError(f"significance level must lie in (0, 1), got {alpha}")
+    """alpha is a real number (not a bool) in (0, 1); NaN is refused too."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+        raise WavetrendError(f"significance level must lie in (0, 1), got {alpha!r}")
 
 
 def _check_lengths(trend: TrendEstimate, what: str, covered: int) -> None:
@@ -469,13 +475,12 @@ def bootstrap_ci(
     if ci_type not in (BOOT_NORMAL, BOOT_PERCENTILE):
         raise MethodMismatch(f"unknown bootstrap interval type {ci_type!r}")
     needed = max(20, math.ceil(2.0 / alpha))
-    if reps < needed:
-        raise TooFewReps(f"need at least {needed} replicates for alpha = {alpha}")
+    message = f"need at least {needed} replicates for alpha = {alpha}"
+    reps = check_integer(reps, "reps", needed, error=TooFewReps, message=message)
     if spectrum is None or not isinstance(spectrum, SpectrumEstimate):
         raise MissingSpectrum("bootstrap needs a spectrum estimate")
     _check_lengths(trend, "spectrum", spectrum.length)
-    check_seed(seed)
-    streams = np.random.SeedSequence(int(seed) if seed is not None else 0).spawn(reps)
+    streams = np.random.SeedSequence(check_seed(seed) or 0).spawn(reps)
     n, config, filt, levels = trend.length, trend.config, trend.filter, trend.levels
     floored = dict(enumerate(np.maximum(spectrum.S, 0.0), start=1))  # deeper scales get zeros
     plan = NoisePlan.build(floored, n, spectrum.filter)

@@ -44,6 +44,7 @@ from .errors import (
     ScaleTooDeep,
     SeriesTooShort,
     SingularMatrix,
+    check_integer,
 )
 from .filters import WaveletFilter
 
@@ -119,8 +120,7 @@ class CorrectionMatrix:
 
 def _cascade(first: np.ndarray, kernel: np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
     """first, then each row upsampled and convolved with kernel, levels rows in all."""
-    if levels < 1:
-        raise ScaleTooDeep("levels must be at least 1")
+    levels = check_integer(levels, "levels", 1, error=ScaleTooDeep)
     rows = [first]
     for _ in range(levels - 1):
         up = np.zeros(2 * rows[-1].size - 1)
@@ -154,18 +154,9 @@ def _overlaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("jbc,lbc->jlb", u, v).sum(axis=-1)
 
 
-def _check_depth(acw: AutocorrelationWavelet, max_scale: int) -> None:
-    if max_scale < 1:
-        raise ScaleTooDeep("max_scale must be at least 1")
-    if max_scale > acw.levels:
-        raise DimensionMismatch(
-            f"autocorrelation wavelet covers {acw.levels} levels, need {max_scale}"
-        )
-
-
 def lagged_a_matrix(acw: AutocorrelationWavelet, max_scale: int, lag: int) -> np.ndarray:
     """Matrix with entries sum_tau Psi_j(tau) Psi_l(tau - lag); symmetric."""
-    _check_depth(acw, max_scale)
+    max_scale = check_integer(max_scale, "max_scale", 1, acw.levels, DimensionMismatch)
     lag = abs(lag)  # Psi is even, so lags -p and p give the same matrix
     table = acw.window(max_scale, acw.radius(max_scale))
     return _overlaps(table[:, lag:], table[:, : max(table.shape[1] - lag, 0)])
@@ -194,7 +185,7 @@ def d_matrix(
     order 1 allows any positive lag; order 2 is the repeated first difference
     and is only defined for lag 1.
     """
-    _check_diff_spec(lag, order)
+    lag, order = check_diff((lag, order))
     if order == 1:
         mat = lagged_a_matrix(acw, max_scale, 0) - lagged_a_matrix(acw, max_scale, lag)
     else:
@@ -217,8 +208,8 @@ def cross_a_matrix(
     variance of the scale-r analysis coefficient of a process generated with
     the other wavelet.
     """
-    _check_depth(acw_generating, max_scale)
-    _check_depth(acw_analysis, max_scale)
+    depth = min(acw_generating.levels, acw_analysis.levels)
+    max_scale = check_integer(max_scale, "max_scale", 1, depth, DimensionMismatch)
     # beyond the shorter support every product is zero
     radius = min(acw_generating.radius(max_scale), acw_analysis.radius(max_scale))
     return _overlaps(
@@ -229,22 +220,22 @@ def cross_a_matrix(
 _DIFF_NORM = {1: np.sqrt(2.0), 2: np.sqrt(6.0)}
 
 
-def _check_diff_spec(lag: int, order: int) -> None:
-    """A (lag, order) difference must be defined: order 1 at any positive lag, order 2 at lag 1."""
-    if order not in _DIFF_NORM:
-        raise InvalidDiffSpec(f"difference order must be 1 or 2, got {order}")
-    if lag < 1:
-        raise InvalidDiffSpec("difference lag must be a positive integer")
+def check_diff(diff, n: int | None = None) -> tuple[int, int]:
+    """diff as an int (lag, order) pair: order 1 at any positive lag, order 2
+    at lag 1, leaving two of n values when n is given."""
+    try:
+        lag, order = diff
+    except (TypeError, ValueError):
+        raise InvalidDiffSpec(f"diff must be a (lag, order) pair, got {diff!r}") from None
+    message = f"difference order must be 1 or 2, got {order}"
+    order = check_integer(order, "difference order", 1, 2, InvalidDiffSpec, message)
+    message = "difference lag must be a positive integer"
+    lag = check_integer(lag, "difference lag", 1, None, InvalidDiffSpec, message)
     if order == 2 and lag != 1:
         raise InvalidDiffSpec("second differencing is only defined for lag 1")
-
-
-def check_diff(n: int, lag: int, order: int) -> None:
-    """A (lag, order) difference must be defined and leave two of n values."""
-    _check_diff_spec(lag, order)
-    needed = lag * order + 2
-    if n < needed:
-        raise SeriesTooShort(f"need at least {needed} observations, got {n}")
+    if n is not None and n < lag * order + 2:
+        raise SeriesTooShort(f"need at least {lag * order + 2} observations, got {n}")
+    return lag, order
 
 
 def difference_series(x: np.ndarray, lag: int = 1, order: int = 1) -> np.ndarray:
@@ -257,7 +248,7 @@ def difference_series(x: np.ndarray, lag: int = 1, order: int = 1) -> np.ndarray
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatch("expected a one dimensional series")
-    check_diff(x.size, lag, order)
+    lag, order = check_diff((lag, order), x.size)
     if order == 1:
         out = x[lag:] - x[:-lag]
     else:

@@ -393,6 +393,15 @@ def test_spectrum_metadata_fields(tmp_path, flags, changed):
     assert json.loads((d / "metadata.json").read_text())["spectrum"] == SPEC_META | changed
 
 
+def test_lag_max_past_series_exits_2(tmp_path, capsys):
+    # once exit 0 with a 512 x 5001 lacv.csv, every column past lag 441 zero
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(31).standard_normal(512))
+    assert run("lacf", src, "--out-dir", tmp_path / "out", "--lag-max", 5000) == 2
+    assert capsys.readouterr().err == "DimensionMismatch: lag_max must be within [0, 511]\n"
+    assert not (tmp_path / "out" / "lacv.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "{src}", "--ci", "normal", "--reps", 40, "--seed", -1),
     ("sim", "--scenario", "x1", "--seed", -3),

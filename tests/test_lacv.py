@@ -44,7 +44,7 @@ def test_linearity_in_spectrum():
 def test_support_cutoff():
     depth = 3
     acw = autocorrelation_wavelets(HAAR, depth)
-    S = np.ones((depth, 8))
+    S = np.ones((depth, 32))  # lag_max must stay below the series length
     lag_max = 20
     out = lacv_from_spectrum(S, acw, lag_max=lag_max)
     cutoff = support_length(HAAR.length, depth)

@@ -7,7 +7,6 @@ from wavetrend.errors import (
     DimensionMismatch,
     NegativeSpectrum,
     NonDyadicFunctionalSpec,
-    SeriesTooShort,
     WavetrendError,
 )
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
@@ -141,11 +140,6 @@ def test_numpy_integer_seed_accepted():
 def test_functional_spec_needs_dyadic_length():
     with pytest.raises(NonDyadicFunctionalSpec):
         tlsw_sim(spec={1: lambda z: 1.0}, n=100)
-
-
-def test_minimum_length():
-    with pytest.raises(SeriesTooShort):
-        tlsw_sim(spec=np.zeros((2, 4)), n=4)
 
 
 def test_custom_innovations():
