@@ -6,6 +6,8 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 Each tree first simulates x1 (seed 21) and x2 (seed 5), then runs every
 case on them, in its own temporary working directory with the same
 relative input paths and ``--out-dir`` (``metadata.json`` records both).
+A ``plot`` case draws into the output directory of the case ``PLOTTED``
+names, so its comparison covers that case's files and the new figure.
 Per case it prints the exit codes, whether stderr matches (the source
 directory in warnings replaced by ``<src>`` and the line number after
 ``<src>/....py:`` dropped, so an edit that only moves lines is no
@@ -105,6 +107,13 @@ CASES = [
     ("x2_spec_la8_order2", ["spec", X2, "--s-family", "la", "--s-filter-number", "8",
                             "--s-do-diff", "--s-diff-number", "2"]),
     ("x1_lacf_lag30", ["lacf", X1, "--lag-max", "30"]),
+    # the default lag_max of a 16-value series: floor(10 ln 16) = 27 capped at 15
+    ("short_lacf", ["lacf", "short.csv"]),
+    # figures, each drawn into the results of the case PLOTTED names
+    ("plot_trend_band", ["plot", "--plot-type", "trend", "--input", X2]),
+    ("plot_spec_global", ["plot", "--plot-type", "spec", "--scaling", "global"]),
+    ("plot_spec_by_level", ["plot", "--plot-type", "spec", "--scaling", "by-level"]),
+    ("plot_lacf", ["plot", "--plot-type", "lacf"]),
     # errors
     ("diff_order_0", ["analyze", X1, "--s-do-diff", "--s-diff-number", "0"]),
     ("ragged_long_row", ["spec", "ragged_long.csv"]),
@@ -128,10 +137,17 @@ CASES = [
     ("long_analyze", ["analyze", "long.csv"]),
 ]
 
+PLOTTED = {
+    "plot_trend_band": "x2_dec_normal",
+    "plot_spec_global": "x2_analyze",
+    "plot_spec_by_level": "x2_analyze",
+    "plot_lacf": "x1_lacf_lag30",
+}
+
 # input files: series with a row wider or narrower than the first, a
 # length-64 trend and 6 x 64 spectrum (power at scales 1, 3 and 4) for
-# sim_csv, 256 seeded standard normals scaled by 1e160, and 3000 seeded
-# normals with a growing spread around a slow sine
+# sim_csv, 256 seeded standard normals scaled by 1e160, 3000 seeded
+# normals with a growing spread around a slow sine, and 16 seeded normals
 _rng = random.Random(5)
 INPUTS = {
     "ragged_long.csv": "time,value\n0,1.5\n1,2.5,9\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
@@ -143,12 +159,14 @@ INPUTS = {
     "long.csv": "value\n" + "".join(
         f"{math.sin(t / 400) + (0.5 + t / 3000) * _rng.gauss(0.0, 1.0)!r}\n" for t in range(3000)
     ),
+    "short.csv": "value\n" + "".join(f"{_rng.gauss(0.0, 1.0)!r}\n" for _ in range(16)),
 }
 
 
 def out_dir(name: str, argv: list[str]) -> str:
-    """--out-dir of a case, relative to the working directory; sims write the inputs."""
-    return name.removeprefix("sim_") if argv[0] == "sim" else f"out/{name}"
+    """--out-dir of a case, relative to the working directory; sims write the
+    inputs and plots draw into the results they plot."""
+    return name.removeprefix("sim_") if argv[0] == "sim" else f"out/{PLOTTED.get(name, name)}"
 
 
 def run_case(src: Path, work: Path, name: str, argv: list[str]) -> tuple[int, str]:

@@ -31,6 +31,12 @@ class LacvEstimate:
 
     lacv: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        if self.lacv.ndim != 2 or self.lacv.shape[1] > self.lacv.shape[0]:
+            raise DimensionMismatch(
+                f"lacv of shape {self.lacv.shape} is not n x (lag_max + 1), lag_max < n"
+            )
+
     @property
     def lag_max(self) -> int:
         return self.lacv.shape[1] - 1
@@ -44,7 +50,8 @@ class LacvEstimate:
 
 
 def default_lag_max(n: int) -> int:
-    return int(math.floor(10.0 * math.log(n)))
+    """floor(10 ln n), capped at n - 1, the longest lag of a length-n series."""
+    return min(int(math.floor(10.0 * math.log(n))), n - 1)
 
 
 def lacv_from_spectrum(
@@ -56,7 +63,7 @@ def lacv_from_spectrum(
 
     Accepts a SpectrumEstimate, whose filter acw must share, or a plain
     (levels, n) matrix, which names no filter to check; lag_max, when given,
-    lies in 0..n - 1, and defaults to floor(10 ln n).
+    lies in 0..n - 1, and defaults to default_lag_max(n).
     """
     if isinstance(spectrum, SpectrumEstimate):
         if acw.filter.label != spectrum.filter.label:

@@ -76,6 +76,13 @@ def _text(x: float, y: float, s: str, anchor: str = "middle", size: int = 11) ->
     )
 
 
+def _line(x0: float, y0: float, x1: float, y1: float, stroke: str, width: float) -> str:
+    return (
+        f'<line x1="{_px(x0)}" y1="{_px(y0)}" x2="{_px(x1)}" y2="{_px(y1)}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
 def _frame(x0: float, y0: float, x1: float, y1: float) -> str:
     return (
         f'<rect x="{_px(x0)}" y="{_px(y0)}" width="{_px(x1 - x0)}" '
@@ -87,10 +94,7 @@ def _x_axis(sx: _Scale, y: float) -> list[str]:
     out = []
     for v in sx.ticks():
         px = float(sx(v))
-        out.append(
-            f'<line x1="{_px(px)}" y1="{_px(y)}" x2="{_px(px)}" y2="{_px(y + 4)}" '
-            f'stroke="{_AXIS_STROKE}" stroke-width="1"/>'
-        )
+        out.append(_line(px, y, px, y + 4, _AXIS_STROKE, 1))
         out.append(_text(px, y + 16, _num(v)))
     return out
 
@@ -99,10 +103,7 @@ def _y_axis(sy: _Scale, x: float) -> list[str]:
     out = []
     for v in sy.ticks():
         py = float(sy(v))
-        out.append(
-            f'<line x1="{_px(x - 4)}" y1="{_px(py)}" x2="{_px(x)}" y2="{_px(py)}" '
-            f'stroke="{_AXIS_STROKE}" stroke-width="1"/>'
-        )
+        out.append(_line(x - 4, py, x, py, _AXIS_STROKE, 1))
         out.append(_text(x - 7, py + 3.5, _num(v), anchor="end", size=10))
     return out
 
@@ -121,7 +122,6 @@ def trend_figure(
     trend: np.ndarray,
     ci_lo: np.ndarray | None = None,
     ci_hi: np.ndarray | None = None,
-    title: str = "trend estimate",
 ) -> str:
     """Data line, fitted trend, and a shaded band when an interval exists."""
     data = np.asarray(data, dtype=np.float64)
@@ -139,7 +139,7 @@ def trend_figure(
     sy = _Scale(*_padded_range(*ranged), pix_lo=y1, pix_hi=y0)
 
     t = np.arange(n)
-    body = [_text(_WIDTH / 2, 17, title, size=13)]
+    body = [_text(_WIDTH / 2, 17, "trend estimate", size=13)]
     if band:
         lo = np.asarray(ci_lo, dtype=np.float64)
         hi = np.asarray(ci_hi, dtype=np.float64)
@@ -156,7 +156,7 @@ def trend_figure(
     return _document(height, body)
 
 
-def spectrum_figure(S: np.ndarray, scaling: str = GLOBAL, title: str = "spectrum estimate") -> str:
+def spectrum_figure(S: np.ndarray, scaling: str = GLOBAL) -> str:
     """One stacked panel per scale, finest at the bottom.
 
     scaling="global" shares one vertical range across panels so power is
@@ -176,7 +176,7 @@ def spectrum_figure(S: np.ndarray, scaling: str = GLOBAL, title: str = "spectrum
     t = np.arange(n)
     global_lo, global_hi = _padded_range(S, np.zeros(1))
 
-    body = [_text(_WIDTH / 2, 17, f"{title} ({scaling} scaling)", size=13)]
+    body = [_text(_WIDTH / 2, 17, f"spectrum estimate ({scaling} scaling)", size=13)]
     for j in range(levels, 0, -1):
         row = S[j - 1]
         top = _TOP + (levels - j) * (panel_h + _PANEL_GAP)
@@ -187,10 +187,7 @@ def spectrum_figure(S: np.ndarray, scaling: str = GLOBAL, title: str = "spectrum
             lo, hi = _padded_range(row, np.zeros(1))
         sy = _Scale(lo, hi, bottom, top)
         zero_y = float(sy(0.0))
-        body.append(
-            f'<line x1="{_px(x0)}" y1="{_px(zero_y)}" x2="{_px(x1)}" y2="{_px(zero_y)}" '
-            f'stroke="{_ZERO_STROKE}" stroke-width="0.75"/>'
-        )
+        body.append(_line(x0, zero_y, x1, zero_y, _ZERO_STROKE, 0.75))
         body.append(_polyline(sx(t), sy(row), _TREND_STROKE, 1.2))
         body.append(_frame(x0, top, x1, bottom))
         body.append(_text(x0 - 8, (top + bottom) / 2 + 4, f"scale {j}", anchor="end", size=10))
@@ -201,7 +198,7 @@ def spectrum_figure(S: np.ndarray, scaling: str = GLOBAL, title: str = "spectrum
     return _document(height, body)
 
 
-def lacf_figure(lacv: np.ndarray, times: list[int], title: str = "local autocorrelation") -> str:
+def lacf_figure(lacv: np.ndarray, times: list[int]) -> str:
     """Needle plots of the autocorrelation at the requested time rows."""
     lacv = np.asarray(lacv, dtype=np.float64)
     if lacv.ndim != 2:
@@ -215,7 +212,7 @@ def lacf_figure(lacv: np.ndarray, times: list[int], title: str = "local autocorr
     x0, x1 = _LEFT, _WIDTH - _RIGHT
     sx = _Scale(0.0, float(lags - 1), x0, x1)
 
-    body = [_text(_WIDTH / 2, 17, title, size=13)]
+    body = [_text(_WIDTH / 2, 17, "local autocorrelation", size=13)]
     for i, t in enumerate(times):
         top = _TOP + i * (panel_h + _PANEL_GAP)
         bottom = top + panel_h
@@ -226,18 +223,12 @@ def lacf_figure(lacv: np.ndarray, times: list[int], title: str = "local autocorr
         hi = max(1.0, float(finite.max()) if finite.size else 1.0) + 0.05
         sy = _Scale(lo, hi, bottom, top)
         zero_y = float(sy(0.0))
-        body.append(
-            f'<line x1="{_px(x0)}" y1="{_px(zero_y)}" x2="{_px(x1)}" y2="{_px(zero_y)}" '
-            f'stroke="{_ZERO_STROKE}" stroke-width="0.75"/>'
-        )
+        body.append(_line(x0, zero_y, x1, zero_y, _ZERO_STROKE, 0.75))
         for lag in range(lags):
             if not np.isfinite(acf[lag]):
                 continue
             px = float(sx(lag))
-            body.append(
-                f'<line x1="{_px(px)}" y1="{_px(zero_y)}" x2="{_px(px)}" '
-                f'y2="{_px(float(sy(acf[lag])))}" stroke="{_NEEDLE_STROKE}" stroke-width="1.5"/>'
-            )
+            body.append(_line(px, zero_y, px, sy(acf[lag]), _NEEDLE_STROKE, 1.5))
         body.append(_frame(x0, top, x1, bottom))
         body.append(_text(x0 - 8, (top + bottom) / 2 + 4, f"t = {t}", anchor="end", size=10))
         body.extend(_y_axis(_Scale(lo, hi, bottom, top), x0) if i == 0 else [])

@@ -58,11 +58,7 @@ __all__ = [
 ]
 
 TrendLike = np.ndarray | Sequence[float] | Callable[[np.ndarray], np.ndarray] | None
-SpecLike = (
-    np.ndarray
-    | Mapping[int, object]
-    | Sequence[object]
-)
+SpecLike = np.ndarray | Mapping[int, object]
 
 
 def max_scales(n: int) -> int:
@@ -116,35 +112,24 @@ def _spec_row(entry, n: int) -> np.ndarray:
 def sample_spec(spec: SpecLike, n: int) -> np.ndarray:
     """Materialise a spectrum specification as a floor(log2 n) x n matrix.
 
-    Accepts a full matrix, a mapping {scale: row-or-callable} with one-based
-    scales, or a sequence with one entry per scale where None marks a scale
-    without power.
+    Accepts a mapping {scale: row-or-callable} with one-based scales, or
+    anything np.array reads as a floor(log2 n) x n matrix.
     """
     levels = max_scales(n)
-    if isinstance(spec, np.ndarray):
-        mat = np.asarray(spec, dtype=np.float64)
-        if mat.shape != (levels, n):
-            raise DimensionMismatch(
-                f"spectrum matrix must be {levels} x {n}, got {mat.shape}"
-            )
-        out = mat.copy()
-    elif isinstance(spec, Mapping):
+    if isinstance(spec, Mapping):
         out = np.zeros((levels, n))
         for scale, entry in spec.items():
             scale = check_integer(scale, "scale", 1, levels, DimensionMismatch)
             out[scale - 1] = _spec_row(entry, n)
-    elif isinstance(spec, Sequence):
-        if len(spec) != levels:
-            raise DimensionMismatch(
-                f"spectrum list must have {levels} entries, got {len(spec)}"
-            )
-        out = np.zeros((levels, n))
-        for idx, entry in enumerate(spec):
-            if entry is None:
-                continue
-            out[idx] = _spec_row(entry, n)
     else:
-        raise DimensionMismatch("unsupported spectrum specification")
+        try:
+            out = np.array(spec, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DimensionMismatch("unsupported spectrum specification") from None
+        if out.shape != (levels, n):
+            raise DimensionMismatch(
+                f"spectrum matrix must be {levels} x {n}, got {out.shape}"
+            )
     if not np.all(np.isfinite(out)):
         raise NegativeSpectrum("spectrum contains non-finite values")
     if np.any(out < 0):

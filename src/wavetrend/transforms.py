@@ -57,7 +57,6 @@ __all__ = [
     "crop_extension",
     "extend_rows",
     "extend_adjoint",
-    "extend_series",
     "ndwt_forward",
     "ndwt_average_basis",
     "dwt_forward",
@@ -110,7 +109,7 @@ class ExtensionDescriptor:
 
 
 def extension_descriptor(n: int, policy: str) -> ExtensionDescriptor:
-    """Where extend_series puts a length-n series."""
+    """Where extend_rows puts a length-n series in its extension (centred)."""
     if policy == TREND_REFLECT:
         target = next_pow2(2 * n)
         offset = (target - n) // 2
@@ -181,13 +180,6 @@ def extend_adjoint(b: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
     out = t[..., n - 1 :: -1] + t[..., n : 2 * n]
     out += t[..., : 2 * n - 1 : -1]
     return out
-
-
-def extend_series(x: np.ndarray, policy: str) -> tuple[np.ndarray, ExtensionDescriptor]:
-    """Extend a series to a dyadic length with the original segment centred."""
-    x = as_series(x, 2)
-    desc = extension_descriptor(x.size, policy)
-    return extend_rows(x, desc), desc
 
 
 @dataclass(frozen=True)

@@ -424,12 +424,11 @@ def analytic_ci(
             f"analytic interval refused for n = {n} > {_ANALYTIC_MAX_N}; "
             "use bootstrap_ci instead"
         )
-    lags = min(lacv.lag_max, n - 1)
-    weighted = 2.0 * c[:, : lags + 1]  # w_d folded in once; scaling by 2 is exact
+    weighted = 2.0 * c  # w_d folded in once; scaling by 2 is exact
     weighted[:, 0] = c[:, 0]
     u, v = _operator_factors(trend)
     z = np.zeros_like(v)
-    for d in range(lags + 1):
+    for d in range(lacv.lag_max + 1):
         acc = z[:, : n - d]
         acc += v[:, d:] * weighted[d:, d]
     g = np.einsum("ks,ls->kl", v, z)

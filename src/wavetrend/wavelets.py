@@ -75,10 +75,9 @@ def support_length(filter_length: int, level: int) -> int:
 
 @dataclass(frozen=True)
 class DiscreteWavelet:
-    """Cascade vectors psi_j for levels 1..levels."""
+    """Cascade vectors psi_1, psi_2, ..."""
 
     filter: WaveletFilter
-    levels: int
     vectors: tuple[np.ndarray, ...] = field(repr=False)
 
     def psi(self, level: int) -> np.ndarray:
@@ -93,8 +92,11 @@ class AutocorrelationWavelet:
     """
 
     filter: WaveletFilter
-    levels: int
     values: tuple[np.ndarray, ...] = field(repr=False)
+
+    @property
+    def levels(self) -> int:
+        return len(self.values)
 
     def radius(self, level: int) -> int:
         return (self.values[level - 1].size - 1) // 2
@@ -132,17 +134,14 @@ def _cascade(first: np.ndarray, kernel: np.ndarray, levels: int) -> tuple[np.nda
 def discrete_wavelets(filt: WaveletFilter, levels: int) -> DiscreteWavelet:
     """Build psi_1..psi_levels by the cascade."""
     psis = _cascade(filt.highpass.copy(), filt.lowpass, levels)
-    for j, v in enumerate(psis, start=1):
-        if v.size != support_length(filt.length, j):
-            raise AssertionError("cascade produced an unexpected length")
-    return DiscreteWavelet(filter=filt, levels=levels, vectors=psis)
+    return DiscreteWavelet(filter=filt, vectors=psis)
 
 
 def autocorrelation_wavelets(filt: WaveletFilter, levels: int) -> AutocorrelationWavelet:
     """Psi_1..Psi_levels by their own two-scale cascade (module docstring)."""
     g, h = filt.highpass, filt.lowpass
     rows = _cascade(np.convolve(g, g[::-1]), np.convolve(h, h[::-1]), levels)
-    return AutocorrelationWavelet(filter=filt, levels=levels, values=rows)
+    return AutocorrelationWavelet(filter=filt, values=rows)
 
 
 def _overlaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:

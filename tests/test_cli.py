@@ -402,6 +402,16 @@ def test_lag_max_past_series_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "lacv.csv").exists()
 
 
+def test_default_lag_max_stops_at_last_lag_of_short_series(tmp_path):
+    # floor(10 ln 16) = 27 is past 15, the last lag of a 16-point series
+    src = tmp_path / "series.csv"
+    write_series_csv(src, np.random.default_rng(32).standard_normal(16))
+    assert run("lacf", src, "--out-dir", tmp_path / "out") == 0
+    lacv = np.loadtxt(tmp_path / "out" / "lacv.csv", delimiter=",", ndmin=2)
+    assert lacv.shape == (16, 16)
+    assert json.loads((tmp_path / "out" / "metadata.json").read_text())["lacv"]["lag_max"] == 15
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "{src}", "--ci", "normal", "--reps", 40, "--seed", -1),
     ("sim", "--scenario", "x1", "--seed", -3),

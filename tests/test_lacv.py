@@ -8,7 +8,7 @@ import pytest
 
 from wavetrend.errors import DimensionMismatch, MatrixMismatch
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
-from wavetrend.lacv import default_lag_max, lacv_from_spectrum
+from wavetrend.lacv import LacvEstimate, default_lag_max, lacv_from_spectrum
 from wavetrend.spectrum import estimate_spectrum
 from wavetrend.wavelets import autocorrelation_wavelets, support_length
 
@@ -18,6 +18,21 @@ HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
 def test_default_lag_max_natural_log():
     assert default_lag_max(512) == 62
     assert default_lag_max(1024) == 69
+
+
+@pytest.mark.parametrize("n,want", [(2, 1), (16, 15), (35, 34), (36, 35), (37, 36), (40, 36)])
+def test_default_lag_max_stops_at_the_last_lag(n, want):
+    # floor(10 ln n) is below n, so a lag of the series, from n = 36 on
+    assert default_lag_max(n) == want
+    acw = autocorrelation_wavelets(HAAR, 1)
+    assert lacv_from_spectrum(np.ones((1, n)), acw).lag_max == want
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 9), (2, 3, 2)])
+def test_estimate_refuses_lags_past_its_rows(shape):
+    with pytest.raises(DimensionMismatch, match="lag_max < n"):
+        LacvEstimate(np.ones(shape))
+    assert LacvEstimate(np.ones((8, 8))).lag_max == 7
 
 
 def test_haar_single_scale_values():

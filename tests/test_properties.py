@@ -16,7 +16,8 @@ from wavetrend.transforms import (
     TREND_REFLECT,
     dwt_forward,
     dwt_inverse,
-    extend_series,
+    extend_rows,
+    extension_descriptor,
 )
 from wavetrend.trend import HARD, SOFT, threshold
 from wavetrend.wavelets import a_matrix, autocorrelation_wavelets, difference_series
@@ -81,7 +82,8 @@ def test_dwt_reconstructs_any_dyadic_series(x, choice, data):
 @settings(max_examples=40, deadline=None)
 @given(x=series(2, 100), policy=st.sampled_from([TREND_REFLECT, SYMMETRIC_TRIPLE]))
 def test_extension_window_round_trips(x, policy):
-    ext, desc = extend_series(x, policy)
+    desc = extension_descriptor(x.size, policy)
+    ext = extend_rows(x, desc)
     assert np.array_equal(ext[desc.window()], x)
     assert ext.size == desc.extended_length
 

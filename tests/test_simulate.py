@@ -112,6 +112,28 @@ def test_matrix_spec_validation():
         tlsw_sim(trend=lambda z: z, spec={1: lambda z: 1.0})  # n unknown
 
 
+def test_nested_list_spectrum_matches_ndarray():
+    spec = np.abs(np.random.default_rng(6).standard_normal((4, 16)))
+    assert np.array_equal(sample_spec(spec.tolist(), 16), sample_spec(spec, 16))
+    want = tlsw_sim(spec=spec, seed=9)
+    assert tlsw_sim(spec=spec.tolist(), n=16, seed=9).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    [np.ones(16), None, None, None],  # one entry per scale, None for no power
+    [None] * 4,
+    [lambda z: np.ones(z.size)] * 4,
+    [np.ones(16), lambda z: np.ones(z.size), np.ones(16), np.ones(16)],
+    "spectrum",
+    "1.5",
+], ids=["none-row", "all-none", "callables", "callable-row", "string", "number-string"])
+def test_non_matrix_spectrum_rejected(spec):
+    with pytest.raises(DimensionMismatch):
+        sample_spec(spec, 16)
+    with pytest.raises(DimensionMismatch):
+        tlsw_sim(spec=spec, n=16, seed=0)
+
+
 def test_nonfinite_trend_rejected():
     n = 16
     trend = np.zeros(n)

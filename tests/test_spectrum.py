@@ -24,7 +24,7 @@ from wavetrend.spectrum import (
     smooth_periodogram,
     wavelet_periodogram,
 )
-from wavetrend.transforms import TREND_REFLECT, extend_series, ndwt_forward
+from wavetrend.transforms import TREND_REFLECT, extend_rows, extension_descriptor, ndwt_forward
 from wavetrend.wavelets import a_matrix, autocorrelation_wavelets, d_matrix, difference_series
 
 EP4 = wavelet_filter(EXTREMAL_PHASE, 4)
@@ -354,7 +354,8 @@ def uncropped_periodogram(x, filt, levels, diff):
     """The raw periodogram from a transform of the whole trend-reflect extension."""
     n = x.size
     lag, order = (0, 0) if diff is None else diff
-    y, desc = extend_series(x, TREND_REFLECT)
+    desc = extension_descriptor(n, TREND_REFLECT)
+    y = extend_rows(x, desc)
     if order:
         y = difference_series(y, lag, order)
     start = desc.offset - lag * order // 2

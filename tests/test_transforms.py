@@ -18,7 +18,6 @@ from wavetrend.transforms import (
     dwt_inverse,
     extend_adjoint,
     extend_rows,
-    extend_series,
     extension_descriptor,
     ndwt_average_basis,
     ndwt_forward,
@@ -120,7 +119,8 @@ def test_ndwt_matches_cascade_wavelets(number, family, n):
 
 def test_extend_trend_reflect():
     x = np.arange(10.0)
-    ext, desc = extend_series(x, TREND_REFLECT)
+    desc = extension_descriptor(x.size, TREND_REFLECT)
+    ext = extend_rows(x, desc)
     assert desc.extended_length == next_pow2(20) == ext.size
     assert np.allclose(ext[desc.window()], x, atol=0)
     # odd reflection continues the local slope across the seam
@@ -130,7 +130,8 @@ def test_extend_trend_reflect():
 
 def test_extend_symmetric_triple():
     x = np.arange(12.0)
-    ext, desc = extend_series(x, SYMMETRIC_TRIPLE)
+    desc = extension_descriptor(x.size, SYMMETRIC_TRIPLE)
+    ext = extend_rows(x, desc)
     assert desc.extended_length == next_pow2(36)
     assert np.allclose(ext[desc.window()], x, atol=0)
     assert ext[desc.offset - 1] == x[0]  # mirrored copy sits to the left
@@ -214,8 +215,7 @@ def test_no_extension_is_the_identity_without_a_copy():
     x = np.arange(30.0).reshape(3, 10)
     assert extend_rows(x, desc) is x
     assert extend_adjoint(x, desc) is x
-    ext, _ = extend_series(x[0], NO_EXTENSION)
-    assert np.shares_memory(ext, x)
+    assert np.shares_memory(extend_rows(x[0], desc), x)
 
 
 def test_extend_adjoint_rejects_other_policies():

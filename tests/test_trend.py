@@ -10,6 +10,7 @@ import pytest
 
 import wavetrend
 from wavetrend.errors import (
+    DimensionMismatch,
     MatrixMismatch,
     MethodMismatch,
     MissingSpectrum,
@@ -452,7 +453,7 @@ def dense_half_widths(fit, lv, alpha=0.05):
     """Analytic half-widths from the dense operator, pair sums lag by lag."""
     rows, c, n = _linear_operator(fit), lv.lacv, fit.length
     var = np.zeros(n)
-    for d in range(min(lv.lag_max, n - 1) + 1):
+    for d in range(lv.lag_max + 1):
         pair = (rows[:, : n - d] * rows[:, d:]) @ c[d:, d]
         var += pair if d == 0 else 2.0 * pair
     return NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(np.maximum(var, 0.0))
@@ -467,10 +468,11 @@ def test_analytic_half_widths_match_dense_formula(n, boundary, lag_max):
     spectrum = np.abs(rng.standard_normal((5, n)))
     acw = autocorrelation_wavelets(EP4, 5)
     if lag_max == "n":
-        # lacv_from_spectrum refuses lags of n or more; a hand-built estimate can hold them
-        lv = LacvEstimate(spectrum.T @ acw.window(5, n + 3)[:, n + 3 :])
-    else:
-        lv = lacv_from_spectrum(spectrum, acw, lag_max=lag_max)
+        # every lag of the series; an estimate with lags of n or more is refused
+        with pytest.raises(DimensionMismatch, match="lag_max < n"):
+            LacvEstimate(spectrum.T @ acw.window(5, n)[:, n:])
+        lag_max = n - 1
+    lv = lacv_from_spectrum(spectrum, acw, lag_max=lag_max)
     out = analytic_ci(fit, lv)
     half = dense_half_widths(fit, lv)
     assert np.array_equal(out.values, fit.values)
