@@ -38,6 +38,9 @@ CASES = [
     # numeric trend and spectrum from CSV with a non-default filter
     ("sim_csv", ["sim", "--trend-csv", "trend.csv", "--spec-csv", "spec.csv",
                  "--filter-number", "2", "--seed", "11"]),
+    # n read from the spectrum matrix alone, and a pure trend with no spectrum
+    ("sim_spec_only", ["sim", "--spec-csv", "spec.csv", "--seed", "12"]),
+    ("sim_trend_only", ["sim", "--trend-csv", "trend.csv"]),
     # bootstrap and analytic settings of the blocked bootstrap
     ("x2_nonlinear_diff_normal", ["analyze", X2, "--est-type", "nonlinear", "--diff", "1",
                                   "--ci", "normal", "--reps", "200"]),
@@ -146,7 +149,7 @@ PLOTTED = {
 
 # input files: series with a row wider or narrower than the first, a
 # length-64 trend and 6 x 64 spectrum (power at scales 1, 3 and 4) for
-# sim_csv, 256 seeded standard normals scaled by 1e160, 3000 seeded
+# the sim_csv, sim_spec_only and sim_trend_only cases, 256 seeded standard normals scaled by 1e160, 3000 seeded
 # normals with a growing spread around a slow sine, and 16 seeded normals
 _rng = random.Random(5)
 INPUTS = {

@@ -48,10 +48,6 @@ class DimensionMismatch(WavetrendError):
     """Array arguments have incompatible shapes."""
 
 
-class NonDyadicFunctionalSpec(WavetrendError):
-    """Functional trend/spectrum inputs require a power-of-two length."""
-
-
 class InvalidBinwidth(WavetrendError):
     """Smoothing window must be odd, positive and shorter than the series."""
 

@@ -26,19 +26,16 @@ import numpy as np
 
 from .errors import UnsupportedFilter, check_integer
 
-__all__ = ["WaveletFilter", "wavelet_filter", "FAMILIES", "family_orders"]
+__all__ = ["WaveletFilter", "wavelet_filter", "family_orders"]
 
 EXTREMAL_PHASE = "extremal_phase"
 LEAST_ASYMMETRIC = "least_asymmetric"
-FAMILIES = (EXTREMAL_PHASE, LEAST_ASYMMETRIC)
 
-# accepted spellings for each family, lower-cased before lookup
+# accepted spellings for each family, lower-cased and without "_", "-" or spaces
 _FAMILY_ALIASES = {
-    "extremal_phase": EXTREMAL_PHASE,
     "extremalphase": EXTREMAL_PHASE,
     "daubexphase": EXTREMAL_PHASE,
     "ep": EXTREMAL_PHASE,
-    "least_asymmetric": LEAST_ASYMMETRIC,
     "leastasymmetric": LEAST_ASYMMETRIC,
     "daubleasymm": LEAST_ASYMMETRIC,
     "la": LEAST_ASYMMETRIC,
@@ -354,12 +351,10 @@ class WaveletFilter:
 
 def canonical_family(family: str) -> str:
     """Resolve a family spelling to its canonical name."""
-    key = str(family).replace("-", "_").replace(" ", "_").lower()
-    key_compact = key.replace("_", "")
-    for probe in (key, key_compact):
-        if probe in _FAMILY_ALIASES:
-            return _FAMILY_ALIASES[probe]
-    raise UnsupportedFilter(f"unknown wavelet family {family!r}")
+    key = "".join(c for c in str(family).lower() if c not in "_- ")
+    if key not in _FAMILY_ALIASES:
+        raise UnsupportedFilter(f"unknown wavelet family {family!r}")
+    return _FAMILY_ALIASES[key]
 
 
 def family_orders(family: str) -> tuple[int, ...]:

@@ -11,9 +11,10 @@ floor(log2 n) available scales.  The sum over k is circular, which keeps
 Var(X_t) = sum_j S_j exactly at every t.
 
 Trend and spectrum may be given numerically (a length-n vector, a J x n
-matrix) or functionally (callables on rescaled time).  Functional inputs are
-evaluated on the midpoint grid z = (k + 0.5) / n and require n to be a power
-of two; numeric inputs allow any length.
+matrix) or functionally (callables on rescaled time), at any length n.
+Functional inputs are evaluated on the midpoint grid z = (k + 0.5) / n.
+Without n, tlsw_sim reads it from a spectrum matrix, else from a numeric
+trend.
 
 Innovations are drawn one scale at a time (outer loop over scales, inner
 over time) from a single generator seeded once, and every scale row draws
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NegativeSpectrum,
-    NonDyadicFunctionalSpec,
     SeriesTooShort,
     WavetrendError,
     check_integer,
@@ -70,25 +70,18 @@ def gaussian_innovations(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size)
 
 
-def _midpoints(n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) / n
-
-
-def _require_dyadic(n: int, what: str) -> None:
-    if n & (n - 1):
-        raise NonDyadicFunctionalSpec(
-            f"functional {what} inputs need a power-of-two length, got {n}"
-        )
+def _on_grid(values, n: int) -> np.ndarray:
+    """values as float64; a callable is evaluated on the midpoint grid (k + 0.5) / n."""
+    if callable(values):
+        values = values((np.arange(n) + 0.5) / n)
+    return np.asarray(values, dtype=np.float64)
 
 
 def sample_trend(trend: TrendLike, n: int) -> np.ndarray:
     """Trend values on the length-n grid; None means no trend."""
     if trend is None:
         return np.zeros(n)
-    if callable(trend):
-        _require_dyadic(n, "trend")
-        trend = trend(_midpoints(n))
-    vals = np.asarray(trend, dtype=np.float64)
+    vals = _on_grid(trend, n)
     if vals.shape != (n,):
         raise DimensionMismatch(f"trend has shape {vals.shape}, series has length {n}")
     if not np.isfinite(vals).all():
@@ -97,13 +90,9 @@ def sample_trend(trend: TrendLike, n: int) -> np.ndarray:
 
 
 def _spec_row(entry, n: int) -> np.ndarray:
-    if callable(entry):
-        _require_dyadic(n, "spectrum")
-        row = np.asarray(entry(_midpoints(n)), dtype=np.float64)
-    else:
-        row = np.asarray(entry, dtype=np.float64)
-        if row.ndim == 0:
-            row = np.full(n, float(row))
+    row = _on_grid(entry, n)
+    if row.ndim == 0 and not callable(entry):
+        row = np.full(n, float(row))
     if row.shape != (n,):
         raise DimensionMismatch("spectrum rows must have the series length")
     return row
@@ -206,19 +195,23 @@ def tlsw_sim(
 ) -> np.ndarray:
     """Draw one realisation of trend plus locally stationary wavelet noise.
 
-    n may be omitted when it is implied by a vector trend or a matrix
-    spectrum.  spec=None simulates pure trend.  seed is None, a nonnegative
+    n may be omitted when a spectrum matrix or else a numeric trend implies
+    it.  spec=None simulates pure trend.  seed is None, a nonnegative
     integer or a SeedSequence.
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = check_seed(seed)
-    if n is None:
-        if isinstance(spec, np.ndarray):
-            n = spec.shape[1]
+    if n is None:  # from a spectrum matrix, else from a numeric trend
+        try:
+            shape = np.shape(spec)
+        except ValueError:  # ragged nested lists
+            shape = ()
+        if len(shape) == 2:
+            n = shape[1]
         elif trend is not None and not callable(trend):
             n = len(trend)
         else:
-            raise DimensionMismatch("series length n is required for functional inputs")
+            raise DimensionMismatch("give n: the spectrum is not a matrix, the trend not numeric")
     n = check_integer(n, "simulation length", 8, error=SeriesTooShort)
     trend_vals = sample_trend(trend, n)
     if spec is None:

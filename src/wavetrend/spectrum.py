@@ -69,7 +69,7 @@ class SmootherConfig:
     """Time-direction smoother for periodogram rows; the none kind reads no binwidth."""
 
     kind: str = MEAN
-    binwidth: int | None = 15
+    binwidth: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _SMOOTHERS:
@@ -97,10 +97,6 @@ class Periodogram:
     @property
     def levels(self) -> int:
         return self.raw.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.raw.shape[1]
 
     def values(self) -> np.ndarray:
         return self.raw if self.smoothed is None else self.smoothed

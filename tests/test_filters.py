@@ -53,7 +53,13 @@ def test_family_aliases_resolve():
     assert canonical_family("DaubExPhase") == EXTREMAL_PHASE
     assert canonical_family("DaubLeAsymm") == LEAST_ASYMMETRIC
     assert canonical_family("least-asymmetric") == LEAST_ASYMMETRIC
+    assert canonical_family("extremal_phase") == EXTREMAL_PHASE
+    assert canonical_family("Least Asymmetric") == LEAST_ASYMMETRIC
+    assert canonical_family("daub-ex-phase") == EXTREMAL_PHASE
+    assert canonical_family("LA") == LEAST_ASYMMETRIC
     assert wavelet_filter("DaubExPhase", 4).label == "extremal_phase:4"
+    with pytest.raises(UnsupportedFilter):
+        canonical_family("haar")
 
 
 def test_supported_ranges():

@@ -6,7 +6,6 @@ import pytest
 from wavetrend.errors import (
     DimensionMismatch,
     NegativeSpectrum,
-    NonDyadicFunctionalSpec,
     WavetrendError,
 )
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
@@ -116,7 +115,16 @@ def test_nested_list_spectrum_matches_ndarray():
     spec = np.abs(np.random.default_rng(6).standard_normal((4, 16)))
     assert np.array_equal(sample_spec(spec.tolist(), 16), sample_spec(spec, 16))
     want = tlsw_sim(spec=spec, seed=9)
-    assert tlsw_sim(spec=spec.tolist(), n=16, seed=9).tobytes() == want.tobytes()
+    assert tlsw_sim(spec=spec.tolist(), seed=9).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [np.ones(16), [[1.0] * 16, [1.0] * 8, [1.0] * 16, [1.0] * 16]],
+                         ids=["one-dimensional", "ragged"])
+def test_spectrum_without_matrix_shape_needs_n(spec):
+    # n is read from a spectrum only when it is a matrix; a vector or a ragged
+    # list is refused as a dimension error, not an IndexError or ValueError
+    with pytest.raises(DimensionMismatch):
+        tlsw_sim(spec=spec, seed=0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -159,9 +167,19 @@ def test_numpy_integer_seed_accepted():
     assert np.array_equal(tlsw_sim(spec=spec, seed=np.int64(4)), tlsw_sim(spec=spec, seed=4))
 
 
-def test_functional_spec_needs_dyadic_length():
-    with pytest.raises(NonDyadicFunctionalSpec):
-        tlsw_sim(spec={1: lambda z: 1.0}, n=100)
+@pytest.mark.parametrize("n", [100, 1000])
+def test_functional_inputs_at_any_length(n):
+    # callables are evaluated on (k + 0.5) / n, so they give the bytes of
+    # their values passed as numbers, at non-dyadic n too
+    z = (np.arange(n) + 0.5) / n
+    trend = lambda v: np.sin(2 * np.pi * v)  # noqa: E731
+    rows = {1: lambda v: 1 + v, 3: lambda v: 2 - v**2, 4: 0.5}
+    numeric = {1: 1 + z, 3: 2 - z**2, 4: 0.5}
+    want = tlsw_sim(trend=trend(z), spec=numeric, seed=3)
+    got = tlsw_sim(trend=trend, spec=rows, n=n, seed=3)
+    assert got.tobytes() == want.tobytes()
+    assert sample_trend(trend, n).tobytes() == trend(z).tobytes()
+    assert sample_spec(rows, n).tobytes() == sample_spec(numeric, n).tobytes()
 
 
 def test_custom_innovations():

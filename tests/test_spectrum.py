@@ -94,6 +94,14 @@ def test_smoother_validation():
         SmootherConfig(kind="boxcar", binwidth=5)
 
 
+def test_running_smoother_needs_a_binwidth():
+    # SmootherConfig carries no default binwidth; estimate_spectrum picks one
+    pgram = wavelet_periodogram(np.ones(32), EP4, 2)
+    assert SmootherConfig(MEAN).binwidth is None
+    with pytest.raises(InvalidBinwidth, match="got None"):
+        smooth_periodogram(pgram, SmootherConfig(MEAN))
+
+
 def test_mean_smoother_constant_row():
     pgram = Periodogram(raw=np.full((2, 64), 3.25), filter=EP4)
     for kind in (MEAN, "epan"):
