@@ -110,6 +110,9 @@ CASES = [
     ("x2_spec_la8_order2", ["spec", X2, "--s-family", "la", "--s-filter-number", "8",
                             "--s-do-diff", "--s-diff-number", "2"]),
     ("x1_lacf_lag30", ["lacf", X1, "--lag-max", "30"]),
+    # lacv from the Psi table of a non-default spectrum filter, with order-2 differencing
+    ("x2_lacf_la8_order2", ["lacf", X2, "--s-family", "la", "--s-filter-number", "8",
+                            "--s-do-diff", "--s-diff-number", "2"]),
     # the default lag_max of a 16-value series: floor(10 ln 16) = 27 capped at 15
     ("short_lacf", ["lacf", "short.csv"]),
     # figures, each drawn into the results of the case PLOTTED names

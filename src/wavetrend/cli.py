@@ -52,7 +52,6 @@ from .trend import (
     bootstrap_ci,
     estimate_trend,
 )
-from .wavelets import autocorrelation_wavelets
 
 _TRANSFORMS = {"dec": DECIMATED, "nondec": NONDECIMATED}
 _CI_TYPES = {"analytic": ANALYTIC, "normal": BOOT_NORMAL, "percentile": BOOT_PERCENTILE}
@@ -185,11 +184,6 @@ def _spectrum_meta(est: SpectrumEstimate) -> dict:
     }
 
 
-def _lacv_for(args: argparse.Namespace, spectrum: SpectrumEstimate):
-    acw = autocorrelation_wavelets(spectrum.filter, spectrum.levels)
-    return lacv_from_spectrum(spectrum, acw, lag_max=args.lag_max)
-
-
 def _fit_trend(args: argparse.Namespace, x: np.ndarray, spectrum: SpectrumEstimate | None):
     """Trend fit with its interval, if asked; the analytic interval also yields the lacv."""
     config = EstimatorConfig(
@@ -206,7 +200,7 @@ def _fit_trend(args: argparse.Namespace, x: np.ndarray, spectrum: SpectrumEstima
         return fit, None
     ci = _CI_TYPES[args.t_ci_type]
     if ci == ANALYTIC:
-        lacv = _lacv_for(args, spectrum)
+        lacv = lacv_from_spectrum(spectrum, lag_max=args.lag_max)
         return analytic_ci(fit, lacv, alpha=args.t_sig_lvl), lacv
     fit = bootstrap_ci(
         fit, spectrum, reps=args.t_reps, alpha=args.t_sig_lvl, ci_type=ci, seed=args.seed
@@ -304,7 +298,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     if "trend" in writes:
         fit, lacv = _fit_trend(args, x, spectrum)
     if "lacv" in writes and lacv is None:
-        lacv = _lacv_for(args, spectrum)
+        lacv = lacv_from_spectrum(spectrum, lag_max=args.lag_max)
 
     meta = {
         "command": args.command,

@@ -37,7 +37,7 @@ class NonDyadicLength(WavetrendError):
 
 
 class ModeMismatch(WavetrendError):
-    """Coefficient pyramid was produced by a different transform mode."""
+    """Unknown transform mode or extension policy, or a pyramid of another mode."""
 
 
 class NegativeSpectrum(WavetrendError):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import UnsupportedFilter, check_integer
 
-__all__ = ["WaveletFilter", "wavelet_filter", "family_orders"]
+__all__ = ["WaveletFilter", "wavelet_filter"]
 
 EXTREMAL_PHASE = "extremal_phase"
 LEAST_ASYMMETRIC = "least_asymmetric"
@@ -355,11 +355,6 @@ def canonical_family(family: str) -> str:
     if key not in _FAMILY_ALIASES:
         raise UnsupportedFilter(f"unknown wavelet family {family!r}")
     return _FAMILY_ALIASES[key]
-
-
-def family_orders(family: str) -> tuple[int, ...]:
-    """Orders available for a family."""
-    return tuple(sorted(_TABLES[canonical_family(family)]))
 
 
 def _mirror_highpass(h: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 The local autocovariance at rescaled time z and lag tau is the spectrum
 mixed through the autocorrelation wavelets, c(z, tau) =
-sum_j S_j(z) Psi_j(tau).  Negative or zero variance estimates can occur
-because the spectrum correction is unconstrained; the autocorrelation is
-then reported as NaN for that time point rather than failing the run.
+sum_j S_j(z) Psi_j(tau) over the filter and depth of the spectrum estimate.
+Negative or zero variance estimates can occur because the spectrum
+correction is unconstrained; the autocorrelation is then reported as NaN
+for that time point rather than failing the run.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MatrixMismatch, check_integer
+from .errors import DimensionMismatch, MatrixMismatch, WavetrendError, check_integer
 from .spectrum import SpectrumEstimate
 from .transforms import _BLOCK_ELEMENTS
-from .wavelets import AutocorrelationWavelet
+from .wavelets import AutocorrelationWavelet, autocorrelation_wavelets
 
 
 @dataclass(frozen=True)
@@ -56,22 +57,26 @@ def default_lag_max(n: int) -> int:
 
 def lacv_from_spectrum(
     spectrum: SpectrumEstimate | np.ndarray,
-    acw: AutocorrelationWavelet,
+    acw: AutocorrelationWavelet | None = None,
     lag_max: int | None = None,
 ) -> LacvEstimate:
     """Mix a spectrum matrix into autocovariance via Psi_j(tau).
 
-    Accepts a SpectrumEstimate, whose filter acw must share, or a plain
-    (levels, n) matrix, which names no filter to check; lag_max, when given,
-    lies in 0..n - 1, and defaults to default_lag_max(n).
+    Accepts a SpectrumEstimate, whose filter and depth fix acw when it is
+    omitted and whose filter a given acw must share, or a plain (levels, n)
+    matrix, which needs acw; lag_max lies in 0..n - 1 (default_lag_max(n)).
     """
     if isinstance(spectrum, SpectrumEstimate):
-        if acw.filter.label != spectrum.filter.label:
+        if acw is None:
+            acw = autocorrelation_wavelets(spectrum.filter, spectrum.levels)
+        elif acw.filter.label != spectrum.filter.label:
             raise MatrixMismatch(
                 f"autocorrelation wavelets of {acw.filter.label} "
                 f"for a spectrum estimated with {spectrum.filter.label}"
             )
         S = spectrum.S
+    elif acw is None:
+        raise WavetrendError("a plain spectrum matrix needs its autocorrelation wavelets")
     else:
         S = np.asarray(spectrum)
     if S.ndim != 2:

@@ -13,8 +13,8 @@ Var(X_t) = sum_j S_j exactly at every t.
 Trend and spectrum may be given numerically (a length-n vector, a J x n
 matrix) or functionally (callables on rescaled time), at any length n.
 Functional inputs are evaluated on the midpoint grid z = (k + 0.5) / n.
-Without n, tlsw_sim reads it from a spectrum matrix, else from a numeric
-trend.
+Without n, tlsw_sim reads it from a spectrum matrix, else from a trend
+vector.
 
 Innovations are drawn one scale at a time (outer loop over scales, inner
 over time) from a single generator seeded once, and every scale row draws
@@ -44,7 +44,7 @@ from .errors import (
     check_integer,
 )
 from .filters import WaveletFilter, wavelet_filter
-from .wavelets import DiscreteWavelet, discrete_wavelets
+from .wavelets import discrete_wavelets
 from .transforms import centre_shift
 
 __all__ = [
@@ -74,11 +74,23 @@ def _on_grid(values, n: int) -> np.ndarray:
     """values as float64; a callable is evaluated on the midpoint grid (k + 0.5) / n."""
     if callable(values):
         values = values((np.arange(n) + 0.5) / n)
-    return np.asarray(values, dtype=np.float64)
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise WavetrendError(f"trend and spectrum values must be numbers: {exc}") from None
+
+
+def _shape(values) -> tuple[int, ...]:
+    """np.shape of values; () for ragged nested lists."""
+    try:
+        return np.shape(values)
+    except ValueError:
+        return ()
 
 
 def sample_trend(trend: TrendLike, n: int) -> np.ndarray:
     """Trend values on the length-n grid; None means no trend."""
+    n = check_integer(n, "series length", 1, error=SeriesTooShort)
     if trend is None:
         return np.zeros(n)
     vals = _on_grid(trend, n)
@@ -126,11 +138,10 @@ def sample_spec(spec: SpecLike, n: int) -> np.ndarray:
     return out
 
 
-def synthesis_kernel(dw: DiscreteWavelet, level: int, n: int) -> np.ndarray:
-    """psi_level folded onto the circular length-n grid, centre aligned."""
-    psi = dw.psi(level)
+def synthesis_kernel(psi: np.ndarray, filter_length: int, level: int, n: int) -> np.ndarray:
+    """psi_level of a filter_length-tap filter on the circular length-n grid, centred."""
     kernel = np.zeros(n)
-    pos = (np.arange(psi.size) - centre_shift(dw.filter.length, level)) % n
+    pos = (np.arange(psi.size) - centre_shift(filter_length, level)) % n
     np.add.at(kernel, pos, psi)
     return kernel
 
@@ -156,10 +167,10 @@ class NoisePlan:
     def build(cls, spec: SpecLike, n: int, filt: WaveletFilter) -> "NoisePlan":
         """Plan for spec (anything sample_spec accepts) on the length-n grid."""
         amplitude = np.sqrt(sample_spec(spec, n))
-        dw = discrete_wavelets(filt, amplitude.shape[0])
+        psis = discrete_wavelets(filt, amplitude.shape[0])
         kernels = tuple(
-            np.fft.rfft(synthesis_kernel(dw, j, n)) if row.any() else None
-            for j, row in enumerate(amplitude, start=1)
+            np.fft.rfft(synthesis_kernel(psi, filt.length, j, n)) if row.any() else None
+            for j, (psi, row) in enumerate(zip(psis, amplitude), start=1)
         )
         return cls(amplitude=amplitude, kernels=kernels)
 
@@ -195,23 +206,17 @@ def tlsw_sim(
 ) -> np.ndarray:
     """Draw one realisation of trend plus locally stationary wavelet noise.
 
-    n may be omitted when a spectrum matrix or else a numeric trend implies
+    n may be omitted when a spectrum matrix or else a trend vector implies
     it.  spec=None simulates pure trend.  seed is None, a nonnegative
     integer or a SeedSequence.
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = check_seed(seed)
-    if n is None:  # from a spectrum matrix, else from a numeric trend
-        try:
-            shape = np.shape(spec)
-        except ValueError:  # ragged nested lists
-            shape = ()
-        if len(shape) == 2:
-            n = shape[1]
-        elif trend is not None and not callable(trend):
-            n = len(trend)
-        else:
-            raise DimensionMismatch("give n: the spectrum is not a matrix, the trend not numeric")
+    if n is None:  # from a spectrum matrix, else from a one dimensional trend
+        spec_shape, trend_shape = _shape(spec), _shape(trend)
+        if len(spec_shape) != 2 and len(trend_shape) != 1:
+            raise DimensionMismatch("give n: the spectrum is not a matrix, the trend not a vector")
+        n = spec_shape[1] if len(spec_shape) == 2 else trend_shape[0]
     n = check_integer(n, "simulation length", 8, error=SeriesTooShort)
     trend_vals = sample_trend(trend, n)
     if spec is None:

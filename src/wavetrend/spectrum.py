@@ -292,23 +292,15 @@ def correct_periodogram(pgram: Periodogram) -> SpectrumEstimate:
     A finite periodogram can still overflow in the smoothing sums or the
     unmixing; that raises WavetrendError instead of returning non-finite S.
     """
-    correction = correction_for(pgram.filter, pgram.levels, pgram.diff)
+    acw = autocorrelation_wavelets(pgram.filter, pgram.levels)
+    if pgram.diff is None:
+        correction = a_matrix(acw, pgram.levels)
+    else:
+        correction = d_matrix(acw, pgram.levels, *pgram.diff)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as one error just below
         S = correction.inverse @ pgram.values()
     _check_finite(S, "spectrum")
     return SpectrumEstimate(S=S, periodogram=pgram, correction=correction)
-
-
-def correction_for(
-    filt: WaveletFilter,
-    levels: int,
-    diff: tuple[int, int] | None = None,
-) -> CorrectionMatrix:
-    """Bias operator matching a periodogram configuration."""
-    acw = autocorrelation_wavelets(filt, levels)
-    if diff is None:
-        return a_matrix(acw, levels)
-    return d_matrix(acw, levels, *diff)
 
 
 def estimate_spectrum(

@@ -40,7 +40,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ModeMismatch, NonDyadicLength, ScaleTooDeep, SeriesTooShort, WavetrendError
+from .errors import (
+    ModeMismatch, NonDyadicLength, ScaleTooDeep, SeriesTooShort, WavetrendError, check_integer
+)
 from .filters import WaveletFilter
 from .wavelets import support_length
 
@@ -73,9 +75,7 @@ NONDECIMATED = "nondecimated"
 DECIMATED = "decimated"
 
 
-def next_pow2(m: int) -> int:
-    if m < 1:
-        raise ValueError("next_pow2 needs a positive integer")
+def next_pow2(m: int) -> int:  # m >= 1: extension_descriptor checks its n
     return 1 << (m - 1).bit_length()
 
 
@@ -110,6 +110,7 @@ class ExtensionDescriptor:
 
 def extension_descriptor(n: int, policy: str) -> ExtensionDescriptor:
     """Where extend_rows puts a length-n series in its extension (centred)."""
+    n = check_integer(n, "series length", 1, error=SeriesTooShort)
     if policy == TREND_REFLECT:
         target = next_pow2(2 * n)
         offset = (target - n) // 2
@@ -119,7 +120,7 @@ def extension_descriptor(n: int, policy: str) -> ExtensionDescriptor:
     elif policy == NO_EXTENSION:
         target, offset = n, 0
     else:
-        raise ValueError(f"unknown extension policy {policy!r}")
+        raise ModeMismatch(f"unknown extension policy {policy!r}")
     return ExtensionDescriptor(
         policy=policy, original_length=n, extended_length=target, offset=offset
     )
@@ -316,8 +317,7 @@ def _forward(x, filt: WaveletFilter, levels: int, mode: str) -> CoefficientPyram
     n = x.shape[-1]
     if mode == DECIMATED and (n < 2 or n & (n - 1)):
         raise NonDyadicLength(f"decimated transform needs a power-of-two length, got {n}")
-    if levels < 1:
-        raise ScaleTooDeep("levels must be at least 1")
+    levels = check_integer(levels, "levels", 1, error=ScaleTooDeep)
     if 2**levels > n:
         raise ScaleTooDeep(f"{levels} levels need at least {2**levels} observations")
     approx, details = x, []

@@ -321,6 +321,7 @@ def variance_matrix(
     """
     if not isinstance(spectrum, SpectrumEstimate):
         raise MatrixMismatch("variance_matrix needs a SpectrumEstimate for filter metadata")
+    levels = check_integer(levels, "levels", 1, error=ScaleTooDeep)
     depth = max(levels, spectrum.levels)
     cross = cross_a_matrix(
         autocorrelation_wavelets(spectrum.filter, depth),

@@ -49,7 +49,6 @@ from .errors import (
 from .filters import WaveletFilter
 
 __all__ = [
-    "DiscreteWavelet",
     "AutocorrelationWavelet",
     "CorrectionMatrix",
     "discrete_wavelets",
@@ -71,17 +70,6 @@ _TAU_BLOCK = 64
 def support_length(filter_length: int, level: int) -> int:
     """Number of taps of the level-j discrete wavelet."""
     return (2**level - 1) * (filter_length - 1) + 1
-
-
-@dataclass(frozen=True)
-class DiscreteWavelet:
-    """Cascade vectors psi_1, psi_2, ..."""
-
-    filter: WaveletFilter
-    vectors: tuple[np.ndarray, ...] = field(repr=False)
-
-    def psi(self, level: int) -> np.ndarray:
-        return self.vectors[level - 1]
 
 
 @dataclass(frozen=True)
@@ -131,10 +119,9 @@ def _cascade(first: np.ndarray, kernel: np.ndarray, levels: int) -> tuple[np.nda
     return tuple(rows)
 
 
-def discrete_wavelets(filt: WaveletFilter, levels: int) -> DiscreteWavelet:
-    """Build psi_1..psi_levels by the cascade."""
-    psis = _cascade(filt.highpass.copy(), filt.lowpass, levels)
-    return DiscreteWavelet(filter=filt, vectors=psis)
+def discrete_wavelets(filt: WaveletFilter, levels: int) -> tuple[np.ndarray, ...]:
+    """psi_1..psi_levels by the cascade; psi_j is entry j - 1."""
+    return _cascade(filt.highpass.copy(), filt.lowpass, levels)
 
 
 def autocorrelation_wavelets(filt: WaveletFilter, levels: int) -> AutocorrelationWavelet:
@@ -156,7 +143,8 @@ def _overlaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def lagged_a_matrix(acw: AutocorrelationWavelet, max_scale: int, lag: int) -> np.ndarray:
     """Matrix with entries sum_tau Psi_j(tau) Psi_l(tau - lag); symmetric."""
     max_scale = check_integer(max_scale, "max_scale", 1, acw.levels, DimensionMismatch)
-    lag = abs(lag)  # Psi is even, so lags -p and p give the same matrix
+    # Psi is even, so lags -p and p give the same matrix
+    lag = abs(check_integer(lag, "lag", -np.inf, error=DimensionMismatch))
     table = acw.window(max_scale, acw.radius(max_scale))
     return _overlaps(table[:, lag:], table[:, : max(table.shape[1] - lag, 0)])
 

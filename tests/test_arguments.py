@@ -23,11 +23,23 @@ from wavetrend.errors import (
 )
 from wavetrend.lacv import lacv_from_spectrum
 from wavetrend.plots import lacf_figure
-from wavetrend.simulate import sample_spec, tlsw_sim
+from wavetrend.simulate import sample_spec, sample_trend, tlsw_sim
 from wavetrend.spectrum import estimate_spectrum
-from wavetrend.transforms import DECIMATED
-from wavetrend.trend import EstimatorConfig, analytic_ci, bootstrap_ci, estimate_trend
-from wavetrend.wavelets import autocorrelation_wavelets
+from wavetrend.transforms import (
+    DECIMATED,
+    TREND_REFLECT,
+    dwt_forward,
+    extension_descriptor,
+    ndwt_forward,
+)
+from wavetrend.trend import (
+    EstimatorConfig,
+    analytic_ci,
+    bootstrap_ci,
+    estimate_trend,
+    variance_matrix,
+)
+from wavetrend.wavelets import autocorrelation_wavelets, lagged_a_matrix
 
 N = 128
 X = np.random.default_rng(21).standard_normal(N)
@@ -61,6 +73,17 @@ INTEGERS = [
     ("tlsw_sim.seed", lambda v: tlsw_sim(spec={1: 1.0}, n=16, seed=v), 3, WavetrendError, [-1]),
     ("sample_spec.scale", lambda v: sample_spec({v: 1.0}, 16), 1, DimensionMismatch, [0, 5]),
     ("lacf_figure.times", lambda v: lacf_figure(LACV.lacv, [v]), 5, DimensionMismatch, [-1, N]),
+    ("sample_trend.n", lambda v: sample_trend(None, v), 8, SeriesTooShort, [0]),
+    ("ndwt_forward.levels", lambda v: ndwt_forward(X, SPECTRUM.filter, v), 3, ScaleTooDeep,
+     [0, 8]),
+    ("dwt_forward.levels", lambda v: dwt_forward(X, SPECTRUM.filter, v), 3, ScaleTooDeep,
+     [0, 8]),
+    ("extension_descriptor.n", lambda v: extension_descriptor(v, TREND_REFLECT), 16,
+     SeriesTooShort, [0]),
+    # Psi is even, so a lag of either sign is valid and there is no range to leave
+    ("lagged_a_matrix.lag", lambda v: lagged_a_matrix(ACW, 2, v), -1, DimensionMismatch, []),
+    ("variance_matrix.levels", lambda v: variance_matrix(SPECTRUM, SPECTRUM.filter, v), 3,
+     ScaleTooDeep, [0]),
 ]
 
 REALS = [
@@ -100,6 +123,11 @@ def test_numpy_scalar_is_accepted(call, value):
         pytest.param(lambda: estimate_spectrum(X, diff=(1,)), id="diff_one_tuple"),
         pytest.param(lambda: estimate_spectrum(X, diff=1), id="diff_not_a_pair"),
         pytest.param(lambda: estimate_spectrum(["a"] * 512), id="non_numeric_series"),
+        pytest.param(lambda: tlsw_sim(trend=5.0, spec={1: 1.0}), id="scalar_trend_without_n"),
+        pytest.param(lambda: tlsw_sim(trend="abcdefgh"), id="string_trend_without_n"),
+        pytest.param(lambda: sample_trend("abc", 3), id="string_trend"),
+        pytest.param(lambda: sample_spec({1: "abc"}, 16), id="string_spectrum_row"),
+        pytest.param(lambda: extension_descriptor(16, "reflect"), id="unknown_extension_policy"),
     ],
 )
 def test_malformed_input_is_refused(call):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetrend.cli import _write_csv, _write_trend, main, read_series, read_trend
+from wavetrend.errors import WavetrendError
 from wavetrend.scenarios import scenario
 from wavetrend.spectrum import estimate_spectrum
 from wavetrend.trend import NONLINEAR, EstimatorConfig, estimate_trend
@@ -318,6 +319,13 @@ def test_read_series_accepts_two_columns(tmp_path):
     src = tmp_path / "two.csv"
     src.write_text("time,value\n0,1.5\n1,-2.25\n2,0.125\n")
     assert np.array_equal(read_series(src), [1.5, -2.25, 0.125])
+
+
+def test_read_series_refuses_three_columns(tmp_path):
+    src = tmp_path / "three.csv"
+    src.write_text("0,1.5,2\n1,-2.25,3\n")
+    with pytest.raises(WavetrendError, match="one or two columns"):
+        read_series(src)
 
 
 BASE_KEYS = {"command", "input", "out_dir", "n", "seed"}

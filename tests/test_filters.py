@@ -1,5 +1,7 @@
 """Filter table sanity: orthonormality, mirror relation, known values."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from wavetrend.filters import (
     EXTREMAL_PHASE,
     LEAST_ASYMMETRIC,
     canonical_family,
-    family_orders,
     wavelet_filter,
 )
 
@@ -63,8 +64,11 @@ def test_family_aliases_resolve():
 
 
 def test_supported_ranges():
-    assert family_orders(EXTREMAL_PHASE) == tuple(range(1, 11))
-    assert family_orders(LEAST_ASYMMETRIC) == tuple(range(4, 11))
+    for family, orders in [(EXTREMAL_PHASE, range(1, 11)), (LEAST_ASYMMETRIC, range(4, 11))]:
+        assert [wavelet_filter(family, k).number for k in orders] == list(orders)
+        for k in (orders[0] - 1, orders[-1] + 1):
+            with pytest.raises(UnsupportedFilter, match=re.escape(str(list(orders)))):
+                wavelet_filter(family, k)
     with pytest.raises(UnsupportedFilter):
         wavelet_filter(EXTREMAL_PHASE, 11)
     with pytest.raises(UnsupportedFilter):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wavetrend.errors import DimensionMismatch, MatrixMismatch
+from wavetrend.errors import DimensionMismatch, MatrixMismatch, WavetrendError
 from wavetrend.filters import EXTREMAL_PHASE, wavelet_filter
 from wavetrend.lacv import LacvEstimate, default_lag_max, lacv_from_spectrum
 from wavetrend.spectrum import estimate_spectrum
@@ -142,3 +142,16 @@ def test_lacv_peak_memory_is_one_array():
         tracemalloc.stop()
     assert out.lacv.shape == (65536, 111)
     assert peak < 1.2 * out.lacv.nbytes
+
+
+def test_estimate_derives_its_own_wavelets():
+    est = estimate_spectrum(np.random.default_rng(4).standard_normal(256), filter_number=6)
+    given = lacv_from_spectrum(est, autocorrelation_wavelets(est.filter, est.levels))
+    assert lacv_from_spectrum(est).lacv.tobytes() == given.lacv.tobytes()
+
+
+def test_plain_matrix_needs_wavelets():
+    with pytest.raises(WavetrendError):
+        lacv_from_spectrum(np.ones((2, 8)))
+    with pytest.raises(DimensionMismatch):
+        lacv_from_spectrum(np.ones(8), autocorrelation_wavelets(HAAR, 2))

@@ -206,7 +206,7 @@ def per_scale_loop(trend, spec, n, filt, innovations, seed):
         row = amplitude[j - 1]
         if not row.any():
             continue
-        kernel = synthesis_kernel(dw, j, n)
+        kernel = synthesis_kernel(dw[j - 1], filt.length, j, n)
         noise += np.fft.irfft(np.fft.rfft(row * xi) * np.fft.rfft(kernel), n)
     return sample_trend(trend, n) + noise
 
@@ -262,3 +262,15 @@ def test_block_draw_matches_one_stream_draws(spec_of):
         assert np.array_equal(np.signbit(row), np.signbit(one[0]))
     for a, b in zip(block_rngs, one_rngs):
         assert a.standard_normal() == b.standard_normal()
+
+
+def test_wrong_length_inputs_are_refused():
+    with pytest.raises(DimensionMismatch):
+        sample_trend(np.ones(15), 16)
+    with pytest.raises(DimensionMismatch):
+        sample_spec({1: np.ones(15)}, 16)
+    with pytest.raises(NegativeSpectrum, match="non-finite"):
+        sample_spec(np.full((4, 16), np.nan), 16)
+    plan = NoisePlan.build({1: 1.0}, 16, wavelet_filter(EXTREMAL_PHASE, 4))
+    with pytest.raises(DimensionMismatch, match="length-n"):
+        plan.draw([np.random.default_rng(0)], lambda rng, n: rng.standard_normal(n - 1))

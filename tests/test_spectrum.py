@@ -17,7 +17,6 @@ from wavetrend.spectrum import (
     NONE,
     SmootherConfig,
     correct_periodogram,
-    correction_for,
     default_binwidth,
     default_levels,
     estimate_spectrum,
@@ -268,7 +267,7 @@ def test_diff_pairs_other_than_none_are_checked(diff):
     with pytest.raises(InvalidDiffSpec):
         estimate_spectrum(x, diff=diff)
     with pytest.raises(InvalidDiffSpec):
-        correction_for(EP4, 3, diff=diff)
+        d_matrix(autocorrelation_wavelets(EP4, 3), 3, *diff)
 
 
 def test_diff_lag_leaving_too_few_points_named():

@@ -111,7 +111,7 @@ def test_ndwt_matches_cascade_wavelets(number, family, n):
     dw = discrete_wavelets(filt, levels)
     k = np.arange(n)
     for j in range(1, levels + 1):
-        psi = dw.psi(j)
+        psi = dw[j - 1]
         expected = x[(k[:, None] + np.arange(psi.size)) % n] @ psi
         got = np.roll(pyr.detail(j), -centre_shift(filt.length, j))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -383,3 +383,9 @@ def test_steps_match_windowed_taps(stride, n, batch, budget, monkeypatch):
                     _synthesis_step(a, d, filt, step, stride, (s2, s1)),
                     windowed_synthesis(a, d, filt, step, stride, s1, s2),
                 )
+
+
+def test_average_basis_needs_a_nondecimated_pyramid():
+    pyr = dwt_forward(np.ones(16), wavelet_filter(EXTREMAL_PHASE, 2), 2)
+    with pytest.raises(ModeMismatch):
+        ndwt_average_basis(pyr)

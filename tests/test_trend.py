@@ -227,6 +227,12 @@ def test_coefficient_variance_floor():
     assert variance_matrix(sp, HAAR, 1)[0, 3] == 0.0
 
 
+def test_coefficient_variance_needs_an_estimate():
+    # a plain matrix names no generating filter to pair with the analysis one
+    with pytest.raises(MatrixMismatch):
+        variance_matrix(np.ones((1, 16)), HAAR, 1)
+
+
 def make_linear_fit(n=128, seed=0, transform=DECIMATED):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)

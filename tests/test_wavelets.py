@@ -8,7 +8,7 @@ mistake in the package cannot hide in its own overlap helper.
 import numpy as np
 import pytest
 
-from wavetrend.errors import InvalidDiffSpec
+from wavetrend.errors import DimensionMismatch, InvalidDiffSpec, SingularMatrix
 from wavetrend.filters import EXTREMAL_PHASE, LEAST_ASYMMETRIC, wavelet_filter
 from wavetrend.wavelets import (
     a_matrix,
@@ -19,6 +19,7 @@ from wavetrend.wavelets import (
     discrete_wavelets,
     lagged_a_matrix,
     support_length,
+    _invert,
 )
 
 HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
@@ -49,7 +50,7 @@ def brute_a(filt, depth: int, lag: int = 0) -> np.ndarray:
     out = np.empty((depth, depth))
     for j in range(1, depth + 1):
         for l in range(1, depth + 1):
-            out[j - 1, l - 1] = brute_a_entry(dw.psi(j), dw.psi(l), lag)
+            out[j - 1, l - 1] = brute_a_entry(dw[j - 1], dw[l - 1], lag)
     return out
 
 
@@ -57,12 +58,12 @@ def test_support_lengths():
     dw = discrete_wavelets(wavelet_filter(EXTREMAL_PHASE, 4), 5)
     for j in range(1, 6):
         expected = (2**j - 1) * (8 - 1) + 1
-        assert dw.psi(j).size == expected == support_length(8, j)
+        assert dw[j - 1].size == expected == support_length(8, j)
 
 
 def test_haar_psi_and_acw_values():
     dw = discrete_wavelets(HAAR, 3)
-    assert np.allclose(np.abs(dw.psi(1)), [2**-0.5, 2**-0.5], atol=1e-15)
+    assert np.allclose(np.abs(dw[0]), [2**-0.5, 2**-0.5], atol=1e-15)
     acw = autocorrelation_wavelets(HAAR, 3)
     assert np.allclose(acw.values[0], [-0.5, 1.0, -0.5], atol=1e-15)
     for j in (1, 2, 3):
@@ -80,7 +81,7 @@ def test_acw_cascade_matches_correlated_psi(family, number):
     dw = discrete_wavelets(filt, 6)
     acw = autocorrelation_wavelets(filt, 6)
     for j in range(1, 7):
-        want = np.correlate(dw.psi(j), dw.psi(j), "full")
+        want = np.correlate(dw[j - 1], dw[j - 1], "full")
         assert acw.values[j - 1].size == want.size
         assert np.allclose(acw.values[j - 1], want, rtol=0, atol=1e-13)
 
@@ -158,7 +159,7 @@ def test_cross_matrix_rows_are_analysis_scales():
     cross = cross_a_matrix(gen, ana, 3)
     dw_g = discrete_wavelets(HAAR, 3)
     dw_a = discrete_wavelets(wavelet_filter(LEAST_ASYMMETRIC, 6), 3)
-    expected = brute_a_entry(dw_a.psi(2), dw_g.psi(1), 0)
+    expected = brute_a_entry(dw_a[1], dw_g[0], 0)
     assert cross[1, 0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -194,3 +195,14 @@ def test_difference_rejects_bad_specs():
     for lag, order in ((2, 2), (0, 1), (1, 0), (1, 3)):
         with pytest.raises(InvalidDiffSpec):
             d_matrix(acw, 2, lag=lag, order=order)
+
+
+def test_singular_operator_is_refused():
+    # no public input reaches condition 1e12 at a unit-test size, so a rank-1 matrix
+    with pytest.raises(SingularMatrix, match="depth 2"):
+        _invert(np.ones((2, 2)), "direct", 2)
+
+
+def test_difference_series_needs_one_series():
+    with pytest.raises(DimensionMismatch):
+        difference_series(np.ones((2, 8)))
