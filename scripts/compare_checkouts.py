@@ -141,6 +141,10 @@ CASES = [
     ("long_nonlinear_diff_normal", ["analyze", "long.csv", "--est-type", "nonlinear", "--diff",
                                     "1", "--ci", "normal", "--reps", "40"]),
     ("long_analyze", ["analyze", "long.csv"]),
+    # spectrum and lacv near 1e-300, which the writer leaves to Python's
+    # formatting, and values with three-digit exponents
+    ("tiny_analyze", ["analyze", "tiny.csv"]),
+    ("big_analyze", ["analyze", "big.csv"]),
 ]
 
 PLOTTED = {
@@ -152,8 +156,10 @@ PLOTTED = {
 
 # input files: series with a row wider or narrower than the first, a
 # length-64 trend and 6 x 64 spectrum (power at scales 1, 3 and 4) for
-# the sim_csv, sim_spec_only and sim_trend_only cases, 256 seeded standard normals scaled by 1e160, 3000 seeded
-# normals with a growing spread around a slow sine, and 16 seeded normals
+# the sim_csv, sim_spec_only and sim_trend_only cases, 256 seeded standard
+# normals scaled by 1e160, 3000 seeded normals with a growing spread around
+# a slow sine, 16 seeded normals, and 256 more seeded normals scaled by
+# 1e-150 and by 1e120 (drawn last, so the earlier inputs keep their bytes)
 _rng = random.Random(5)
 INPUTS = {
     "ragged_long.csv": "time,value\n0,1.5\n1,2.5,9\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
@@ -167,6 +173,9 @@ INPUTS = {
     ),
     "short.csv": "value\n" + "".join(f"{_rng.gauss(0.0, 1.0)!r}\n" for _ in range(16)),
 }
+_normals = [_rng.gauss(0.0, 1.0) for _ in range(256)]
+INPUTS["tiny.csv"] = "value\n" + "".join(f"{1e-150 * g!r}\n" for g in _normals)
+INPUTS["big.csv"] = "value\n" + "".join(f"{1e120 * g!r}\n" for g in _normals)
 
 
 def out_dir(name: str, argv: list[str]) -> str:

@@ -3,12 +3,13 @@
     python scripts/compare_outputs.py DIR_A DIR_B
 
 For every file present in both directories it prints "identical" when the
-bytes match.  Otherwise a CSV gets the max-norm relative difference
-max|B - A| / max|A| over all cells, and one figure per column if it has a
-header row; empty and non-finite cells must sit in the same places, else
-that is reported instead of a figure.  Any other file (metadata.json)
-gets "bytes differ".  A file only one directory holds is reported as
-"only in A" or "only in B".
+bytes match.  Otherwise a CSV whose values all match gets "values equal,
+bytes differ" (a formatting change), and any other CSV the max-norm
+relative difference max|B - A| / max|A| over all cells, and one figure per
+column if it has a header row; empty and non-finite cells must sit in the
+same places, else that is reported instead of a figure.  Any other file
+(metadata.json) gets "bytes differ".  A file only one directory holds is
+reported as "only in A" or "only in B".
 """
 
 import argparse
@@ -68,7 +69,11 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
         else:
             header, a = read_table(path_a)
             _, b = read_table(path_b)
-            line = f"{name}: {relative_difference(a, b)}"
+            diff = relative_difference(a, b)
+            if diff == "identical":
+                lines.append(f"{name}: values equal, bytes differ")
+                continue
+            line = f"{name}: {diff}"
             if header is not None and a.shape == b.shape:
                 line += "".join(
                     f"  {col}: {relative_difference(a[:, i], b[:, i])}"

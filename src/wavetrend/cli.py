@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csv_writer import write_rows
 from .errors import WavetrendError
 from .filters import EXTREMAL_PHASE, canonical_family
 from .lacv import lacv_from_spectrum
@@ -65,18 +66,26 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, rows: np.ndarray, fmt: str, header: str = "") -> None:
-    """Rows (or one value per line for 1-D rows) in fmt, written atomically."""
+def _write_csv(path: Path, rows: np.ndarray, header: str = "", suffix: bytes = b"") -> None:
+    """Rows (one value per line for 1-D rows) written atomically, each line ending in suffix.
+
+    Every value is written as "%.17g" gives it, which reads back to the same double."""
     tmp = path.with_name(path.name + ".tmp")
-    np.savetxt(tmp, rows, fmt=fmt, delimiter=",", header=header, comments="")
+    with tmp.open("wb") as fh:
+        if header:
+            fh.write(header.encode() + b"\n")
+        write_rows(fh, rows, suffix)
     os.replace(tmp, path)
 
 
 def _write_trend(path: Path, values, ci_lo=None, ci_hi=None) -> None:
-    cols, fmt = [np.arange(len(values)), values], "%d,%.17g,,"
+    """t,estimate,lo,hi; t is written as a float, which "%.17g" prints as an integer.
+
+    A fit without an interval leaves lo and hi empty."""
+    cols, suffix = [np.arange(len(values), dtype=float), values], b",,"
     if ci_lo is not None and ci_hi is not None:
-        cols, fmt = cols + [ci_lo, ci_hi], "%d,%.17g,%.17g,%.17g"
-    _write_csv(path, np.column_stack(cols), fmt, "t,estimate,lo,hi")
+        cols, suffix = cols + [ci_lo, ci_hi], b""
+    _write_csv(path, np.column_stack(cols), "t,estimate,lo,hi", suffix)
 
 
 def _data_rows(path: str | Path) -> list[list[str]]:
@@ -282,7 +291,7 @@ def cmd_sim(args: argparse.Namespace) -> None:
         )
     else:
         raise WavetrendError("sim needs --scenario or --trend-csv/--spec-csv")
-    _write_csv(out / "series.csv", x, "%.17g", "value")
+    _write_csv(out / "series.csv", x, "value")
     _write_metadata(out, meta)
 
 
@@ -315,11 +324,11 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     if lacv is not None:
         meta["lacv"] = {"lag_max": lacv.lag_max}
     if "spectrum" in writes:
-        _write_csv(out / "spectrum.csv", spectrum.S, "%.17g")
+        _write_csv(out / "spectrum.csv", spectrum.S)
     if "trend" in writes:
         _write_trend(out / "trend.csv", fit.values, fit.ci_lo, fit.ci_hi)
     if "lacv" in writes:
-        _write_csv(out / "lacv.csv", lacv.lacv, "%.17g")
+        _write_csv(out / "lacv.csv", lacv.lacv)
     _write_metadata(out, meta)
 
 

@@ -2,10 +2,13 @@
 
 Everything raised on bad user input derives from WavetrendError so callers
 (and the command line driver) can distinguish configuration problems from
-genuine bugs.  check_integer is the one check of an integer argument.
+genuine bugs.  check_integer is the one check of an integer argument and
+check_flag the one check of an on/off argument.
 """
 
 import operator
+
+import numpy as np
 
 
 class WavetrendError(Exception):
@@ -87,3 +90,10 @@ def check_integer(value, name, low, high=None, error=WavetrendError, message=Non
         bound = f"at least {low}" if high is None else f"within [{low}, {high}]"
         raise error(message or f"{name} must be {bound}")
     return number
+
+
+def check_flag(value, name) -> bool:
+    """value as a bool; anything but a bool or a numpy bool raises WavetrendError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise WavetrendError(f"{name} must be True or False, got {value!r}")
+    return bool(value)

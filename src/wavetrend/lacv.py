@@ -78,7 +78,10 @@ def lacv_from_spectrum(
     elif acw is None:
         raise WavetrendError("a plain spectrum matrix needs its autocorrelation wavelets")
     else:
-        S = np.asarray(spectrum)
+        try:
+            S = np.asarray(spectrum, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise WavetrendError(f"spectrum values must be numbers: {exc}") from None
     if S.ndim != 2:
         raise DimensionMismatch("expected a levels x n spectrum matrix")
     levels, n = S.shape

@@ -29,7 +29,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidBinwidth, ScaleTooDeep, SeriesTooShort, WavetrendError, check_integer
+from .errors import (
+    InvalidBinwidth,
+    ScaleTooDeep,
+    SeriesTooShort,
+    UnsupportedFilter,
+    WavetrendError,
+    check_flag,
+    check_integer,
+)
 from .filters import WaveletFilter, wavelet_filter
 from .simulate import max_scales
 from .transforms import (
@@ -178,7 +186,10 @@ def wavelet_periodogram(
     """
     x = as_series(x, 2)
     n = x.size
+    if not isinstance(filt, WaveletFilter):
+        raise UnsupportedFilter(f"expected a WaveletFilter, got {filt!r}")
     levels = check_integer(levels, "levels", 1, max_scales(n), ScaleTooDeep)
+    boundary = check_flag(boundary, "boundary")
     # only diff=None means no differencing; every other pair is checked on
     # the series itself: the reflected extension is long enough for any lag,
     # but the data window cut from it would not be

@@ -58,6 +58,7 @@ from .errors import (
     ScaleTooDeep,
     TooFewReps,
     WavetrendError,
+    check_flag,
     check_integer,
 )
 from .filters import EXTREMAL_PHASE, WaveletFilter, wavelet_filter
@@ -136,6 +137,7 @@ class EstimatorConfig:
         if self.levels is not None:
             levels = check_integer(self.levels, "levels", 1, error=ScaleTooDeep)
             object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "boundary", check_flag(self.boundary, "boundary"))
         number = wavelet_filter(self.family, self.filter_number).number
         object.__setattr__(self, "filter_number", number)
 

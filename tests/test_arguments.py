@@ -24,7 +24,7 @@ from wavetrend.errors import (
 from wavetrend.lacv import lacv_from_spectrum
 from wavetrend.plots import lacf_figure
 from wavetrend.simulate import sample_spec, sample_trend, tlsw_sim
-from wavetrend.spectrum import estimate_spectrum
+from wavetrend.spectrum import estimate_spectrum, wavelet_periodogram
 from wavetrend.transforms import (
     DECIMATED,
     TREND_REFLECT,
@@ -128,11 +128,31 @@ def test_numpy_scalar_is_accepted(call, value):
         pytest.param(lambda: sample_trend("abc", 3), id="string_trend"),
         pytest.param(lambda: sample_spec({1: "abc"}, 16), id="string_spectrum_row"),
         pytest.param(lambda: extension_descriptor(16, "reflect"), id="unknown_extension_policy"),
+        pytest.param(lambda: estimate_spectrum(X, boundary="no"), id="string_spectrum_boundary"),
+        pytest.param(lambda: estimate_spectrum(X, boundary=1), id="integer_spectrum_boundary"),
+        pytest.param(lambda: wavelet_periodogram(X, SPECTRUM.filter, 3, boundary="no"),
+                     id="string_periodogram_boundary"),
+        pytest.param(lambda: EstimatorConfig(boundary="no"), id="string_trend_boundary"),
+        pytest.param(lambda: EstimatorConfig(boundary=None), id="none_trend_boundary"),
+        pytest.param(lambda: wavelet_periodogram(X, "ep4", 3), id="filter_name_for_filter"),
+        pytest.param(lambda: lacv_from_spectrum([["a"]], ACW), id="string_spectrum_matrix"),
+        pytest.param(lambda: lacv_from_spectrum([[1, 2], [3]], ACW), id="ragged_spectrum_matrix"),
     ],
 )
 def test_malformed_input_is_refused(call):
     with pytest.raises(WavetrendError):
         call()
+
+
+def test_filter_name_is_an_unsupported_filter():
+    with pytest.raises(UnsupportedFilter):
+        wavelet_periodogram(X, "ep4", 3)
+
+
+def test_numpy_bool_flags_are_stored_as_bools():
+    assert EstimatorConfig(boundary=np.False_).boundary is False
+    est = estimate_spectrum(X, levels=3, boundary=np.True_)
+    assert est.periodogram.boundary is True
 
 
 def test_checked_integers_are_stored_as_ints():

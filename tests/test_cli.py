@@ -58,8 +58,8 @@ def test_csv_writer_bytes_are_17_digit_format(tmp_path):
     g17 = [format(float(a), ".17g") for a in v]
     lo = [format(float(a), ".17g") for a in v[::-1]]
     hi = [format(float(a), ".17g") for a in 2 * v]
-    _write_csv(tmp_path / "series.csv", v, "%.17g", "value")
-    _write_csv(tmp_path / "matrix.csv", np.stack([v, v[::-1]]), "%.17g")
+    _write_csv(tmp_path / "series.csv", v, "value")
+    _write_csv(tmp_path / "matrix.csv", np.stack([v, v[::-1]]))
     _write_trend(tmp_path / "plain.csv", v)
     _write_trend(tmp_path / "ci.csv", v, v[::-1], 2 * v)
     want = {

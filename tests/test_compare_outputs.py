@@ -35,3 +35,17 @@ def test_compare_with_a_missing_directory(tmp_path):
     (tmp_path / "b").mkdir()
     (tmp_path / "b" / "spectrum.csv").write_text("1\n")
     assert load_script().compare(tmp_path / "a", tmp_path / "b") == ["spectrum.csv: only in B"]
+
+
+def test_equal_values_in_other_bytes_are_a_difference(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "lacv.csv").write_text("0.5,1\n")
+    (b / "lacv.csv").write_text("5e-1,1\n")
+    (a / "trend.csv").write_text("t,estimate,lo,hi\n0,1,,\n")
+    (b / "trend.csv").write_text("t,estimate,lo,hi\n0,1.5,,\n")
+    assert load_script().compare(a, b) == [
+        "lacv.csv: values equal, bytes differ",
+        "trend.csv: 0.5  t: identical  estimate: 0.5  lo: identical  hi: identical",
+    ]
