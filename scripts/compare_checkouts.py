@@ -141,6 +141,13 @@ CASES = [
     ("long_nonlinear_diff_normal", ["analyze", "long.csv", "--est-type", "nonlinear", "--diff",
                                     "1", "--ci", "normal", "--reps", "40"]),
     ("long_analyze", ["analyze", "long.csv"]),
+    # the cropped fit and periodogram off the default geometry: 16 taps at
+    # depth 4, and order-2 differences at depth 3
+    ("long_la8_shallow_percentile", ["trend", "long.csv", "--est-type", "nonlinear",
+                                     "--t-family", "la", "--t-filter-number", "8",
+                                     "--t-max-scale", "4", "--ci", "percentile", "--reps", "40"]),
+    ("long_spec_shallow_order2", ["spec", "long.csv", "--s-max-scale", "3", "--s-do-diff",
+                                  "--s-diff-number", "2"]),
     # spectrum and lacv near 1e-300, which the writer leaves to Python's
     # formatting, and values with three-digit exponents
     ("tiny_analyze", ["analyze", "tiny.csv"]),

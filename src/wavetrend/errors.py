@@ -2,8 +2,9 @@
 
 Everything raised on bad user input derives from WavetrendError so callers
 (and the command line driver) can distinguish configuration problems from
-genuine bugs.  check_integer is the one check of an integer argument and
-check_flag the one check of an on/off argument.
+genuine bugs.  check_integer is the one check of an integer argument,
+check_flag the one check of an on/off argument and as_floats the one
+conversion of an array argument.
 """
 
 import operator
@@ -97,3 +98,12 @@ def check_flag(value, name) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise WavetrendError(f"{name} must be True or False, got {value!r}")
     return bool(value)
+
+
+def as_floats(values, what) -> np.ndarray:
+    """values as a float64 array (no copy of one); strings, ragged lists and
+    anything else numpy cannot read as numbers raise WavetrendError."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise WavetrendError(f"{what} must be numbers: {exc}") from None

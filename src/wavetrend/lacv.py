@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MatrixMismatch, WavetrendError, check_integer
+from .errors import DimensionMismatch, MatrixMismatch, WavetrendError, as_floats, check_integer
 from .spectrum import SpectrumEstimate
 from .transforms import _BLOCK_ELEMENTS
 from .wavelets import AutocorrelationWavelet, autocorrelation_wavelets
@@ -78,10 +78,7 @@ def lacv_from_spectrum(
     elif acw is None:
         raise WavetrendError("a plain spectrum matrix needs its autocorrelation wavelets")
     else:
-        try:
-            S = np.asarray(spectrum, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise WavetrendError(f"spectrum values must be numbers: {exc}") from None
+        S = as_floats(spectrum, "spectrum values")
     if S.ndim != 2:
         raise DimensionMismatch("expected a levels x n spectrum matrix")
     levels, n = S.shape

@@ -41,6 +41,7 @@ from .errors import (
     NegativeSpectrum,
     SeriesTooShort,
     WavetrendError,
+    as_floats,
     check_integer,
 )
 from .filters import WaveletFilter, wavelet_filter
@@ -74,10 +75,7 @@ def _on_grid(values, n: int) -> np.ndarray:
     """values as float64; a callable is evaluated on the midpoint grid (k + 0.5) / n."""
     if callable(values):
         values = values((np.arange(n) + 0.5) / n)
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise WavetrendError(f"trend and spectrum values must be numbers: {exc}") from None
+    return as_floats(values, "trend and spectrum values")
 
 
 def _shape(values) -> tuple[int, ...]:

@@ -42,13 +42,15 @@ from .filters import WaveletFilter, wavelet_filter
 from .simulate import max_scales
 from .transforms import (
     NO_EXTENSION,
+    NONDECIMATED,
     TREND_REFLECT,
+    _forward,
+    _whole_rows,
+    _window_reads,
     as_series,
-    centre_shift,
     crop_extension,
     extend_rows,
     extension_descriptor,
-    ndwt_forward,
 )
 from .wavelets import (
     CorrectionMatrix,
@@ -57,7 +59,6 @@ from .wavelets import (
     check_diff,
     d_matrix,
     difference_series,
-    support_length,
 )
 
 MEAN = "mean"
@@ -203,21 +204,25 @@ def wavelet_periodogram(
     # Extend before differencing: the reflected series differences smoothly
     # across the seam, whereas reflecting an already differenced (noise
     # dominated) series injects a level jump that inflates boundary
-    # coefficients several-fold.  Unextended, the window is the whole row.
-    # Extended, only the span the window's coefficients read is transformed:
-    # the level-J coefficient at p reads y[p - s_J, p - s_J + L_J - 1], and
-    # each differenced sample reads lost more samples of the extension.
+    # coefficients several-fold.  Each level computes only what the window
+    # reads (details on the window, smooths as wide as the deeper levels
+    # read), from a span of the extension lost samples longer than the
+    # transform reads; whole rows when unextended or the span does not fit.
     desc = extension_descriptor(n, TREND_REFLECT if boundary else NO_EXTENSION)
-    shift, reach = centre_shift(filt.length, levels), support_length(filt.length, levels) - 1
-    desc = crop_extension(desc, shift + lost // 2, reach - shift + lost - lost // 2)
-    y = extend_rows(x, desc)
-    start = desc.offset - lost // 2 if boundary else 0
-    window = slice(start, start + n)
+    before, after, plan = _window_reads(filt.length, levels, n, False)
+    span = crop_extension(desc, before + lost // 2, after + lost - lost // 2)
+    y = extend_rows(x, span)
     if order:
         y = difference_series(y, lag, order)
-    pyr = ndwt_forward(y, filt, levels)
+    if span == desc:
+        plan = _whole_rows(NONDECIMATED, y.shape[-1], levels)
+    start = span.offset - lost // 2 if boundary else 0
+    pyr = _forward(y, filt, levels, NONDECIMATED, plan)
     with np.errstate(over="ignore"):  # reported as one error just below
-        raw = np.stack([pyr.detail(j)[window] for j in range(1, levels + 1)]) ** 2
+        raw = np.stack([
+            pyr.detail(j)[start - columns.start :][:n]
+            for j, (columns, _, _) in enumerate(plan, start=1)
+        ]) ** 2
     _check_finite(raw, "periodogram")
     if lost and not boundary:
         # centre the shorter rows in n columns, edge columns replicated

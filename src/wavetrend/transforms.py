@@ -12,14 +12,18 @@ via an ExtensionDescriptor:
   length, original segment centred.
 * none: the series itself, for transforms that wrap it circularly.
 
-A nondecimated transform need not run over the whole extension.  At stride 1
-it is exactly shift-equivariant (Nason & Silverman 1995; Percival & Walden
-2000, ch. 5): each output is the same multiply-adds, in the same order, on a
-fixed stretch of input around its own position (a level-j coefficient at p
-reads x[p - s_j, p - s_j + L_j - 1], s_j = centre_shift(L, j), L_j =
-support_length(L, j)).  crop_extension describes the span of an extension
-that reaches far enough past each end of the data window, and extend_rows
-returns only that span, so the outputs in the window keep their bytes.
+A nondecimated transform need not compute every column of every level.  At
+stride 1 it is exactly shift-equivariant (Nason & Silverman 1995; Percival &
+Walden 2000, ch. 5): each output is the same multiply-adds, in the same
+order, on a fixed stretch of input around its own position (a level-j
+coefficient at p reads x[p - s_j, p - s_j + L_j - 1], s_j = centre_shift(L,
+j), L_j = support_length(L, j)).  So _window_reads works back from a data
+window to the columns each level computes, whose first level reads a span
+of the extension (crop_extension, extend_rows), and the window keeps its
+bytes.  With EP4 at depth 7 and n = 1024 a trend fit computes the level-j
+details on n + 7 (2**j - 1) of 2,802 columns: 342,384 filter-bank
+multiply-adds instead of 627,648.  Decimated and unextended transforms, and
+spans that do not fit in the extension, run on whole rows.
 
 Alignment: a nondecimated coefficient at position k is computed from the
 window of data centred on k.  Concretely the level-j detail row is the
@@ -35,13 +39,15 @@ is exact on an untouched pyramid for any input length.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
-    ModeMismatch, NonDyadicLength, ScaleTooDeep, SeriesTooShort, WavetrendError, check_integer
+    ModeMismatch, NonDyadicLength, ScaleTooDeep, SeriesTooShort, WavetrendError, as_floats,
+    check_integer
 )
 from .filters import WaveletFilter
 from .wavelets import support_length
@@ -81,10 +87,7 @@ def next_pow2(m: int) -> int:  # m >= 1: extension_descriptor checks its n
 
 def as_series(x, min_length: int) -> np.ndarray:
     """x as a finite one dimensional float array of at least min_length values."""
-    try:
-        x = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise WavetrendError(f"series values must be numbers: {exc}") from None
+    x = as_floats(x, "series values")
     if x.ndim != 1:
         raise SeriesTooShort("expected a one dimensional series")
     if x.size < min_length:
@@ -235,11 +238,11 @@ def _circular(x: np.ndarray, offset: int, span: int) -> np.ndarray:
     return np.concatenate([x[..., start:]] + [x] * (whole + 1) + [x[..., :tail]], axis=-1)
 
 
-def _filter_bank(inputs, bases, reach, strides, outputs, terms) -> list[np.ndarray]:
+def _filter_bank(inputs, bases, reach, strides, cols, outputs, terms) -> list[np.ndarray]:
     """The multiply-adds of one filter-bank step, onto zeros, in term order.
 
     Term (o, phase, k, start, tap) adds tap * inputs[k][..., s_in i + start
-    + bases[k]] to out_o[..., s_out i + phase] at every output column i,
+    + bases[k]] to out_o[..., s_out i + phase] at output columns i < cols,
     circularly, with (s_in, s_out) = strides and start <= s_in reach.
     Blocks of whole rows, or column chunks of one row, are sized so that the
     input windows, sums and product of a block hold _BLOCK_ELEMENTS doubles.
@@ -247,10 +250,10 @@ def _filter_bank(inputs, bases, reach, strides, outputs, terms) -> list[np.ndarr
     columns apart, and so are the sums: a term is one multiply and one add.
     """
     rows = [x.reshape(-1, x.shape[-1]) for x in inputs]
-    (s_in, s_out), cols = strides, rows[0].shape[1] // strides[0]
+    s_in, s_out = strides
     outs = [np.empty((len(rows[0]), s_out * cols)) for _ in range(outputs)]
     budget = _BLOCK_ELEMENTS // (len(inputs) * s_in + outputs * s_out + 1)  # columns
-    width = min(cols, budget)
+    width = max(1, min(cols, budget))
     height = max(1, budget // width)
     for r, c in itertools.product(range(0, len(rows[0]), height), range(0, cols, width)):
         block, part = slice(r, r + height), min(width, cols - c)
@@ -264,43 +267,52 @@ def _filter_bank(inputs, bases, reach, strides, outputs, terms) -> list[np.ndarr
         for out, acc in zip(outs, sums.reshape(outputs, -1, s_out * (part + reach))):
             out[block, s_out * c : s_out * (c + part)] = acc[:, : s_out * part]
         del windows, src, sums, scratch, acc  # free the block before the next one allocates
-    return [out.reshape(inputs[0].shape[:-1] + (-1,)) for out in outs]
+    return [out.reshape(inputs[0].shape[:-1] + (s_out * cols,)) for out in outs]
 
 
 def _analysis_step(
-    approx: np.ndarray, filt: WaveletFilter, step: int, stride: int, shifts
+    approx: np.ndarray, filt: WaveletFilter, step: int, stride: int, shifts,
+    columns=None, start: int = 0,
 ) -> list[np.ndarray]:
     """[detail, smooth]: circular correlation of each row with g and with h.
 
-    detail[..., i] = sum_m g[m] approx[..., (stride (i - shifts[0]) + step m) % n]
-    and smooth likewise with h and shifts[1]: taps step apart, every
-    stride-th output kept, each output rolled right by its shift.  Every
-    row of a batch gets the multiply-adds of a one-row call.
+    detail[..., c] = sum_m g[m] approx[..., stride (c - shifts[0]) + step m]
+    at the columns c of columns[0] (whole rows by default), with approx
+    holding the columns from start on, circularly; smooth likewise with h,
+    shifts[1] and columns[1].  Every row of a batch gets the multiply-adds
+    of a one-row call.
     """
-    heads = [stride * (max(shifts) - shift) for shift in shifts]
-    terms = [(o, 0, 0, head + step * m, tap)
-             for m, taps in enumerate(zip(filt.highpass, filt.lowpass))
-             for o, (tap, head) in enumerate(zip(taps, heads))]
-    reach = -(-(step * (filt.length - 1) + max(heads)) // stride)
-    return _filter_bank([approx], [-stride * max(shifts)], reach, (stride, 1), 2, terms)
+    columns = columns or (range(approx.shape[-1] // stride),) * 2
+    reach = -(-step * (filt.length - 1) // stride)
+    return [
+        _filter_bank([approx], [stride * (cols.start - shift) - start], reach, (stride, 1),
+                     len(cols), 1, [(0, 0, 0, step * m, tap) for m, tap in enumerate(taps)])[0]
+        for taps, shift, cols in zip((filt.highpass, filt.lowpass), shifts, columns)
+    ]
 
 
 def _synthesis_step(
-    approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter, step: int, stride: int, shifts
+    approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter, step: int, stride: int, shifts,
+    columns=None, starts=(0, 0),
 ) -> np.ndarray:
     """Adjoint of _analysis_step applied to both rows, summed.
 
-    out[..., (stride i + step m) % (stride k)] += h[m] approx[..., i + shifts[1]]
-    + g[m] detail[..., i + shifts[0]] for rows of length k, indices circular.
-    Each tap writes one phase of the output (every stride-th position), so
-    at stride 2 no multiply-add lands on the zeros of an upsampled row.
+    out[..., stride i + step m] += h[m] approx[..., i + shifts[1]] + g[m]
+    detail[..., i + shifts[0]] at the output columns (whole rows by default),
+    with approx and detail holding the columns from starts[0] and starts[1]
+    on, circularly.  Each tap writes one phase of the output (every stride-th
+    position), so at stride 2 no multiply-add lands on the zeros of an
+    upsampled row.
     """
+    columns = range(stride * approx.shape[-1]) if columns is None else columns
     reach = step * (filt.length - 1) // stride
     terms = [(0, step * m % stride, k, reach - step * m // stride, tap)
              for m, taps in enumerate(zip(filt.lowpass, filt.highpass))
              for k, tap in enumerate(taps)]
-    bases = [shifts[1] - reach, shifts[0] - reach]
-    return _filter_bank([approx, detail], bases, reach, (1, stride), 1, terms)[0]
+    first = columns.start // stride - reach
+    bases = [first + shifts[1] - starts[0], first + shifts[0] - starts[1]]
+    return _filter_bank([approx, detail], bases, reach, (1, stride), len(columns) // stride, 1,
+                        terms)[0]
 
 
 def _level(mode: str, filter_length: int, level: int, levels: int):
@@ -311,29 +323,89 @@ def _level(mode: str, filter_length: int, level: int, levels: int):
     return 2 ** (level - 1), 1, (shift, shift * (level == levels))
 
 
-def _forward(x, filt: WaveletFilter, levels: int, mode: str) -> CoefficientPyramid:
-    """x may hold many series along its last axis; the pyramid's rows keep the leading axes."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+def _whole_rows(mode: str, length: int, levels: int) -> tuple:
+    """The plan of a transform of whole rows of length: every column of every level."""
+    if mode == DECIMATED:
+        return tuple((range(length >> j),) * 2 + (range(length >> (j - 1)),)
+                     for j in range(1, levels + 1))
+    return ((range(length),) * 3,) * levels
+
+
+def _hull(*spans: range) -> range:
+    """The columns from the first to the last of the nonempty spans."""
+    spans = [s for s in spans if len(s)]
+    return range(min(s.start for s in spans), max(s.stop for s in spans)) if spans else range(0)
+
+
+@functools.cache
+def _window_reads(filter_length: int, levels: int, n: int, invert: bool) -> tuple:
+    """(before, after, plan): what a nondecimated transform computes for the
+    details on a length-n window (invert False) or the basis-averaged
+    inverse on it (invert True).
+
+    plan[j - 1] holds level j's (detail, smooth, inverse output) columns in
+    a span from before samples ahead of the window to after samples past
+    it, the first level's input.  Worked back from the window: through the
+    synthesis, the window reads the level-j detail or smooth columns from
+    s - (L_j - 1) to n - 1 + s (s the row's shift, L_j = support_length); a
+    level-j detail or smooth at c reads the input from c - s to c - s +
+    2**(j - 1) (L - 1); and a smooth is kept where the synthesis or the next
+    level reads it.
+    """
+    plan, reads = [], range(0)
+    for j in range(levels, 0, -1):
+        step, _, shifts = _level(NONDECIMATED, filter_length, j, levels)
+        reach, lj = step * (filter_length - 1), support_length(filter_length, j)
+        if invert:
+            detail, kept = (range(s + 1 - lj, n + s) for s in shifts)
+            out = range(1 - lj + reach, n)
+        else:
+            detail, kept, out = range(n), range(0), range(0)
+        smooth = _hull(kept, reads)
+        reads = _hull(*(range(c.start - s, c.stop - s + reach)
+                        for c, s in zip((detail, smooth), shifts) if len(c)))
+        plan.insert(0, (detail, smooth, out))
+    before = -reads.start
+    moved = (tuple(range(c.start + before, c.stop + before) for c in cols) for cols in plan)
+    return before, reads.stop - n, tuple(moved)
+
+
+def _forward(x, filt: WaveletFilter, levels: int, mode: str, plan=None) -> CoefficientPyramid:
+    """x may hold many series along its last axis; the pyramid's rows keep the leading axes.
+
+    Level j computes the detail and smooth columns of plan[j - 1], by default whole rows.
+    """
+    x = np.atleast_1d(as_floats(x, "series values"))
     n = x.shape[-1]
     if mode == DECIMATED and (n < 2 or n & (n - 1)):
         raise NonDyadicLength(f"decimated transform needs a power-of-two length, got {n}")
     levels = check_integer(levels, "levels", 1, error=ScaleTooDeep)
     if 2**levels > n:
         raise ScaleTooDeep(f"{levels} levels need at least {2**levels} observations")
-    approx, details = x, []
-    for j in range(1, levels + 1):
-        detail, approx = _analysis_step(approx, filt, *_level(mode, filt.length, j, levels))
+    approx, start, details = x, 0, []
+    for j, (detail_cols, smooth_cols, _) in enumerate(plan or _whole_rows(mode, n, levels), 1):
+        step, stride, shifts = _level(mode, filt.length, j, levels)
+        detail, approx = _analysis_step(
+            approx, filt, step, stride, shifts, (detail_cols, smooth_cols), start
+        )
         details.append(detail)
+        start = smooth_cols.start
     return CoefficientPyramid(mode, filt, tuple(details), approx)
 
 
-def _inverse(pyr: CoefficientPyramid, mode: str, forward: str) -> np.ndarray:
+def _inverse(pyr: CoefficientPyramid, mode: str, forward: str, plan=None) -> np.ndarray:
+    """Inverse of a pyramid of _forward with the same plan, on plan[0]'s output columns."""
     if pyr.mode != mode:
         raise ModeMismatch(f"pyramid was not produced by {forward}")
-    approx = pyr.scaling
+    plan = plan or _whole_rows(mode, pyr.length, pyr.levels)
+    approx, start = pyr.scaling, plan[-1][1].start
     for j in range(pyr.levels, 0, -1):
+        detail_cols, _, out = plan[j - 1]
         level = _level(mode, pyr.filter.length, j, pyr.levels)
-        approx = _synthesis_step(approx, pyr.detail(j), pyr.filter, *level)
+        approx = _synthesis_step(
+            approx, pyr.detail(j), pyr.filter, *level, out, (start, detail_cols.start)
+        )
+        start = out.start
         if mode == NONDECIMATED:
             approx *= 0.5  # the average of the two shifted bases
     return approx

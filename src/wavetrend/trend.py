@@ -16,12 +16,14 @@ method: one edit per level, built once as data (a mask of the details
 _inside the window, or a row of thresholds), so one list of edits serves
 one fit or many blocks of fits.
 
-A nondecimated fit with boundary handling transforms only the span of the
-symmetric-triple extension its data window can see, L_J - 1 samples on
-each side (_visible_span; 94,194 samples instead of 262,144 at n = 65536
-and the default depth).  The stride-1 transform pair is exactly
-shift-equivariant, and the edits are built on the cropped descriptor, so
-the fit is bit-identical to one over the whole extension.  The decimated
+A nondecimated fit with boundary handling computes, at every level, only
+the columns its data window reads (_plan): the details the synthesis
+reads, the smooths it and the next level read, and each inverse step what
+the step above reads, down to the window, all within L_J - 1 samples of
+the window (_visible_span; details on 1,031 to 1,913 of 2,802 columns at
+n = 1024 and the default depth).  The stride-1 transform pair is exactly
+shift-equivariant, and the edits are built on the same columns, so the
+fit is bit-identical to one over the whole extension.  The decimated
 transform is shift-equivariant only by 2**J and the unextended one wraps
 by design, so both run on their whole rows.
 
@@ -58,6 +60,7 @@ from .errors import (
     ScaleTooDeep,
     TooFewReps,
     WavetrendError,
+    as_floats,
     check_flag,
     check_integer,
 )
@@ -73,18 +76,19 @@ from .transforms import (
     SYMMETRIC_TRIPLE,
     CoefficientPyramid,
     ExtensionDescriptor,
+    _forward,
+    _inverse,
+    _whole_rows,
+    _window_reads,
     as_series,
     crop_extension,
     detail_support,
-    dwt_forward,
     dwt_inverse,
     extend_adjoint,
     extend_rows,
     extension_descriptor,
-    ndwt_average_basis,
-    ndwt_forward,
 )
-from .wavelets import autocorrelation_wavelets, cross_a_matrix, support_length
+from .wavelets import autocorrelation_wavelets, cross_a_matrix
 
 LINEAR = "linear"
 NONLINEAR = "nonlinear"
@@ -169,8 +173,8 @@ class TrendEstimate:
 
 def threshold(values, lam, kind: str = HARD):
     """Hard or soft shrinkage; lam may vary per coefficient."""
-    values = np.asarray(values, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
+    values = as_floats(values, "coefficients")
+    lam = as_floats(lam, "thresholds")
     if np.any(lam < 0):
         raise NegativeThreshold("threshold must be nonnegative")
     keep = np.abs(values) > lam
@@ -186,14 +190,14 @@ def threshold(values, lam, kind: str = HARD):
 
 
 def _supports(
-    mode: str, filter_length: int, level: int, desc: ExtensionDescriptor
+    mode: str, filter_length: int, level: int, columns: range, desc: ExtensionDescriptor
 ) -> tuple[np.ndarray, int]:
-    """(start, length) of every level-j detail coefficient of a row placed as
-    desc says; start is taken mod the row, so a support may run past its end."""
-    total = desc.extended_length
-    count = total >> level if mode == DECIMATED else total
-    start, length = detail_support(mode, filter_length, level, np.arange(count))
-    return start % total, length
+    """(start, length) of the level-j detail coefficients in columns of a row
+    placed as desc says; start is taken mod the row, so a support may run
+    past its end."""
+    index = np.arange(columns.start, columns.stop)
+    start, length = detail_support(mode, filter_length, level, index)
+    return start % desc.extended_length, length
 
 
 def _inside(start: np.ndarray, length: int, desc: ExtensionDescriptor) -> np.ndarray:
@@ -211,20 +215,21 @@ def _extension(n: int, boundary: bool) -> ExtensionDescriptor:
 def _visible_span(
     n: int, config: EstimatorConfig, filter_length: int, levels: int
 ) -> ExtensionDescriptor:
-    """_extension of a config's fit, for a nondecimated fit cropped to what
-    its data window reads.
-
-    Level-J coefficient p reads x[p - s_J, p - s_J + L_J - 1], and the
-    basis-averaged inverse at t reads level-J coefficients in
-    [t + s_J - (L_J - 1), t + s_J] (s_J = centre_shift, L_J =
-    support_length); shallower levels reach less.  So output t reads
-    x[t - (L_J - 1), t + L_J - 1].
-    """
+    """_extension of a config's fit, for a nondecimated fit cropped to the
+    span its data window reads (_window_reads; L_J - 1 samples each side)."""
     desc = _extension(n, config.boundary)
     if config.transform == DECIMATED:
         return desc
-    reach = support_length(filter_length, levels) - 1
-    return crop_extension(desc, reach, reach)
+    return crop_extension(desc, *_window_reads(filter_length, levels, n, True)[:2])
+
+
+def _plan(desc: ExtensionDescriptor, transform: str, filter_length: int, levels: int) -> tuple:
+    """The columns each level of a fit on a row placed as desc says computes:
+    what the window reads on a span crop_extension cut, whole rows otherwise."""
+    if transform == NONDECIMATED and desc != extension_descriptor(desc.original_length,
+                                                                  desc.policy):
+        return _window_reads(filter_length, levels, desc.original_length, True)[2]
+    return _whole_rows(transform, desc.extended_length, levels)
 
 
 def _edited_fit(
@@ -236,14 +241,13 @@ def _edited_fit(
     _visible_span of the series length.  edits[j - 1] maps the level-j
     detail rows to their replacement, so there are as many levels as edits.
     """
-    if transform == DECIMATED:
-        forward, inverse = dwt_forward, dwt_inverse
-    else:
-        forward, inverse = ndwt_forward, ndwt_average_basis
-    pyr = forward(extend_rows(x, desc), filt, len(edits))
+    plan = _plan(desc, transform, filt.length, len(edits))
+    pyr = _forward(extend_rows(x, desc), filt, len(edits), transform, plan)
     details = tuple(edit(pyr.detail(j)) for j, edit in enumerate(edits, start=1))
-    # a copy, so the fit does not keep the whole extended reconstruction alive
-    return inverse(pyr.with_details(details))[..., desc.window()].copy()
+    fit = _inverse(pyr.with_details(details), transform, "_forward", plan)
+    start = desc.offset - plan[0][2].start
+    # a copy, so the fit does not keep a whole extended reconstruction alive
+    return fit[..., start : start + desc.original_length].copy()
 
 
 def _edit_for(
@@ -253,7 +257,8 @@ def _edit_for(
     levels: int,
     desc: ExtensionDescriptor,
 ) -> list:
-    """config's estimator as one edit per level, for a series placed as desc says.
+    """config's estimator as one edit per level, for a series placed as desc
+    says, on the detail columns each level computes (_plan).
 
     Linear: zero the details _inside the data window.  Nonlinear: threshold
     each detail at lambda = policy.scale(n) * sigma[j - 1, t], with sigma
@@ -263,10 +268,11 @@ def _edit_for(
     list of edits serves one fit or many blocks of fits.
     """
     mode = config.transform
+    columns = [cols for cols, _, _ in _plan(desc, mode, filt.length, levels)]
     if config.method == LINEAR:
         return [
-            partial(np.where, _inside(*_supports(mode, filt.length, j, desc), desc), 0.0)
-            for j in range(1, levels + 1)
+            partial(np.where, _inside(*_supports(mode, filt.length, j, cols, desc), desc), 0.0)
+            for j, cols in enumerate(columns, start=1)
         ]
     if not isinstance(spectrum, SpectrumEstimate):
         raise MissingSpectrum("nonlinear trend needs a spectrum estimate")
@@ -276,12 +282,13 @@ def _edit_for(
     floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0))
     sigma = np.sqrt(variance_matrix(floored, filt, levels))
     lam_scale = config.policy.scale(n)
-    centres = np.arange(desc.extended_length)  # nondecimated, at every level
     edits = []
-    for j in range(1, levels + 1):
+    for j, cols in enumerate(columns, start=1):
         if mode == DECIMATED:
-            start, length = _supports(mode, filt.length, j, desc)
+            start, length = _supports(mode, filt.length, j, cols, desc)
             centres = start + (length - 1) // 2
+        else:
+            centres = np.arange(cols.start, cols.stop)
         lam = lam_scale * sigma[j - 1, np.clip(centres - desc.offset, 0, n - 1)]
         edits.append(partial(threshold, lam=lam, kind=config.policy.kind))
     return edits
@@ -380,7 +387,7 @@ def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
     shifts = []
     for i, (j, coeffs) in enumerate(zip(depths, units)):
         coeffs[i, 0] = 1.0
-        start, length = _supports(DECIMATED, filt.length, j, desc)
+        start, length = _supports(DECIMATED, filt.length, j, range(total >> j), desc)
         # meets the window, or its copy one period on, which a wrapping support reaches
         keep = (start < desc.offset + desc.original_length) & (start + length > desc.offset)
         keep |= start + length > desc.offset + total

@@ -44,6 +44,7 @@ from .errors import (
     ScaleTooDeep,
     SeriesTooShort,
     SingularMatrix,
+    as_floats,
     check_integer,
 )
 from .filters import WaveletFilter
@@ -232,7 +233,7 @@ def difference_series(x: np.ndarray, lag: int = 1, order: int = 1) -> np.ndarray
     (lag 1 applied twice) by sqrt(6).  With this scaling the periodogram of
     the output is corrected by the matching d_matrix without extra factors.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_floats(x, "series values")
     if x.ndim != 1:
         raise DimensionMismatch("expected a one dimensional series")
     lag, order = check_diff((lag, order), x.size)

@@ -37,9 +37,10 @@ from wavetrend.trend import (
     analytic_ci,
     bootstrap_ci,
     estimate_trend,
+    threshold,
     variance_matrix,
 )
-from wavetrend.wavelets import autocorrelation_wavelets, lagged_a_matrix
+from wavetrend.wavelets import autocorrelation_wavelets, difference_series, lagged_a_matrix
 
 N = 128
 X = np.random.default_rng(21).standard_normal(N)
@@ -137,6 +138,10 @@ def test_numpy_scalar_is_accepted(call, value):
         pytest.param(lambda: wavelet_periodogram(X, "ep4", 3), id="filter_name_for_filter"),
         pytest.param(lambda: lacv_from_spectrum([["a"]], ACW), id="string_spectrum_matrix"),
         pytest.param(lambda: lacv_from_spectrum([[1, 2], [3]], ACW), id="ragged_spectrum_matrix"),
+        pytest.param(lambda: ndwt_forward(["a"] * 8, SPECTRUM.filter, 1),
+                     id="string_transform_input"),
+        pytest.param(lambda: difference_series(["a"] * 8), id="string_differenced_series"),
+        pytest.param(lambda: threshold([1.0], "a"), id="string_threshold"),
     ],
 )
 def test_malformed_input_is_refused(call):

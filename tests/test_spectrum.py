@@ -26,6 +26,8 @@ from wavetrend.spectrum import (
 from wavetrend.transforms import TREND_REFLECT, extend_rows, extension_descriptor, ndwt_forward
 from wavetrend.wavelets import a_matrix, autocorrelation_wavelets, d_matrix, difference_series
 
+from test_transforms import filter_bank_calls
+
 EP4 = wavelet_filter(EXTREMAL_PHASE, 4)
 HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
 
@@ -387,16 +389,16 @@ def test_cropped_periodogram_matches_uncropped(number, family, diff):
 
 
 def test_cropped_periodogram_span(monkeypatch):
-    # EP4 at the default depth: n + L_11 - 1 of the 131,072 extended samples
-    lengths = []
-
-    def forward(y, filt, levels):
-        lengths.append(y.shape[-1])
-        return ndwt_forward(y, filt, levels)
-
-    monkeypatch.setattr(spectrum, "ndwt_forward", forward)
+    # EP4 at the default depth: details on the n window columns only, each
+    # smooth as wide as the deeper levels read (the first one the span of
+    # n + L_11 - 1 less 7) and the deepest none; unextended rows are whole
     x = np.random.default_rng(1).standard_normal(65536)
-    wavelet_periodogram(x, EP4, default_levels(65536))
-    wavelet_periodogram(x, EP4, default_levels(65536), diff=(2, 1))
+    calls = filter_bank_calls(monkeypatch)
+    for diff in (None, (2, 1)):
+        wavelet_periodogram(x, EP4, default_levels(65536), diff=diff)
+        assert calls[::2] == [(65_536, 8)] * 11
+        assert calls[1] == (79_865 - 7, 8) and calls[-1] == (0, 8)
+        assert sum(cols * terms for cols, terms in calls) == 12_042_352  # 14.1 M on whole spans
+        calls.clear()
     wavelet_periodogram(x, EP4, default_levels(65536), boundary=False)
-    assert lengths == [79_865, 79_865, 65_536]
+    assert calls == [(65_536, 8)] * 22

@@ -147,6 +147,23 @@ def test_extend_adjoint_is_transpose_of_extension(n):
     np.testing.assert_allclose(extend_adjoint(b[0, 0], desc), dense[0, 0], rtol=0, atol=1e-15)
 
 
+def filter_bank_calls(monkeypatch):
+    """(output columns, terms) of every _filter_bank call from now on, in call order.
+
+    The filter bank is the one place a transform multiplies and adds, so
+    columns times terms counts the multiply-adds of a row whatever route
+    reaches it.
+    """
+    calls, bank = [], transforms._filter_bank
+
+    def counted(inputs, bases, reach, strides, cols, outputs, terms):
+        calls.append((cols, len(terms)))
+        return bank(inputs, bases, reach, strides, cols, outputs, terms)
+
+    monkeypatch.setattr(transforms, "_filter_bank", counted)
+    return calls
+
+
 def add_at_adjoint(b, desc):
     """extend_adjoint by scatter: every extended sample adds to the data at
     its mirror index, and in the odd-reflection pads also at its edge index

@@ -27,6 +27,7 @@ from wavetrend.transforms import (
     DECIMATED,
     NONDECIMATED,
     CoefficientPyramid,
+    centre_shift,
     detail_support,
     dwt_inverse,
     extend_rows,
@@ -53,9 +54,9 @@ from wavetrend.trend import (
     threshold,
     variance_matrix,
 )
-from wavetrend.wavelets import autocorrelation_wavelets
+from wavetrend.wavelets import autocorrelation_wavelets, support_length
 
-from test_transforms import add_at_adjoint
+from test_transforms import add_at_adjoint, filter_bank_calls
 
 EP4 = wavelet_filter(EXTREMAL_PHASE, 4)
 HAAR = wavelet_filter(EXTREMAL_PHASE, 1)
@@ -405,11 +406,17 @@ def test_edits_match_geometry_oracles(number, family, depth, n, transform, bound
     lams = _edit_for(nonlinear, sp, filt, levels, desc)
     want = _threshold_rows(sp, filt, levels, policy, transform, desc)
     assert len(masks) == len(lams) == levels
+    cropped = transform == NONDECIMATED and desc != _extension(n, boundary)
     for j in range(1, levels + 1):
         count = desc.extended_length >> j if transform == DECIMATED else desc.extended_length
+        # a cropped fit computes the level-j details whose synthesis reaches
+        # the window: n + L_j - 1 of them, ending s_j past it
+        columns = (desc.offset + centre_shift(filt.length, j)
+                   + np.arange(1 - support_length(filt.length, j), n)) if cropped else slice(None)
         mask, lam = masks[j - 1].args[0], lams[j - 1].keywords["lam"]
-        assert np.array_equal(mask, _interior_mask(transform, filt.length, j, count, desc)), j
-        assert np.array_equal(lam, want[j - 1]), j
+        expected = _interior_mask(transform, filt.length, j, count, desc)[columns]
+        assert np.array_equal(mask, expected), j
+        assert np.array_equal(lam, want[j - 1][columns]), j
         assert lams[j - 1].keywords["kind"] == SOFT
 
 
@@ -735,7 +742,7 @@ def test_cropped_block_of_rows_matches_uncropped(name, crop_spectra):
 
 
 def test_cropped_span_sizes(monkeypatch):
-    # EP4 at the default depth; a silent fallback to the whole extension fails
+    # EP4 at the default depth; a silent fallback to whole rows fails
     config = EstimatorConfig()
     assert _visible_span(65536, config, 8, 11).extended_length == 94_194
     assert _visible_span(16384, config, 8, 9).extended_length == 23_538
@@ -746,15 +753,18 @@ def test_cropped_span_sizes(monkeypatch):
     assert _visible_span(1024, replace(config, boundary=False), 8, 7) == _extension(1024, False)
     decimated = replace(config, transform=DECIMATED)
     assert _visible_span(1024, decimated, 8, 7) == _extension(1024, True)
-    lengths = []
-
-    def forward(x, filt, levels):
-        lengths.append(x.shape[-1])
-        return ndwt_forward(x, filt, levels)
-
-    monkeypatch.setattr(wavetrend.trend, "ndwt_forward", forward)
-    estimate_trend(np.random.default_rng(9).standard_normal(16384), config)
-    assert lengths == [23_538]
+    # every level computes only the columns the window reads: the level-j
+    # details n + 7 (2**j - 1), each smooth the span less 7 (2**j - 1), and
+    # each inverse step what the step above reads, down to the n outputs
+    x = crop_series(1024)
+    sp = estimate_spectrum(x)
+    calls = filter_bank_calls(monkeypatch)
+    estimate_trend(x, EstimatorConfig(method=NONLINEAR), sp)
+    reads = [7 * (2**j - 1) for j in range(1, 8)]
+    assert calls[:14:2] == [(1024 + r, 8) for r in reads]
+    assert calls[1:14:2] == [(2_802 - r, 8) for r in reads]
+    assert calls[14:] == [(1024 + r, 16) for r in [0, *reads[:-1]][::-1]]
+    assert sum(cols * terms for cols, terms in calls) == 342_384  # 627,648 on whole spans
 
 
 def uncropped_interval(fit, sp, reps, alpha, seed):
