@@ -135,6 +135,9 @@ CASES = [
     # lags of n or more are not lags of the series
     ("lacf_lag_max_past_n", ["lacf", X1, "--lag-max", "5000"]),
     ("missing_input", ["trend", "missing.csv"]),
+    # a 63-value trend against the 64 columns of the spectrum, and one NaN in a series
+    ("sim_short_trend", ["sim", "--trend-csv", "trend63.csv", "--spec-csv", "spec.csv"]),
+    ("nan_series", ["analyze", "nan.csv"]),
     # squares of a series of magnitude 1e160 overflow float64
     ("huge_values", ["analyze", "huge.csv"]),
     # a longer, non-dyadic series: cropped trend and periodogram transforms
@@ -165,8 +168,9 @@ PLOTTED = {
 # length-64 trend and 6 x 64 spectrum (power at scales 1, 3 and 4) for
 # the sim_csv, sim_spec_only and sim_trend_only cases, 256 seeded standard
 # normals scaled by 1e160, 3000 seeded normals with a growing spread around
-# a slow sine, 16 seeded normals, and 256 more seeded normals scaled by
-# 1e-150 and by 1e120 (drawn last, so the earlier inputs keep their bytes)
+# a slow sine, 16 seeded normals, 256 more seeded normals scaled by 1e-150
+# and by 1e120, the first 63 trend values, and 64 seeded normals with a NaN
+# at row 10 (each input drawn after the earlier ones, which keep their bytes)
 _rng = random.Random(5)
 INPUTS = {
     "ragged_long.csv": "time,value\n0,1.5\n1,2.5,9\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
@@ -183,6 +187,10 @@ INPUTS = {
 _normals = [_rng.gauss(0.0, 1.0) for _ in range(256)]
 INPUTS["tiny.csv"] = "value\n" + "".join(f"{1e-150 * g!r}\n" for g in _normals)
 INPUTS["big.csv"] = "value\n" + "".join(f"{1e120 * g!r}\n" for g in _normals)
+INPUTS["trend63.csv"] = "".join(INPUTS["trend.csv"].splitlines(keepends=True)[:64])
+_nan = [_rng.gauss(0.0, 1.0) for _ in range(64)]
+_nan[10] = math.nan
+INPUTS["nan.csv"] = "value\n" + "".join(f"{v!r}\n" for v in _nan)
 
 
 def out_dir(name: str, argv: list[str]) -> str:

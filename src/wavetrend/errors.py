@@ -4,7 +4,8 @@ Everything raised on bad user input derives from WavetrendError so callers
 (and the command line driver) can distinguish configuration problems from
 genuine bugs.  check_integer is the one check of an integer argument,
 check_flag the one check of an on/off argument and as_floats the one
-conversion of an array argument.
+conversion of an array argument, with its shape and, where the caller asks,
+its finiteness.
 """
 
 import operator
@@ -100,10 +101,22 @@ def check_flag(value, name) -> bool:
     return bool(value)
 
 
-def as_floats(values, what) -> np.ndarray:
-    """values as a float64 array (no copy of one); strings, ragged lists and
-    anything else numpy cannot read as numbers raise WavetrendError."""
+def as_floats(values, what, shape=None, finite=False, error=WavetrendError) -> np.ndarray:
+    """values as a float64 array (no copy of one).
+
+    Strings, ragged lists and anything else numpy cannot read as numbers
+    raise error.  A shape other than the given one, where None matches any
+    length on its axis, raises DimensionMismatch; with finite=True a NaN or
+    infinite value raises WavetrendError."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        array = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise WavetrendError(f"{what} must be numbers: {exc}") from None
+        raise error(f"{what} must be numbers: {exc}") from None
+    if shape is not None and (
+        array.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, array.shape))
+    ):
+        wanted = str(tuple(shape)).replace("None", "any")
+        raise DimensionMismatch(f"{what} must have shape {wanted}, got {array.shape}")
+    if finite and not np.isfinite(array).all():
+        raise WavetrendError(f"{what} must be finite")
+    return array

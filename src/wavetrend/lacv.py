@@ -78,9 +78,7 @@ def lacv_from_spectrum(
     elif acw is None:
         raise WavetrendError("a plain spectrum matrix needs its autocorrelation wavelets")
     else:
-        S = as_floats(spectrum, "spectrum values")
-    if S.ndim != 2:
-        raise DimensionMismatch("expected a levels x n spectrum matrix")
+        S = as_floats(spectrum, "spectrum matrix", (None, None), finite=True)
     levels, n = S.shape
     if acw.levels < levels:
         raise DimensionMismatch(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_integer
+from .errors import DimensionMismatch, as_floats, check_integer
 
 GLOBAL = "global"
 BY_LEVEL = "by-level"
@@ -55,7 +55,7 @@ class _Scale:
 
 
 def _padded_range(*arrays: np.ndarray) -> tuple[float, float]:
-    stacked = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+    stacked = np.concatenate([a.ravel() for a in arrays])
     stacked = stacked[np.isfinite(stacked)]
     if stacked.size == 0:
         return -1.0, 1.0
@@ -124,25 +124,21 @@ def trend_figure(
     ci_hi: np.ndarray | None = None,
 ) -> str:
     """Data line, fitted trend, and a shaded band when an interval exists."""
-    data = np.asarray(data, dtype=np.float64)
-    trend = np.asarray(trend, dtype=np.float64)
-    if data.shape != trend.shape or data.ndim != 1:
-        raise DimensionMismatch("data and trend must be equal-length vectors")
+    data = as_floats(data, "data", (None,))
+    trend = as_floats(trend, "trend", data.shape)
     n = data.size
     height = 420
     x0, x1 = _LEFT, _WIDTH - _RIGHT
     y0, y1 = _TOP, height - _BOTTOM
     sx = _Scale(0.0, float(n - 1), x0, x1)
-    band = (ci_lo is not None and ci_hi is not None
-            and np.asarray(ci_lo).size == n and np.asarray(ci_hi).size == n)
-    ranged = (data, trend, ci_lo, ci_hi) if band else (data, trend)
-    sy = _Scale(*_padded_range(*ranged), pix_lo=y1, pix_hi=y0)
+    band = ci_lo is not None and ci_hi is not None
+    interval = [as_floats(ci, "interval", (n,)) for ci in (ci_lo, ci_hi)] if band else []
+    sy = _Scale(*_padded_range(data, trend, *interval), pix_lo=y1, pix_hi=y0)
 
     t = np.arange(n)
     body = [_text(_WIDTH / 2, 17, "trend estimate", size=13)]
-    if band:
-        lo = np.asarray(ci_lo, dtype=np.float64)
-        hi = np.asarray(ci_hi, dtype=np.float64)
+    if interval:
+        lo, hi = interval
         forward = " ".join(f"L {_px(v)} {_px(w)}" for v, w in zip(sx(t), sy(lo)))
         backward = " ".join(f"L {_px(v)} {_px(w)}" for v, w in zip(sx(t)[::-1], sy(hi)[::-1]))
         path = "M" + forward[1:] + " " + backward + " Z"
@@ -163,9 +159,7 @@ def spectrum_figure(S: np.ndarray, scaling: str = GLOBAL) -> str:
     comparable between scales; "by-level" stretches each panel to its own
     range so weak scales stay readable.
     """
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2:
-        raise DimensionMismatch("expected a levels x n spectrum matrix")
+    S = as_floats(S, "spectrum matrix", (None, None))
     if scaling not in (GLOBAL, BY_LEVEL):
         raise DimensionMismatch(f"scaling must be {GLOBAL!r} or {BY_LEVEL!r}")
     levels, n = S.shape
@@ -200,9 +194,7 @@ def spectrum_figure(S: np.ndarray, scaling: str = GLOBAL) -> str:
 
 def lacf_figure(lacv: np.ndarray, times: list[int]) -> str:
     """Needle plots of the autocorrelation at the requested time rows."""
-    lacv = np.asarray(lacv, dtype=np.float64)
-    if lacv.ndim != 2:
-        raise DimensionMismatch("expected a time x lag autocovariance matrix")
+    lacv = as_floats(lacv, "autocovariance matrix", (None, None))
     n, lags = lacv.shape
     if not times:
         raise DimensionMismatch("need at least one time index")

@@ -40,7 +40,6 @@ from .errors import (
     DimensionMismatch,
     NegativeSpectrum,
     SeriesTooShort,
-    WavetrendError,
     as_floats,
     check_integer,
 )
@@ -71,11 +70,9 @@ def gaussian_innovations(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size)
 
 
-def _on_grid(values, n: int) -> np.ndarray:
-    """values as float64; a callable is evaluated on the midpoint grid (k + 0.5) / n."""
-    if callable(values):
-        values = values((np.arange(n) + 0.5) / n)
-    return as_floats(values, "trend and spectrum values")
+def _on_grid(values, n: int):
+    """values, or the callable values evaluated on the midpoint grid (k + 0.5) / n."""
+    return values((np.arange(n) + 0.5) / n) if callable(values) else values
 
 
 def _shape(values) -> tuple[int, ...]:
@@ -91,21 +88,14 @@ def sample_trend(trend: TrendLike, n: int) -> np.ndarray:
     n = check_integer(n, "series length", 1, error=SeriesTooShort)
     if trend is None:
         return np.zeros(n)
-    vals = _on_grid(trend, n)
-    if vals.shape != (n,):
-        raise DimensionMismatch(f"trend has shape {vals.shape}, series has length {n}")
-    if not np.isfinite(vals).all():
-        raise WavetrendError("trend values must be finite")
-    return vals
+    return as_floats(_on_grid(trend, n), "trend values", (n,), finite=True)
 
 
 def _spec_row(entry, n: int) -> np.ndarray:
-    row = _on_grid(entry, n)
+    row = as_floats(_on_grid(entry, n), "spectrum row")
     if row.ndim == 0 and not callable(entry):
         row = np.full(n, float(row))
-    if row.shape != (n,):
-        raise DimensionMismatch("spectrum rows must have the series length")
-    return row
+    return as_floats(row, "spectrum row", (n,))
 
 
 def sample_spec(spec: SpecLike, n: int) -> np.ndarray:
@@ -121,14 +111,7 @@ def sample_spec(spec: SpecLike, n: int) -> np.ndarray:
             scale = check_integer(scale, "scale", 1, levels, DimensionMismatch)
             out[scale - 1] = _spec_row(entry, n)
     else:
-        try:
-            out = np.array(spec, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise DimensionMismatch("unsupported spectrum specification") from None
-        if out.shape != (levels, n):
-            raise DimensionMismatch(
-                f"spectrum matrix must be {levels} x {n}, got {out.shape}"
-            )
+        out = as_floats(spec, "spectrum matrix", (levels, n), error=DimensionMismatch).copy()
     if not np.all(np.isfinite(out)):
         raise NegativeSpectrum("spectrum contains non-finite values")
     if np.any(out < 0):
@@ -185,12 +168,11 @@ class NoisePlan:
         n = self.amplitude.shape[1]
         noise = np.zeros((len(rngs), n))
         for row, kernel in zip(self.amplitude, self.kernels):
-            xi = [np.asarray(innovations(rng, n), dtype=np.float64) for rng in rngs]
-            if any(draw.shape != (n,) for draw in xi):
-                raise DimensionMismatch("innovation source must return a length-n vector")
+            xi = [innovations(rng, n) for rng in rngs]
+            xi = as_floats(xi, "length-n innovation vectors", (len(rngs), n))
             if kernel is not None:
-                noise += np.fft.irfft(np.fft.rfft(row * np.array(xi)) * kernel, n)
-        return noise
+                noise += np.fft.irfft(np.fft.rfft(row * xi) * kernel, n)
+        return as_floats(noise, "noise drawn from the innovations", finite=True)
 
 
 def tlsw_sim(

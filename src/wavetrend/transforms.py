@@ -46,8 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    ModeMismatch, NonDyadicLength, ScaleTooDeep, SeriesTooShort, WavetrendError, as_floats,
-    check_integer
+    ModeMismatch, NonDyadicLength, ScaleTooDeep, SeriesTooShort, as_floats, check_integer
 )
 from .filters import WaveletFilter
 from .wavelets import support_length
@@ -87,13 +86,9 @@ def next_pow2(m: int) -> int:  # m >= 1: extension_descriptor checks its n
 
 def as_series(x, min_length: int) -> np.ndarray:
     """x as a finite one dimensional float array of at least min_length values."""
-    x = as_floats(x, "series values")
-    if x.ndim != 1:
-        raise SeriesTooShort("expected a one dimensional series")
+    x = as_floats(x, "series values", (None,), finite=True)
     if x.size < min_length:
         raise SeriesTooShort(f"need at least {min_length} observations, got {x.size}")
-    if not np.isfinite(x).all():
-        raise WavetrendError("series values must be finite")
     return x
 
 

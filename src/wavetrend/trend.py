@@ -114,6 +114,8 @@ class ThresholdPolicy:
     def __post_init__(self) -> None:
         if self.kind not in (HARD, SOFT):
             raise MethodMismatch(f"unknown threshold kind {self.kind!r}")
+        flag = check_flag(self.normal_assumption, "normal_assumption")
+        object.__setattr__(self, "normal_assumption", flag)
 
     def scale(self, n: int) -> float:
         if self.normal_assumption:
@@ -138,6 +140,8 @@ class EstimatorConfig:
             raise MethodMismatch(f"unknown trend method {self.method!r}")
         if self.transform not in (DECIMATED, NONDECIMATED):
             raise MethodMismatch(f"unknown trend transform {self.transform!r}")
+        if not isinstance(self.policy, ThresholdPolicy):
+            raise MethodMismatch(f"policy must be a ThresholdPolicy, got {self.policy!r}")
         if self.levels is not None:
             levels = check_integer(self.levels, "levels", 1, error=ScaleTooDeep)
             object.__setattr__(self, "levels", levels)

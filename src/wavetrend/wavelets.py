@@ -233,9 +233,7 @@ def difference_series(x: np.ndarray, lag: int = 1, order: int = 1) -> np.ndarray
     (lag 1 applied twice) by sqrt(6).  With this scaling the periodogram of
     the output is corrected by the matching d_matrix without extra factors.
     """
-    x = as_floats(x, "series values")
-    if x.ndim != 1:
-        raise DimensionMismatch("expected a one dimensional series")
+    x = as_floats(x, "series values", (None,))
     lag, order = check_diff((lag, order), x.size)
     if order == 1:
         out = x[lag:] - x[:-lag]

@@ -6,6 +6,8 @@ just outside its range.  A bool, a float, a string and each out-of-range
 value must raise that class (a WavetrendError); the valid value passed as
 a numpy integer must be accepted.  The significance level is the one real
 argument, with the same bad values and a numpy float as the valid one.
+Malformed arrays, flags and objects have one row each, and as_floats, the
+one conversion of an array argument, has its own table of refusals.
 """
 
 import numpy as np
@@ -15,14 +17,16 @@ from wavetrend.errors import (
     DimensionMismatch,
     InvalidBinwidth,
     InvalidDiffSpec,
+    MethodMismatch,
     ScaleTooDeep,
     SeriesTooShort,
     TooFewReps,
     UnsupportedFilter,
     WavetrendError,
+    as_floats,
 )
 from wavetrend.lacv import lacv_from_spectrum
-from wavetrend.plots import lacf_figure
+from wavetrend.plots import lacf_figure, spectrum_figure, trend_figure
 from wavetrend.simulate import sample_spec, sample_trend, tlsw_sim
 from wavetrend.spectrum import estimate_spectrum, wavelet_periodogram
 from wavetrend.transforms import (
@@ -34,6 +38,7 @@ from wavetrend.transforms import (
 )
 from wavetrend.trend import (
     EstimatorConfig,
+    ThresholdPolicy,
     analytic_ci,
     bootstrap_ci,
     estimate_trend,
@@ -142,11 +147,56 @@ def test_numpy_scalar_is_accepted(call, value):
                      id="string_transform_input"),
         pytest.param(lambda: difference_series(["a"] * 8), id="string_differenced_series"),
         pytest.param(lambda: threshold([1.0], "a"), id="string_threshold"),
+        pytest.param(lambda: trend_figure(["a"] * 8, np.ones(8)), id="string_figure_data"),
+        pytest.param(lambda: trend_figure(np.ones(8), np.ones(8), ["a"] * 8, np.ones(8)),
+                     id="string_figure_interval"),
+        pytest.param(lambda: spectrum_figure([["a"] * 8] * 2), id="string_figure_spectrum"),
+        pytest.param(lambda: lacf_figure([["a"] * 3] * 8, [0]), id="string_figure_lacv"),
+        pytest.param(lambda: spectrum_figure([[1.0, 2.0], [3.0]]), id="ragged_figure_spectrum"),
+        pytest.param(lambda: tlsw_sim(spec={1: 1.0}, n=16, innovations=lambda g, n: ["a"] * n),
+                     id="string_innovations"),
+        pytest.param(lambda: tlsw_sim(spec={1: 1.0}, n=16,
+                                      innovations=lambda g, n: np.full(n, np.nan)),
+                     id="nan_innovations"),
+        pytest.param(lambda: lacv_from_spectrum(np.full((3, N), np.nan), ACW),
+                     id="nan_spectrum_matrix"),
+        pytest.param(lambda: ThresholdPolicy(normal_assumption="no"),
+                     id="string_normal_assumption"),
+        pytest.param(lambda: EstimatorConfig(method="nonlinear", policy="hard"),
+                     id="string_threshold_policy"),
     ],
 )
 def test_malformed_input_is_refused(call):
     with pytest.raises(WavetrendError):
         call()
+
+
+@pytest.mark.parametrize(
+    "values,checks,error",
+    [
+        pytest.param(["a", "b"], {}, WavetrendError, id="strings"),
+        pytest.param([[1.0, 2.0], [3.0]], {}, WavetrendError, id="ragged"),
+        pytest.param(["a"], {"error": DimensionMismatch}, DimensionMismatch, id="own_class"),
+        pytest.param(np.ones((2, 3)), {"shape": (None,)}, DimensionMismatch, id="ndim"),
+        pytest.param(np.ones((2, 3)), {"shape": (None, 4)}, DimensionMismatch, id="length"),
+        pytest.param(np.ones(3), {"shape": ()}, DimensionMismatch, id="not_a_scalar"),
+        pytest.param([1.0, np.nan], {"finite": True}, WavetrendError, id="nan"),
+        pytest.param([[-np.inf]], {"shape": (1, None), "finite": True}, WavetrendError,
+                     id="infinite"),
+    ],
+)
+def test_as_floats_refusals(values, checks, error):
+    with pytest.raises(WavetrendError) as caught:
+        as_floats(values, "values", **checks)
+    assert type(caught.value) is error
+
+
+def test_as_floats_accepts_without_copy():
+    x = np.ones((2, 3))
+    assert as_floats(x, "values", (None, 3), finite=True) is x
+    assert as_floats(x, "values", (2, None)) is x
+    assert np.isnan(as_floats([np.nan], "values", (1,))).all()  # finiteness only when asked
+    assert as_floats(2, "values", ()).shape == ()
 
 
 def test_filter_name_is_an_unsupported_filter():
@@ -156,6 +206,7 @@ def test_filter_name_is_an_unsupported_filter():
 
 def test_numpy_bool_flags_are_stored_as_bools():
     assert EstimatorConfig(boundary=np.False_).boundary is False
+    assert ThresholdPolicy(normal_assumption=np.False_).normal_assumption is False
     est = estimate_spectrum(X, levels=3, boundary=np.True_)
     assert est.periodogram.boundary is True
 
