@@ -233,11 +233,11 @@ def _circular(x: np.ndarray, offset: int, span: int) -> np.ndarray:
     return np.concatenate([x[..., start:]] + [x] * (whole + 1) + [x[..., :tail]], axis=-1)
 
 
-def _filter_bank(inputs, bases, reach, strides, cols, outputs, terms) -> list[np.ndarray]:
+def _filter_bank(inputs, bases, reach, strides, cols, terms) -> np.ndarray:
     """The multiply-adds of one filter-bank step, onto zeros, in term order.
 
-    Term (o, phase, k, start, tap) adds tap * inputs[k][..., s_in i + start
-    + bases[k]] to out_o[..., s_out i + phase] at output columns i < cols,
+    Term (phase, k, start, tap) adds tap * inputs[k][..., s_in i + start
+    + bases[k]] to out[..., s_out i + phase] at output columns i < cols,
     circularly, with (s_in, s_out) = strides and start <= s_in reach.
     Blocks of whole rows, or column chunks of one row, are sized so that the
     input windows, sums and product of a block hold _BLOCK_ELEMENTS doubles.
@@ -246,8 +246,8 @@ def _filter_bank(inputs, bases, reach, strides, cols, outputs, terms) -> list[np
     """
     rows = [x.reshape(-1, x.shape[-1]) for x in inputs]
     s_in, s_out = strides
-    outs = [np.empty((len(rows[0]), s_out * cols)) for _ in range(outputs)]
-    budget = _BLOCK_ELEMENTS // (len(inputs) * s_in + outputs * s_out + 1)  # columns
+    out = np.empty((len(rows[0]), s_out * cols))
+    budget = _BLOCK_ELEMENTS // (len(inputs) * s_in + s_out + 1)  # columns
     width = max(1, min(cols, budget))
     height = max(1, budget // width)
     for r, c in itertools.product(range(0, len(rows[0]), height), range(0, cols, width)):
@@ -255,14 +255,14 @@ def _filter_bank(inputs, bases, reach, strides, cols, outputs, terms) -> list[np
         windows = [_circular(x[block], s_in * c + base, s_in * (part + reach)).ravel()
                    for x, base in zip(rows, bases)]
         size = windows[0].size // s_in - reach
-        sums, scratch = np.zeros((outputs, s_out * (size + reach))), np.empty(size)
-        for o, phase, k, start, tap in terms:
+        sums, scratch = np.zeros(s_out * (size + reach)), np.empty(size)
+        for phase, k, start, tap in terms:
             src = windows[k][start : start + s_in * size : s_in]
-            sums[o, phase::s_out][:size] += np.multiply(tap, src, out=scratch)
-        for out, acc in zip(outs, sums.reshape(outputs, -1, s_out * (part + reach))):
-            out[block, s_out * c : s_out * (c + part)] = acc[:, : s_out * part]
-        del windows, src, sums, scratch, acc  # free the block before the next one allocates
-    return [out.reshape(inputs[0].shape[:-1] + (s_out * cols,)) for out in outs]
+            sums[phase::s_out][:size] += np.multiply(tap, src, out=scratch)
+        sums = sums.reshape(-1, s_out * (part + reach))
+        out[block, s_out * c : s_out * (c + part)] = sums[:, : s_out * part]
+        del windows, src, sums, scratch  # free the block before the next one allocates
+    return out.reshape(inputs[0].shape[:-1] + (s_out * cols,))
 
 
 def _analysis_step(
@@ -281,7 +281,7 @@ def _analysis_step(
     reach = -(-step * (filt.length - 1) // stride)
     return [
         _filter_bank([approx], [stride * (cols.start - shift) - start], reach, (stride, 1),
-                     len(cols), 1, [(0, 0, 0, step * m, tap) for m, tap in enumerate(taps)])[0]
+                     len(cols), [(0, 0, step * m, tap) for m, tap in enumerate(taps)])
         for taps, shift, cols in zip((filt.highpass, filt.lowpass), shifts, columns)
     ]
 
@@ -301,13 +301,13 @@ def _synthesis_step(
     """
     columns = range(stride * approx.shape[-1]) if columns is None else columns
     reach = step * (filt.length - 1) // stride
-    terms = [(0, step * m % stride, k, reach - step * m // stride, tap)
+    terms = [(step * m % stride, k, reach - step * m // stride, tap)
              for m, taps in enumerate(zip(filt.lowpass, filt.highpass))
              for k, tap in enumerate(taps)]
     first = columns.start // stride - reach
     bases = [first + shifts[1] - starts[0], first + shifts[0] - starts[1]]
-    return _filter_bank([approx, detail], bases, reach, (1, stride), len(columns) // stride, 1,
-                        terms)[0]
+    return _filter_bank([approx, detail], bases, reach, (1, stride), len(columns) // stride,
+                        terms)
 
 
 def _level(mode: str, filter_length: int, level: int, levels: int):

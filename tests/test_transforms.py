@@ -156,9 +156,9 @@ def filter_bank_calls(monkeypatch):
     """
     calls, bank = [], transforms._filter_bank
 
-    def counted(inputs, bases, reach, strides, cols, outputs, terms):
+    def counted(inputs, bases, reach, strides, cols, terms):
         calls.append((cols, len(terms)))
-        return bank(inputs, bases, reach, strides, cols, outputs, terms)
+        return bank(inputs, bases, reach, strides, cols, terms)
 
     monkeypatch.setattr(transforms, "_filter_bank", counted)
     return calls
