@@ -313,8 +313,9 @@ def correct_periodogram(pgram: Periodogram) -> SpectrumEstimate:
         correction = a_matrix(acw, pgram.levels)
     else:
         correction = d_matrix(acw, pgram.levels, *pgram.diff)
+    # einsum, not BLAS: a BLAS product's sums change with its thread count
     with np.errstate(over="ignore", invalid="ignore"):  # reported as one error just below
-        S = correction.inverse @ pgram.values()
+        S = np.einsum("ij,jt->it", correction.inverse, pgram.values())
     _check_finite(S, "spectrum")
     return SpectrumEstimate(S=S, periodogram=pgram, correction=correction)
 

@@ -341,7 +341,8 @@ def variance_matrix(
         autocorrelation_wavelets(analysis, depth),
         depth,
     )[:levels, : spectrum.levels]
-    return np.maximum(cross @ spectrum.S, 0.0)
+    # einsum, not BLAS: a BLAS product's sums change with its thread count
+    return np.maximum(np.einsum("ij,jt->it", cross, spectrum.S), 0.0)
 
 
 _ANALYTIC_MAX_N = 8192

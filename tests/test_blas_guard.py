@@ -22,10 +22,6 @@ BANNED = {f"np.{name}" for name in ("dot", "matmul", "inner", "tensordot", "vdot
 
 # (module, enclosing function): why its BLAS-like call stays
 ALLOWED = {
-    ("spectrum", "correct_periodogram"):
-        "`@` unmixing; moving it off BLAS changes bytes (ROADMAP Direction 1)",
-    ("trend", "variance_matrix"):
-        "`@` cross mix; moving it off BLAS changes bytes (ROADMAP Direction 1)",
     ("wavelets", "_invert"): "np.linalg.cond and np.linalg.inv of a J x J matrix",
     ("wavelets", "_cascade"): "np.convolve with a filter-length kernel",
     ("wavelets", "autocorrelation_wavelets"): "np.convolve of the filter with itself",

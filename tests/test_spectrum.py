@@ -243,7 +243,7 @@ def test_correction_follows_the_periodogram(diff):
     want = a_matrix(acw, J) if diff is None else d_matrix(acw, J, *diff)
     est = correct_periodogram(pgram)
     assert np.array_equal(est.correction.matrix, want.matrix)
-    assert np.array_equal(est.S, want.inverse @ pgram.values())
+    assert np.array_equal(est.S, np.einsum("ij,jt->it", want.inverse, pgram.values()))
     assert (est.levels, est.filter) == (J, EP4)
 
 

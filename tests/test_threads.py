@@ -61,3 +61,10 @@ def test_wide_smoother_identical_across_thread_counts(tmp_path, kind):
 # OpenBLAS to thread it; lacv.csv then changed with the thread count.
 def test_long_lacv_identical_across_thread_counts(tmp_path):
     assert_outputs_identical_across_thread_counts(tmp_path, 8192, "analyze", ["--lag-max", "300"])
+
+
+# The nonlinear fit mixes the spectrum into coefficient variances over all
+# 8192 columns (variance_matrix), as the correction unmixes the periodogram.
+def test_long_nonlinear_identical_across_thread_counts(tmp_path):
+    flags = ["--est-type", "nonlinear"]
+    assert_outputs_identical_across_thread_counts(tmp_path, 8192, "analyze", flags)
