@@ -17,7 +17,6 @@ from wavetrend.errors import (
     DimensionMismatch,
     InvalidBinwidth,
     InvalidDiffSpec,
-    MethodMismatch,
     ScaleTooDeep,
     SeriesTooShort,
     TooFewReps,
