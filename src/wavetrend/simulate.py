@@ -167,6 +167,8 @@ class NoisePlan:
         """
         n = self.amplitude.shape[1]
         noise = np.zeros((len(rngs), n))
+        if len(rngs) == 0:  # no draws to stack
+            return noise
         for row, kernel in zip(self.amplitude, self.kernels):
             xi = [innovations(rng, n) for rng in rngs]
             xi = as_floats(xi, "length-n innovation vectors", (len(rngs), n))

@@ -264,6 +264,11 @@ def test_block_draw_matches_one_stream_draws(spec_of):
         assert a.standard_normal() == b.standard_normal()
 
 
+def test_draw_without_generators_is_empty():
+    plan = NoisePlan.build({1: 1.0}, 16, wavelet_filter(EXTREMAL_PHASE, 4))
+    assert plan.draw([]).shape == (0, 16)
+
+
 def test_wrong_length_inputs_are_refused():
     with pytest.raises(DimensionMismatch):
         sample_trend(np.ones(15), 16)
