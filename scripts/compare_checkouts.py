@@ -155,6 +155,12 @@ CASES = [
     # formatting, and values with three-digit exponents
     ("tiny_analyze", ["analyze", "tiny.csv"]),
     ("big_analyze", ["analyze", "big.csv"]),
+    # the analytic interval's lag window at its edges: every lag of the
+    # 512-point series, so the front pad reaches the first column, and lag 0 alone
+    ("x1_dec_analytic_all_lags", ["analyze", X1, "--t-transform", "dec", "--ci", "analytic",
+                                  "--lag-max", "511"]),
+    ("x1_dec_analytic_lag0", ["analyze", X1, "--t-transform", "dec", "--ci", "analytic",
+                              "--lag-max", "0"]),
 ]
 
 PLOTTED = {

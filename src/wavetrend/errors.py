@@ -3,9 +3,10 @@
 Everything raised on bad user input derives from WavetrendError so callers
 (and the command line driver) can distinguish configuration problems from
 genuine bugs.  check_integer is the one check of an integer argument,
-check_flag the one check of an on/off argument and as_floats the one
-conversion of an array argument, with its shape and, where the caller asks,
-its finiteness.
+check_flag the one check of an on/off argument, check_instance the one
+check of an estimate or config argument and as_floats the one conversion of
+an array argument, with its shape and, where the caller asks, its
+finiteness.
 """
 
 import operator
@@ -99,6 +100,12 @@ def check_flag(value, name) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise WavetrendError(f"{name} must be True or False, got {value!r}")
     return bool(value)
+
+
+def check_instance(value, kind, name, error) -> None:
+    """Refuse, with error, a value that is not a kind (an estimate or a config)."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
 
 
 def as_floats(values, what, shape=None, finite=False, error=WavetrendError) -> np.ndarray:

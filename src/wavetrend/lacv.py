@@ -26,14 +26,16 @@ from .wavelets import AutocorrelationWavelet, autocorrelation_wavelets
 class LacvEstimate:
     """Autocovariance on the time x lag grid; autocorrelation on access.
 
-    lacv[t, tau] estimates c(t/n, tau) for tau = 0..lag_max; lacr rows with
-    nonpositive lag-0 variance are NaN.
+    lacv[t, tau] estimates c(t/n, tau) for tau = 0..lag_max, stored as a
+    float64 array; lacr rows with nonpositive lag-0 variance are NaN.
     """
 
     lacv: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.lacv.ndim != 2 or self.lacv.shape[1] > self.lacv.shape[0]:
+        lacv = as_floats(self.lacv, "n x (lag_max + 1) lacv, lag_max < n,", (None, None))
+        object.__setattr__(self, "lacv", lacv)
+        if self.lacv.shape[1] > self.lacv.shape[0]:
             raise DimensionMismatch(
                 f"lacv of shape {self.lacv.shape} is not n x (lag_max + 1), lag_max < n"
             )

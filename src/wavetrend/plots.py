@@ -123,7 +123,9 @@ def trend_figure(
     ci_lo: np.ndarray | None = None,
     ci_hi: np.ndarray | None = None,
 ) -> str:
-    """Data line, fitted trend, and a shaded band when an interval exists."""
+    """Data line, fitted trend, and a shaded band when an interval exists.
+
+    An interval is both bounds or neither; one bound alone is refused."""
     data = as_floats(data, "data", (None,))
     trend = as_floats(trend, "trend", data.shape)
     n = data.size
@@ -131,8 +133,9 @@ def trend_figure(
     x0, x1 = _LEFT, _WIDTH - _RIGHT
     y0, y1 = _TOP, height - _BOTTOM
     sx = _Scale(0.0, float(n - 1), x0, x1)
-    band = ci_lo is not None and ci_hi is not None
-    interval = [as_floats(ci, "interval", (n,)) for ci in (ci_lo, ci_hi)] if band else []
+    if (ci_lo is None) != (ci_hi is None):
+        raise DimensionMismatch(f"interval needs {'ci_hi' if ci_hi is None else 'ci_lo'} too")
+    interval = [] if ci_lo is None else [as_floats(ci, "interval", (n,)) for ci in (ci_lo, ci_hi)]
     sy = _Scale(*_padded_range(data, trend, *interval), pix_lo=y1, pix_hi=y0)
 
     t = np.arange(n)

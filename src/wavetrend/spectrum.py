@@ -31,11 +31,13 @@ import numpy as np
 
 from .errors import (
     InvalidBinwidth,
+    MatrixMismatch,
     ScaleTooDeep,
     SeriesTooShort,
     UnsupportedFilter,
     WavetrendError,
     check_flag,
+    check_instance,
     check_integer,
 )
 from .filters import WaveletFilter, wavelet_filter
@@ -286,6 +288,8 @@ def _kernel_smooth(raw: np.ndarray, binwidth: int, degree: int) -> np.ndarray:
 
 def smooth_periodogram(pgram: Periodogram, config: SmootherConfig) -> Periodogram:
     """Smooth each periodogram row along time; a non-finite one is refused."""
+    check_instance(pgram, Periodogram, "periodogram", MatrixMismatch)
+    check_instance(config, SmootherConfig, "smoother config", InvalidBinwidth)
     raw = pgram.raw
     _check_finite(raw, "periodogram", "holds NaN or infinite values and cannot be smoothed")
     if config.kind == NONE:
@@ -308,6 +312,7 @@ def correct_periodogram(pgram: Periodogram) -> SpectrumEstimate:
     A finite periodogram can still overflow in the smoothing sums or the
     unmixing; that raises WavetrendError instead of returning non-finite S.
     """
+    check_instance(pgram, Periodogram, "periodogram", MatrixMismatch)
     acw = autocorrelation_wavelets(pgram.filter, pgram.levels)
     if pgram.diff is None:
         correction = a_matrix(acw, pgram.levels)

@@ -62,6 +62,7 @@ from .errors import (
     WavetrendError,
     as_floats,
     check_flag,
+    check_instance,
     check_integer,
 )
 from .filters import EXTREMAL_PHASE, WaveletFilter, wavelet_filter
@@ -140,8 +141,7 @@ class EstimatorConfig:
             raise MethodMismatch(f"unknown trend method {self.method!r}")
         if self.transform not in (DECIMATED, NONDECIMATED):
             raise MethodMismatch(f"unknown trend transform {self.transform!r}")
-        if not isinstance(self.policy, ThresholdPolicy):
-            raise MethodMismatch(f"policy must be a ThresholdPolicy, got {self.policy!r}")
+        check_instance(self.policy, ThresholdPolicy, "policy", MethodMismatch)
         if self.levels is not None:
             levels = check_integer(self.levels, "levels", 1, error=ScaleTooDeep)
             object.__setattr__(self, "levels", levels)
@@ -312,6 +312,7 @@ def estimate_trend(
     estimate carries config resolved: levels filled in with the default
     depth when None, the filter family canonical, everything else as given.
     """
+    check_instance(config, EstimatorConfig, "config", MethodMismatch)
     filt = wavelet_filter(config.family, config.filter_number)
     x = as_series(x, 2)
     levels = default_levels(x.size) if config.levels is None else config.levels
@@ -332,8 +333,7 @@ def variance_matrix(
     spectrum through their autocorrelation cross products; negative mixes
     from negative spectrum estimates are floored at zero.
     """
-    if not isinstance(spectrum, SpectrumEstimate):
-        raise MatrixMismatch("variance_matrix needs a SpectrumEstimate for filter metadata")
+    check_instance(spectrum, SpectrumEstimate, "spectrum", MatrixMismatch)
     levels = check_integer(levels, "levels", 1, error=ScaleTooDeep)
     depth = max(levels, spectrum.levels)
     cross = cross_a_matrix(
@@ -421,14 +421,20 @@ def analytic_ci(
     autocovariance read at the later time of each pair and truncated at the
     estimate's lag_max.  R = U^T V comes from _operator_factors with K rows
     each (78 at n = 512, 122 at n = 8192 with the default filter), so R is
-    never built: Z = sum_d w_d V shifted by d times c(., d) (w_0 = 1, else
-    2), G = V Z^T and var_t = u_t^T G u_t, with u_t column t of U.  Every
+    never built: G = V C V^T with C[s, t] = w_d c(t, d) for d = t - s in
+    0..lag_max (w_0 = 1, else 2), and var_t = u_t^T G u_t, with u_t column t
+    of U.  Y = V C is one einsum over a window of V padded in front with
+    lag_max zero columns, Y[k, t] = sum_d V[k, t - d] w_d c(t, d), which
+    reads each lacv row where it is stored; then G = Y V^T, and the
+    quadratic form is G U summed against U column by column.  Every
     reduction is an einsum or an elementwise sum, never BLAS, so the
     interval does not depend on the BLAS thread count.
     Only the decimated linear estimator is supported; for anything else use
     the bootstrap.  The trend and the autocovariance must cover the same
     points.
     """
+    check_instance(trend, TrendEstimate, "trend", MatrixMismatch)
+    check_instance(lacv, LacvEstimate, "autocovariance", MatrixMismatch)
     _check_alpha(alpha)
     if trend.config.method != LINEAR or trend.config.transform != DECIMATED:
         raise MethodMismatch("analytic interval needs the linear decimated estimator")
@@ -442,12 +448,12 @@ def analytic_ci(
     weighted = 2.0 * c  # w_d folded in once; scaling by 2 is exact
     weighted[:, 0] = c[:, 0]
     u, v = _operator_factors(trend)
-    z = np.zeros_like(v)
-    for d in range(lacv.lag_max + 1):
-        acc = z[:, : n - d]
-        acc += v[:, d:] * weighted[d:, d]
-    g = np.einsum("ks,ls->kl", v, z)
-    var = np.einsum("kt,kl,lt->t", u, g, u)
+    v_pad = np.pad(v, ((0, 0), (lacv.lag_max, 0)))
+    # behind[k, t, d] = V[k, t - d], zero before the window: each lacv row read in place
+    behind = np.lib.stride_tricks.sliding_window_view(v_pad, lacv.lag_max + 1, axis=-1)[..., ::-1]
+    y = np.einsum("ktd,td->kt", behind, weighted)
+    g = np.einsum("kt,lt->kl", y, v)
+    var = (np.einsum("kl,lt->kt", g, u) * u).sum(axis=0)
     half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(np.maximum(var, 0.0))
     return replace(
         trend,
@@ -485,6 +491,7 @@ def bootstrap_ci(
     interval is byte-identical to one tlsw_sim and one estimate_trend per
     replicate.
     """
+    check_instance(trend, TrendEstimate, "trend", MatrixMismatch)
     _check_alpha(alpha)
     if ci_type not in (BOOT_NORMAL, BOOT_PERCENTILE):
         raise MethodMismatch(f"unknown bootstrap interval type {ci_type!r}")

@@ -24,10 +24,16 @@ from wavetrend.errors import (
     WavetrendError,
     as_floats,
 )
-from wavetrend.lacv import lacv_from_spectrum
+from wavetrend.lacv import LacvEstimate, lacv_from_spectrum
 from wavetrend.plots import lacf_figure, spectrum_figure, trend_figure
 from wavetrend.simulate import sample_spec, sample_trend, tlsw_sim
-from wavetrend.spectrum import estimate_spectrum, wavelet_periodogram
+from wavetrend.spectrum import (
+    SmootherConfig,
+    correct_periodogram,
+    estimate_spectrum,
+    smooth_periodogram,
+    wavelet_periodogram,
+)
 from wavetrend.transforms import (
     DECIMATED,
     TREND_REFLECT,
@@ -163,6 +169,17 @@ def test_numpy_scalar_is_accepted(call, value):
                      id="string_normal_assumption"),
         pytest.param(lambda: EstimatorConfig(method="nonlinear", policy="hard"),
                      id="string_threshold_policy"),
+        pytest.param(lambda: analytic_ci(FIT, LACV.lacv), id="array_for_lacv_estimate"),
+        pytest.param(lambda: analytic_ci(FIT.values, LACV), id="array_for_analytic_trend"),
+        pytest.param(lambda: bootstrap_ci(FIT.values, SPECTRUM), id="array_for_bootstrap_trend"),
+        pytest.param(lambda: estimate_trend(X, None), id="none_for_trend_config"),
+        pytest.param(lambda: smooth_periodogram(SPECTRUM.periodogram.raw, SmootherConfig()),
+                     id="array_for_smoothed_periodogram"),
+        pytest.param(lambda: smooth_periodogram(SPECTRUM.periodogram, "mean"),
+                     id="string_for_smoother_config"),
+        pytest.param(lambda: correct_periodogram(SPECTRUM.periodogram.raw),
+                     id="array_for_corrected_periodogram"),
+        pytest.param(lambda: LacvEstimate([["a"]]), id="string_lacv_estimate"),
     ],
 )
 def test_malformed_input_is_refused(call):
@@ -196,6 +213,12 @@ def test_as_floats_accepts_without_copy():
     assert as_floats(x, "values", (2, None)) is x
     assert np.isnan(as_floats([np.nan], "values", (1,))).all()  # finiteness only when asked
     assert as_floats(2, "values", ()).shape == ()
+
+
+def test_lacv_estimate_converts_nested_lists():
+    lv = LacvEstimate([[2.0, 1.0], [3.0, 0.5]])
+    assert lv.lacv.dtype == np.float64 and lv.lag_max == 1
+    assert LacvEstimate(LACV.lacv).lacv is LACV.lacv  # no copy of a float64 array
 
 
 def test_filter_name_is_an_unsupported_filter():

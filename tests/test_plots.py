@@ -14,6 +14,10 @@ from wavetrend.plots import lacf_figure, spectrum_figure, trend_figure
         pytest.param(lambda: trend_figure(np.ones((2, 4)), np.ones((2, 4))), id="trend_2d"),
         pytest.param(lambda: trend_figure(np.ones(8), np.ones(8), np.ones(7), np.ones(8)),
                      id="interval_length_differs"),
+        pytest.param(lambda: trend_figure(np.ones(8), np.ones(8), ci_lo=np.zeros(8)),
+                     id="interval_without_upper_bound"),
+        pytest.param(lambda: trend_figure(np.ones(8), np.ones(8), ci_hi=np.ones(8)),
+                     id="interval_without_lower_bound"),
         pytest.param(lambda: spectrum_figure(np.ones(8)), id="spectrum_1d"),
         pytest.param(lambda: spectrum_figure(np.ones((2, 8)), "log"), id="unknown_scaling"),
         pytest.param(lambda: lacf_figure(np.ones(8), [0]), id="lacv_1d"),

@@ -472,7 +472,7 @@ def dense_half_widths(fit, lv, alpha=0.05):
     return NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(np.maximum(var, 0.0))
 
 
-@pytest.mark.parametrize("n,boundary", [(100, True), (257, True), (128, False)])
+@pytest.mark.parametrize("n,boundary", [(100, True), (257, True), (128, False), (512, True)])
 @pytest.mark.parametrize("lag_max", [None, 0, "n"])
 def test_analytic_half_widths_match_dense_formula(n, boundary, lag_max):
     rng = np.random.default_rng(n)
@@ -498,16 +498,18 @@ def test_analytic_ci_at_size_limit():
     n = 8192
     x = np.random.default_rng(8192).standard_normal(n)
     fit = estimate_trend(x, EstimatorConfig(transform=DECIMATED))
-    lv = lacv_from_spectrum(np.ones((5, n)), autocorrelation_wavelets(EP4, 5))
-    tracemalloc.start()
-    try:
-        out = analytic_ci(fit, lv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 * 2**20
-    assert np.isfinite(out.ci_lo).all() and np.isfinite(out.ci_hi).all()
-    assert np.all(out.ci_lo <= out.values) and np.all(out.values <= out.ci_hi)
+    # the default lag_max, then 300 lags: a front pad of 300 columns on each factor row
+    for lag_max in (None, 300):
+        lv = lacv_from_spectrum(np.ones((5, n)), autocorrelation_wavelets(EP4, 5), lag_max)
+        tracemalloc.start()
+        try:
+            out = analytic_ci(fit, lv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert np.isfinite(out.ci_lo).all() and np.isfinite(out.ci_hi).all()
+        assert np.all(out.ci_lo <= out.values) and np.all(out.values <= out.ci_hi)
     x = np.append(x, 0.0)
     fit = estimate_trend(x, EstimatorConfig(transform=DECIMATED))
     lv = lacv_from_spectrum(np.ones((5, n + 1)), autocorrelation_wavelets(EP4, 5), lag_max=3)
