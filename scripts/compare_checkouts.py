@@ -161,6 +161,15 @@ CASES = [
                                   "--lag-max", "511"]),
     ("x1_dec_analytic_lag0", ["analyze", X1, "--t-transform", "dec", "--ci", "analytic",
                               "--lag-max", "0"]),
+    # the CSV reader: R's write.csv quoting with a row-name column, CRLF ends
+    # with blank and whitespace-only lines and no final newline, no header
+    ("r_quoted_analyze", ["analyze", "r_quoted.csv"]),
+    ("r_quoted_spec", ["spec", "r_quoted.csv", "--no-s-smooth"]),
+    ("crlf_analyze", ["analyze", "crlf.csv"]),
+    ("crlf_spec", ["spec", "crlf.csv", "--no-s-smooth"]),
+    ("headerless_analyze", ["analyze", "headerless.csv"]),
+    ("headerless_spec", ["spec", "headerless.csv", "--no-s-smooth"]),
+    ("body_non_number", ["spec", "body_text.csv"]),
 ]
 
 PLOTTED = {
@@ -175,8 +184,10 @@ PLOTTED = {
 # the sim_csv, sim_spec_only and sim_trend_only cases, 256 seeded standard
 # normals scaled by 1e160, 3000 seeded normals with a growing spread around
 # a slow sine, 16 seeded normals, 256 more seeded normals scaled by 1e-150
-# and by 1e120, the first 63 trend values, and 64 seeded normals with a NaN
-# at row 10 (each input drawn after the earlier ones, which keep their bytes)
+# and by 1e120, the first 63 trend values, 64 seeded normals with a NaN at
+# row 10, then three series of 128 seeded normals as the reader cases
+# describe and 64 with a word at row 20 (each input drawn after the earlier
+# ones, which keep their bytes)
 _rng = random.Random(5)
 INPUTS = {
     "ragged_long.csv": "time,value\n0,1.5\n1,2.5,9\n" + "".join(f"{t},0.5\n" for t in range(2, 64)),
@@ -197,6 +208,15 @@ INPUTS["trend63.csv"] = "".join(INPUTS["trend.csv"].splitlines(keepends=True)[:6
 _nan = [_rng.gauss(0.0, 1.0) for _ in range(64)]
 _nan[10] = math.nan
 INPUTS["nan.csv"] = "value\n" + "".join(f"{v!r}\n" for v in _nan)
+INPUTS["r_quoted.csv"] = '"","x"\n' + "".join(
+    f'"{t}",{_rng.gauss(0.0, 1.0)!r}\n' for t in range(1, 129)
+)
+_crlf = [f"{_rng.gauss(0.0, 1.0)!r}" for _ in range(128)]
+INPUTS["crlf.csv"] = "\r\n".join(["value", "", *_crlf[:64], "  ", " , ", *_crlf[64:]])
+INPUTS["headerless.csv"] = "".join(f"{_rng.gauss(0.0, 1.0)!r}\n" for _ in range(128))
+_text = [f"{_rng.gauss(0.0, 1.0)!r}" for _ in range(64)]
+_text[20] = "abc"
+INPUTS["body_text.csv"] = "value\n" + "".join(f"{v}\n" for v in _text)
 
 
 def out_dir(name: str, argv: list[str]) -> str:

@@ -13,6 +13,16 @@ knobs.  Commands:
     analyze   spectrum + trend + lacv in one pass
     plot      render previously written results as SVG figures
 
+Input CSVs are read by one set of rules.  Rows whose cells are all blank
+are skipped; the first remaining row is a header, and dropped, when one of
+its nonblank cells is not a number; every other row must have the width of
+the first.  Quoted cells (R's write.csv quotes its header and row names),
+CRLF line ends and a UTF-8 byte order mark are accepted.  A series is the
+last of one or two columns and a trend file's values follow its t column,
+so a leading time or row-name column is ignored and not parsed below the
+first row.  Every other cell becomes a double in errors.as_floats, where a
+non-number is refused, and so is a non-finite series value.
+
 Numbers are written with 17 significant digits so a write-read round trip
 is value-exact; every run leaves a metadata.json sidecar recording each
 resolved option, which together with the input reproduces the run.  All
@@ -32,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from ._csv_writer import write_rows
-from .errors import WavetrendError
+from .errors import WavetrendError, as_floats
 from .filters import EXTREMAL_PHASE, canonical_family
 from .lacv import lacv_from_spectrum
 from .plots import BY_LEVEL, GLOBAL, lacf_figure, spectrum_figure, trend_figure
@@ -88,12 +98,15 @@ def _write_trend(path: Path, values, ci_lo=None, ci_hi=None) -> None:
     _write_csv(path, np.column_stack(cols), "t,estimate,lo,hi", suffix)
 
 
-def _data_rows(path: str | Path) -> list[list[str]]:
-    """Nonblank CSV rows less a header (a first row with a non-number), all as wide as the first."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+def _read_table(path: str | Path) -> list[list[str]]:
+    """Nonblank CSV rows less a header, all as wide as the first (the module docstring's rules)."""
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    if rows and any(cell.strip() and not _is_number(cell) for cell in rows[0]):
-        rows = rows[1:]
+    if rows:
+        try:
+            as_floats([cell for cell in rows[0] if cell.strip()], "header")
+        except WavetrendError:
+            del rows[0]
     if not rows:
         raise WavetrendError(f"{path} is empty")
     if any(len(r) != len(rows[0]) for r in rows):
@@ -101,48 +114,25 @@ def _data_rows(path: str | Path) -> list[list[str]]:
     return rows
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _floats(path: str | Path, cells: list[str]) -> np.ndarray:
-    try:
-        return np.array([float(cell) for cell in cells])
-    except ValueError as exc:
-        raise WavetrendError(f"{path}: {exc}") from exc
-
-
 def read_series(path: str | Path) -> np.ndarray:
     """Series CSV: a single value column or time,value; header optional."""
-    rows = _data_rows(path)
+    rows = _read_table(path)
     if len(rows[0]) not in (1, 2):
         raise WavetrendError(f"{path}: expected one or two columns")
-    col = -1 if len(rows[0]) == 2 else 0
-    values = _floats(path, [r[col] for r in rows])
-    if not np.all(np.isfinite(values)):
-        raise WavetrendError(f"{path}: values must be finite")
-    return values
+    return as_floats([r[-1] for r in rows], f"{path}: values", finite=True)
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    rows = _data_rows(path)
-    width = len(rows[0])
-    return _floats(path, [cell for r in rows for cell in r]).reshape(len(rows), width)
+    return as_floats(_read_table(path), f"{path}: values")
 
 
 def read_trend(path: str | Path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Trend CSV as written by trend/analyze: t,estimate and optional lo,hi."""
-    rows = _data_rows(path)
+    rows = _read_table(path)
     if len(rows[0]) < 2:
         raise WavetrendError(f"{path}: expected t,estimate[,lo,hi] columns")
     has_ci = len(rows[0]) >= 4 and all(r[2].strip() and r[3].strip() for r in rows)
-    width = 3 if has_ci else 1
-    cols = _floats(path, [cell for r in rows for cell in r[1 : 1 + width]])
-    est, *ci = cols.reshape(len(rows), width).T
+    est, *ci = as_floats([r[1 : 4 if has_ci else 2] for r in rows], f"{path}: values").T
     lo, hi = ci or (None, None)
     return est, lo, hi
 

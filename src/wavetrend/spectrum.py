@@ -189,8 +189,7 @@ def wavelet_periodogram(
     """
     x = as_series(x, 2)
     n = x.size
-    if not isinstance(filt, WaveletFilter):
-        raise UnsupportedFilter(f"expected a WaveletFilter, got {filt!r}")
+    check_instance(filt, WaveletFilter, "filt", UnsupportedFilter)
     levels = check_integer(levels, "levels", 1, max_scales(n), ScaleTooDeep)
     boundary = check_flag(boundary, "boundary")
     # only diff=None means no differencing; every other pair is checked on

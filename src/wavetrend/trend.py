@@ -278,8 +278,7 @@ def _edit_for(
             partial(np.where, _inside(*_supports(mode, filt.length, j, cols, desc), desc), 0.0)
             for j, cols in enumerate(columns, start=1)
         ]
-    if not isinstance(spectrum, SpectrumEstimate):
-        raise MissingSpectrum("nonlinear trend needs a spectrum estimate")
+    check_instance(spectrum, SpectrumEstimate, "spectrum", MissingSpectrum)
     n = desc.original_length
     if spectrum.length != n:
         raise MatrixMismatch(f"spectrum covers {spectrum.length} points, series has {n}")
@@ -445,13 +444,12 @@ def analytic_ci(
             f"analytic interval refused for n = {n} > {_ANALYTIC_MAX_N}; "
             "use bootstrap_ci instead"
         )
-    weighted = 2.0 * c  # w_d folded in once; scaling by 2 is exact
-    weighted[:, 0] = c[:, 0]
     u, v = _operator_factors(trend)
     v_pad = np.pad(v, ((0, 0), (lacv.lag_max, 0)))
     # behind[k, t, d] = V[k, t - d], zero before the window: each lacv row read in place
     behind = np.lib.stride_tricks.sliding_window_view(v_pad, lacv.lag_max + 1, axis=-1)[..., ::-1]
-    y = np.einsum("ktd,td->kt", behind, weighted)
+    # w_d = 2 at every lag, less lag 0's extra V[k, t] c(t, 0), so the lacv is never copied
+    y = 2.0 * np.einsum("ktd,td->kt", behind, c) - v * c[:, 0]
     g = np.einsum("kt,lt->kl", y, v)
     var = (np.einsum("kl,lt->kt", g, u) * u).sum(axis=0)
     half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(np.maximum(var, 0.0))
@@ -498,8 +496,7 @@ def bootstrap_ci(
     needed = max(20, math.ceil(2.0 / alpha))
     message = f"need at least {needed} replicates for alpha = {alpha}"
     reps = check_integer(reps, "reps", needed, error=TooFewReps, message=message)
-    if spectrum is None or not isinstance(spectrum, SpectrumEstimate):
-        raise MissingSpectrum("bootstrap needs a spectrum estimate")
+    check_instance(spectrum, SpectrumEstimate, "spectrum", MissingSpectrum)
     _check_lengths(trend, "spectrum", spectrum.length)
     streams = np.random.SeedSequence(check_seed(seed) or 0).spawn(reps)
     n, config, filt, levels = trend.length, trend.config, trend.filter, trend.levels

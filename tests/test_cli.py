@@ -8,6 +8,7 @@ as determinism checks because all writes are atomic and timestamp-free.
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetrend.cli import _write_csv, _write_trend, main, read_series, read_trend
+from wavetrend.cli import (
+    _write_csv,
+    _write_trend,
+    main,
+    read_matrix,
+    read_series,
+    read_trend,
+)
 from wavetrend.errors import WavetrendError
 from wavetrend.scenarios import scenario
 from wavetrend.spectrum import estimate_spectrum
@@ -315,17 +323,63 @@ def test_unknown_flag_raises_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_read_series_accepts_two_columns(tmp_path):
-    src = tmp_path / "two.csv"
-    src.write_text("time,value\n0,1.5\n1,-2.25\n2,0.125\n")
-    assert np.array_equal(read_series(src), [1.5, -2.25, 0.125])
+def _refused(fragment):
+    return WavetrendError, fragment
 
 
-def test_read_series_refuses_three_columns(tmp_path):
-    src = tmp_path / "three.csv"
-    src.write_text("0,1.5,2\n1,-2.25,3\n")
-    with pytest.raises(WavetrendError, match="one or two columns"):
-        read_series(src)
+# (id, reader, input text, the values read or (refusal class, fragment of its text));
+# the first row counts as a header when one of its nonblank cells is not a number
+READER_TABLE = [
+    ("header", read_series, "value\n1.5\n-2.25\n", [1.5, -2.25]),
+    ("no_header", read_series, "1.5\n-2.25\n", [1.5, -2.25]),
+    ("blank_lines", read_series, "\nvalue\n\n1.5\n\n-2.25\n\n", [1.5, -2.25]),
+    ("whitespace_only_lines", read_series, "value\n  \n1.5\n\t\n -2.25 \n , \n", [1.5, -2.25]),
+    ("crlf", read_series, "value\r\n1.5\r\n\r\n-2.25\r\n", [1.5, -2.25]),
+    ("no_final_newline", read_series, "value\n1.5\n-2.25", [1.5, -2.25]),
+    ("two_columns", read_series, "time,value\n0,1.5\n1,-2.25\n2,0.125\n", [1.5, -2.25, 0.125]),
+    ("three_columns", read_series, "0,1.5,2\n1,-2.25,3\n", _refused("one or two columns")),
+    # R's write.csv: a quoted header whose row-name column is named "", quoted row names
+    ("r_quoted", read_series, '"","x"\n"1",1.5\n"2",-2.25\n', [1.5, -2.25]),
+    ("bom_header", read_series, "\ufeffvalue\n1.5\n-2.25\n", [1.5, -2.25]),
+    # a first cell read as "\ufeff1.5" would make the first row a header
+    ("bom_no_header", read_series, "\ufeff1.5\n2.5\n3.5\n", [1.5, 2.5, 3.5]),
+    ("header_only", read_series, "value\n", _refused("is empty")),
+    ("empty", read_series, "", _refused("is empty")),
+    ("ragged_long", read_series, "time,value\n0,1.5\n1,2.5,9\n2,0.5\n",
+     _refused("every row needs the 2 columns of the first")),
+    ("ragged_short", read_series, "time,value\n0,1.5\n2\n3,0.5\n",
+     _refused("every row needs the 2 columns of the first")),
+    ("body_non_number", read_series, "value\n1.5\nabc\n",
+     _refused("could not convert string to float: 'abc'")),
+    ("series_nan", read_series, "value\n1.5\nnan\n", _refused("values must be finite")),
+    ("series_inf", read_series, "value\n1.5\n-inf\n", _refused("values must be finite")),
+    ("matrix", read_matrix, "a,b,c\n1,2,3\n4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+    ("matrix_nan_inf", read_matrix, "1.5,nan\ninf,-2.25\n", [[1.5, np.nan], [np.inf, -2.25]]),
+    ("trend_interval", read_trend, "t,estimate,lo,hi\n0,1.5,1,2\n1,2.5,2,3\n",
+     ([1.5, 2.5], [1, 2], [2, 3])),
+    ("trend_no_interval", read_trend, "t,estimate,lo,hi\n0,1.5,,\n1,2.5,,\n",
+     ([1.5, 2.5], None, None)),
+    ("trend_part_interval", read_trend, "t,estimate,lo,hi\n0,1.5,1,2\n1,2.5,,\n",
+     ([1.5, 2.5], None, None)),
+]
+
+
+@pytest.mark.parametrize("reader,text,expected", [pytest.param(*row[1:], id=row[0])
+                                                  for row in READER_TABLE])
+def test_reader_table(tmp_path, reader, text, expected):
+    src = tmp_path / "input.csv"
+    src.write_bytes(text.encode())
+    if isinstance(expected[0], type):
+        error, fragment = expected
+        with pytest.raises(error, match=re.escape(fragment)) as exc:
+            reader(src)
+        assert str(src) in str(exc.value)
+        return
+    got = reader(src)
+    if reader is read_trend:
+        assert [None if g is None else g.tolist() for g in got] == list(expected)
+    else:
+        assert np.array_equal(got, expected, equal_nan=True)
 
 
 BASE_KEYS = {"command", "input", "out_dir", "n", "seed"}
