@@ -86,6 +86,10 @@ CASES = [
     ("x1_no_boundary_normal", ["analyze", X1, "--t-max-scale", "4", "--no-t-boundary-handle",
                                "--ci", "normal", "--reps", "40", "--t-sig-lvl", "0.1",
                                "--seed", "3"]),
+    # EP10 at the default depth reads past the extension of x1: the
+    # nondecimated fit and its bootstrap fall back to whole rows
+    ("x1_ep10_nondec_normal", ["analyze", X1, "--t-filter-number", "10", "--ci", "normal",
+                               "--reps", "40"]),
     ("x2_median_lag2", ["analyze", X2, "--s-smooth-type", "median", "--s-do-diff",
                         "--s-lag", "2"]),
     # the x2 settings of scripts/run_pipeline.py: lag-1 differences, median-129
@@ -106,6 +110,8 @@ CASES = [
     ("x2_spec_median_b511", ["spec", X2, "--s-binwidth", "511", "--s-smooth-type", "median"]),
     ("x2_spec_unsmoothed", ["spec", X2, "--no-s-smooth"]),
     ("x2_spec_unsmoothed_lag3", ["spec", X2, "--no-s-smooth", "--s-lag", "3"]),
+    # the periodogram's whole-row fallback, with an odd number of samples lost
+    ("x1_spec_ep10_lag1", ["spec", X1, "--s-filter-number", "10", "--diff", "1"]),
     ("x1_spec_periodic_lag4", ["spec", X1, "--no-s-boundary-handle", "--diff", "4"]),
     ("x2_spec_la8_order2", ["spec", X2, "--s-family", "la", "--s-filter-number", "8",
                             "--s-do-diff", "--s-diff-number", "2"]),

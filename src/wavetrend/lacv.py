@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, MatrixMismatch, WavetrendError, as_floats, check_integer
 from .spectrum import SpectrumEstimate
-from .transforms import _BLOCK_ELEMENTS
 from .wavelets import AutocorrelationWavelet, autocorrelation_wavelets
 
 
@@ -92,10 +91,7 @@ def lacv_from_spectrum(
         lag_max = check_integer(lag_max, "lag_max", 0, n - 1, DimensionMismatch)
     psi = acw.window(levels, lag_max)[:, lag_max:]  # tau = 0, 1, ..., lag_max
     # einsum, not BLAS: a BLAS product's sums change with its thread count
-    St, lacv = np.ascontiguousarray(S.T), np.empty((n, lag_max + 1))
-    block = max(1, _BLOCK_ELEMENTS // (lag_max + 1))
-    for r in range(0, n, block):
-        np.einsum("tj,jl->tl", St[r : r + block], psi, out=lacv[r : r + block])
+    lacv = np.einsum("tj,jl->tl", np.ascontiguousarray(S.T), psi)
     if np.any(lacv[:, 0] <= 0):
         warnings.warn(
             "nonpositive variance estimates; autocorrelation set to NaN there",

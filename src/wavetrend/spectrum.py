@@ -47,12 +47,9 @@ from .transforms import (
     NONDECIMATED,
     TREND_REFLECT,
     _forward,
-    _whole_rows,
-    _window_reads,
     as_series,
-    crop_extension,
     extend_rows,
-    extension_descriptor,
+    window_span,
 )
 from .wavelets import (
     CorrectionMatrix,
@@ -208,15 +205,12 @@ def wavelet_periodogram(
     # coefficients several-fold.  Each level computes only what the window
     # reads (details on the window, smooths as wide as the deeper levels
     # read), from a span of the extension lost samples longer than the
-    # transform reads; whole rows when unextended or the span does not fit.
-    desc = extension_descriptor(n, TREND_REFLECT if boundary else NO_EXTENSION)
-    before, after, plan = _window_reads(filt.length, levels, n, False)
-    span = crop_extension(desc, before + lost // 2, after + lost - lost // 2)
+    # transform reads (window_span).
+    policy = TREND_REFLECT if boundary else NO_EXTENSION
+    span, plan = window_span(n, policy, NONDECIMATED, filt.length, levels, False, lost)
     y = extend_rows(x, span)
     if order:
         y = difference_series(y, lag, order)
-    if span == desc:
-        plan = _whole_rows(NONDECIMATED, y.shape[-1], levels)
     start = span.offset - lost // 2 if boundary else 0
     pyr = _forward(y, filt, levels, NONDECIMATED, plan)
     with np.errstate(over="ignore"):  # reported as one error just below

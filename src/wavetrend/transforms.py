@@ -19,11 +19,12 @@ order, on a fixed stretch of input around its own position (a level-j
 coefficient at p reads x[p - s_j, p - s_j + L_j - 1], s_j = centre_shift(L,
 j), L_j = support_length(L, j)).  So _window_reads works back from a data
 window to the columns each level computes, whose first level reads a span
-of the extension (crop_extension, extend_rows), and the window keeps its
-bytes.  With EP4 at depth 7 and n = 1024 a trend fit computes the level-j
-details on n + 7 (2**j - 1) of 2,802 columns: 342,384 filter-bank
-multiply-adds instead of 627,648.  Decimated and unextended transforms, and
-spans that do not fit in the extension, run on whole rows.
+of the extension (extend_rows), and the window keeps its bytes.  With EP4
+at depth 7 and n = 1024 a trend fit computes the level-j details on n + 7
+(2**j - 1) of 2,802 columns: 342,384 filter-bank multiply-adds instead of
+627,648.  window_span is the one place that picks the span and the columns:
+decimated and unextended transforms, and spans that do not fit in the
+extension, run on whole rows.
 
 Alignment: a nondecimated coefficient at position k is computed from the
 window of data centred on k.  Concretely the level-j detail row is the
@@ -61,7 +62,7 @@ __all__ = [
     "CoefficientPyramid",
     "as_series",
     "extension_descriptor",
-    "crop_extension",
+    "window_span",
     "extend_rows",
     "extend_adjoint",
     "ndwt_forward",
@@ -95,7 +96,7 @@ def as_series(x, min_length: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ExtensionDescriptor:
     """Where the original data sits inside an extended series, or inside the
-    span of it that crop_extension keeps."""
+    span of it that window_span picks."""
 
     policy: str
     original_length: int
@@ -124,23 +125,10 @@ def extension_descriptor(n: int, policy: str) -> ExtensionDescriptor:
     )
 
 
-def crop_extension(desc: ExtensionDescriptor, before: int, after: int) -> ExtensionDescriptor:
-    """desc for the span of its extension from before samples ahead of the
-    data window to after samples past it.
-
-    desc itself when there is no extension or the span does not fit inside
-    it; the span is never longer than the extension.
-    """
-    lo, hi = desc.offset - before, desc.offset + desc.original_length + after
-    if desc.policy == NO_EXTENSION or lo < 0 or hi > desc.extended_length:
-        return desc
-    return replace(desc, extended_length=hi - lo, offset=before)
-
-
 def extend_rows(x: np.ndarray, desc: ExtensionDescriptor) -> np.ndarray:
     """Extend every row along the last axis of x as desc says (none: x itself); rows unchecked.
 
-    For a desc from crop_extension this is its span of the whole extension.
+    For a desc from window_span this is its span of the whole extension.
     """
     if desc.policy == NO_EXTENSION:
         return x
@@ -365,6 +353,28 @@ def _window_reads(filter_length: int, levels: int, n: int, invert: bool) -> tupl
     return before, reads.stop - n, tuple(moved)
 
 
+def window_span(
+    n: int, policy: str, mode: str, filter_length: int, levels: int, invert: bool, lost: int = 0
+) -> tuple[ExtensionDescriptor, tuple]:
+    """(desc, plan): the stretch of the policy's extension of a length-n
+    series that a transform runs on, and the columns each level computes.
+
+    A nondecimated transform of an extended series runs on the span that
+    _window_reads gives for the window (its details, or the inverse when
+    invert), lost samples longer (lost // 2 ahead, the rest past it) for a
+    differencing of the span to shorten, with _window_reads' plan.  Any
+    other transform, and a span that does not fit inside the extension,
+    runs on the whole extension, with whole rows of its length less lost.
+    """
+    desc = extension_descriptor(n, policy)
+    if mode == NONDECIMATED and policy != NO_EXTENSION:
+        before, after, plan = _window_reads(filter_length, levels, n, invert)
+        before, after = before + lost // 2, after + lost - lost // 2
+        if before <= desc.offset and desc.offset + n + after <= desc.extended_length:
+            return replace(desc, extended_length=n + before + after, offset=before), plan
+    return desc, _whole_rows(mode, desc.extended_length - lost, levels)
+
+
 def _forward(x, filt: WaveletFilter, levels: int, mode: str, plan=None) -> CoefficientPyramid:
     """x may hold many series along its last axis; the pyramid's rows keep the leading axes.
 
@@ -388,9 +398,10 @@ def _forward(x, filt: WaveletFilter, levels: int, mode: str, plan=None) -> Coeff
     return CoefficientPyramid(mode, filt, tuple(details), approx)
 
 
-def _inverse(pyr: CoefficientPyramid, mode: str, forward: str, plan=None) -> np.ndarray:
+def _inverse(pyr: CoefficientPyramid, mode: str, plan=None) -> np.ndarray:
     """Inverse of a pyramid of _forward with the same plan, on plan[0]'s output columns."""
     if pyr.mode != mode:
+        forward = "ndwt_forward" if mode == NONDECIMATED else "dwt_forward"
         raise ModeMismatch(f"pyramid was not produced by {forward}")
     plan = plan or _whole_rows(mode, pyr.length, pyr.levels)
     approx, start = pyr.scaling, plan[-1][1].start
@@ -413,7 +424,7 @@ def ndwt_forward(x: np.ndarray, filt: WaveletFilter, levels: int) -> Coefficient
 
 def ndwt_average_basis(pyr: CoefficientPyramid) -> np.ndarray:
     """Basis-averaged inverse of a nondecimated pyramid."""
-    return _inverse(pyr, NONDECIMATED, "ndwt_forward")
+    return _inverse(pyr, NONDECIMATED)
 
 
 def dwt_forward(x: np.ndarray, filt: WaveletFilter, levels: int) -> CoefficientPyramid:
@@ -423,7 +434,7 @@ def dwt_forward(x: np.ndarray, filt: WaveletFilter, levels: int) -> CoefficientP
 
 def dwt_inverse(pyr: CoefficientPyramid) -> np.ndarray:
     """Exact inverse (the adjoint) of dwt_forward."""
-    return _inverse(pyr, DECIMATED, "dwt_forward")
+    return _inverse(pyr, DECIMATED)
 
 
 def detail_support(

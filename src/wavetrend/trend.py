@@ -17,13 +17,14 @@ _inside the window, or a row of thresholds), so one list of edits serves
 one fit or many blocks of fits.
 
 A nondecimated fit with boundary handling computes, at every level, only
-the columns its data window reads (_plan): the details the synthesis
-reads, the smooths it and the next level read, and each inverse step what
-the step above reads, down to the window, all within L_J - 1 samples of
-the window (_visible_span; details on 1,031 to 1,913 of 2,802 columns at
-n = 1024 and the default depth).  The stride-1 transform pair is exactly
-shift-equivariant, and the edits are built on the same columns, so the
-fit is bit-identical to one over the whole extension.  The decimated
+the columns its data window reads: the details the synthesis reads, the
+smooths it and the next level read, and each inverse step what the step
+above reads, down to the window, all within L_J - 1 samples of the window
+(details on 1,031 to 1,913 of 2,802 columns at n = 1024 and the default
+depth).  _layout takes that span and plan from transforms.window_span, and
+the edits and the fits of one series length share them.  The stride-1
+transform pair is exactly shift-equivariant, and the edits are built on the
+same columns, so the fit is bit-identical to one over the whole extension.  The decimated
 transform is shift-equivariant only by 2**J and the unextended one wraps
 by design, so both run on their whole rows.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 from statistics import NormalDist
@@ -79,15 +81,12 @@ from .transforms import (
     ExtensionDescriptor,
     _forward,
     _inverse,
-    _whole_rows,
-    _window_reads,
     as_series,
-    crop_extension,
     detail_support,
     dwt_inverse,
     extend_adjoint,
     extend_rows,
-    extension_descriptor,
+    window_span,
 )
 from .wavelets import autocorrelation_wavelets, cross_a_matrix
 
@@ -211,44 +210,28 @@ def _inside(start: np.ndarray, length: int, desc: ExtensionDescriptor) -> np.nda
     return (start >= desc.offset) & (start + length <= desc.offset + desc.original_length)
 
 
-def _extension(n: int, boundary: bool) -> ExtensionDescriptor:
-    """Where a length-n series sits in the array the trend estimators transform."""
-    return extension_descriptor(n, SYMMETRIC_TRIPLE if boundary else NO_EXTENSION)
-
-
-def _visible_span(
+def _layout(
     n: int, config: EstimatorConfig, filter_length: int, levels: int
-) -> ExtensionDescriptor:
-    """_extension of a config's fit, for a nondecimated fit cropped to the
-    span its data window reads (_window_reads; L_J - 1 samples each side)."""
-    desc = _extension(n, config.boundary)
-    if config.transform == DECIMATED:
-        return desc
-    return crop_extension(desc, *_window_reads(filter_length, levels, n, True)[:2])
-
-
-def _plan(desc: ExtensionDescriptor, transform: str, filter_length: int, levels: int) -> tuple:
-    """The columns each level of a fit on a row placed as desc says computes:
-    what the window reads on a span crop_extension cut, whole rows otherwise."""
-    if transform == NONDECIMATED and desc != extension_descriptor(desc.original_length,
-                                                                  desc.policy):
-        return _window_reads(filter_length, levels, desc.original_length, True)[2]
-    return _whole_rows(transform, desc.extended_length, levels)
+) -> tuple[ExtensionDescriptor, tuple]:
+    """(desc, plan): window_span of a config's fit on a length-n series, in
+    the symmetric-triple extension with boundary handling, else unextended."""
+    policy = SYMMETRIC_TRIPLE if config.boundary else NO_EXTENSION
+    return window_span(n, policy, config.transform, filter_length, levels, True)
 
 
 def _edited_fit(
-    x: np.ndarray, filt: WaveletFilter, transform: str, desc: ExtensionDescriptor, edits
+    x: np.ndarray, filt: WaveletFilter, transform: str, desc: ExtensionDescriptor, plan, edits
 ) -> np.ndarray:
     """Extend, transform, edit every detail row, invert, cut back to the data.
 
-    x holds one series, or a batch of series along its last axis; desc is
-    _visible_span of the series length.  edits[j - 1] maps the level-j
-    detail rows to their replacement, so there are as many levels as edits.
+    x holds one series, or a batch of series along its last axis; (desc,
+    plan) is _layout of the series length, so there are as many levels as
+    plan rows.  edits[j - 1] maps the level-j detail rows to their
+    replacement.
     """
-    plan = _plan(desc, transform, filt.length, len(edits))
-    pyr = _forward(extend_rows(x, desc), filt, len(edits), transform, plan)
+    pyr = _forward(extend_rows(x, desc), filt, len(plan), transform, plan)
     details = tuple(edit(pyr.detail(j)) for j, edit in enumerate(edits, start=1))
-    fit = _inverse(pyr.with_details(details), transform, "_forward", plan)
+    fit = _inverse(pyr.with_details(details), transform, plan)
     start = desc.offset - plan[0][2].start
     # a copy, so the fit does not keep a whole extended reconstruction alive
     return fit[..., start : start + desc.original_length].copy()
@@ -258,11 +241,11 @@ def _edit_for(
     config: EstimatorConfig,
     spectrum: SpectrumEstimate | None,
     filt: WaveletFilter,
-    levels: int,
     desc: ExtensionDescriptor,
+    plan,
 ) -> list:
-    """config's estimator as one edit per level, for a series placed as desc
-    says, on the detail columns each level computes (_plan).
+    """config's estimator as one edit per plan level, for a series placed
+    as desc says, on the detail columns each level computes.
 
     Linear: zero the details _inside the data window.  Nonlinear: threshold
     each detail at lambda = policy.scale(n) * sigma[j - 1, t], with sigma
@@ -272,7 +255,7 @@ def _edit_for(
     list of edits serves one fit or many blocks of fits.
     """
     mode = config.transform
-    columns = [cols for cols, _, _ in _plan(desc, mode, filt.length, levels)]
+    columns = [cols for cols, _, _ in plan]
     if config.method == LINEAR:
         return [
             partial(np.where, _inside(*_supports(mode, filt.length, j, cols, desc), desc), 0.0)
@@ -283,7 +266,7 @@ def _edit_for(
     if spectrum.length != n:
         raise MatrixMismatch(f"spectrum covers {spectrum.length} points, series has {n}")
     floored = replace(spectrum, S=np.maximum(spectrum.S, 0.0))
-    sigma = np.sqrt(variance_matrix(floored, filt, levels))
+    sigma = np.sqrt(variance_matrix(floored, filt, len(plan)))
     lam_scale = config.policy.scale(n)
     edits = []
     for j, cols in enumerate(columns, start=1):
@@ -315,9 +298,9 @@ def estimate_trend(
     filt = wavelet_filter(config.family, config.filter_number)
     x = as_series(x, 2)
     levels = default_levels(x.size) if config.levels is None else config.levels
-    desc = _visible_span(x.size, config, filt.length, levels)
-    edits = _edit_for(config, spectrum, filt, levels, desc)
-    fitted = _edited_fit(x, filt, config.transform, desc, edits)
+    desc, plan = _layout(x.size, config, filt.length, levels)
+    edits = _edit_for(config, spectrum, filt, desc, plan)
+    fitted = _edited_fit(x, filt, config.transform, desc, plan, edits)
     return TrendEstimate(fitted, replace(config, levels=levels, family=filt.family))
 
 
@@ -384,7 +367,7 @@ def _operator_factors(trend: TrendEstimate) -> tuple[np.ndarray, np.ndarray]:
     and the rows B gather shifted templates.  U = B on the window, V = E^T B.
     """
     filt, levels = trend.filter, trend.levels
-    desc = _extension(trend.length, trend.config.boundary)
+    desc = _layout(trend.length, trend.config, filt.length, levels)[0]
     total = desc.extended_length
     depths = [*range(1, levels + 1), levels]  # detail rows 1..levels, then scaling
     units = [np.zeros((levels + 1, total >> j)) for j in depths]
@@ -427,7 +410,10 @@ def analytic_ci(
     reads each lacv row where it is stored; then G = Y V^T, and the
     quadratic form is G U summed against U column by column.  Every
     reduction is an einsum or an elementwise sum, never BLAS, so the
-    interval does not depend on the BLAS thread count.
+    interval does not depend on the BLAS thread count.  The estimated
+    autocovariance, cut at lag_max, need not be positive semi-definite: a
+    negative variance gives a zero-width interval there, and one
+    RuntimeWarning names how many points have one.
     Only the decimated linear estimator is supported; for anything else use
     the bootstrap.  The trend and the autocovariance must cover the same
     points.
@@ -452,6 +438,13 @@ def analytic_ci(
     y = 2.0 * np.einsum("ktd,td->kt", behind, c) - v * c[:, 0]
     g = np.einsum("kt,lt->kl", y, v)
     var = (np.einsum("kl,lt->kt", g, u) * u).sum(axis=0)
+    negative = np.count_nonzero(var < 0)
+    if negative:
+        warnings.warn(
+            f"negative variance at {negative} of {n} points; the interval has zero width there",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(np.maximum(var, 0.0))
     return replace(
         trend,
@@ -501,15 +494,15 @@ def bootstrap_ci(
     streams = np.random.SeedSequence(check_seed(seed) or 0).spawn(reps)
     n, config, filt, levels = trend.length, trend.config, trend.filter, trend.levels
     floored = dict(enumerate(np.maximum(spectrum.S, 0.0), start=1))  # deeper scales get zeros
-    plan = NoisePlan.build(floored, n, spectrum.filter)
-    desc = _visible_span(n, config, filt.length, levels)
-    edits = _edit_for(config, spectrum, filt, levels, desc)
+    noise_plan = NoisePlan.build(floored, n, spectrum.filter)
+    desc, plan = _layout(n, config, filt.length, levels)
+    edits = _edit_for(config, spectrum, filt, desc, plan)
     block = _block_rows(desc, levels, config.transform)
     fits = np.empty((reps, n))
     for s in range(0, reps, block):
-        noise = plan.draw([np.random.default_rng(b) for b in streams[s : s + block]])
+        noise = noise_plan.draw([np.random.default_rng(b) for b in streams[s : s + block]])
         fits[s : s + len(noise)] = _edited_fit(
-            trend.values + noise, filt, config.transform, desc, edits
+            trend.values + noise, filt, config.transform, desc, plan, edits
         )
     if ci_type == BOOT_NORMAL:
         half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * fits.std(axis=0, ddof=1)

@@ -1,5 +1,7 @@
 """Forward/inverse transforms, extensions, and coefficient alignment."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from wavetrend.transforms import (
     SYMMETRIC_TRIPLE,
     TREND_REFLECT,
     centre_shift,
-    crop_extension,
     detail_support,
     dwt_forward,
     dwt_inverse,
@@ -22,9 +23,10 @@ from wavetrend.transforms import (
     ndwt_average_basis,
     ndwt_forward,
     next_pow2,
+    window_span,
 )
 from wavetrend import transforms
-from wavetrend.transforms import _analysis_step, _synthesis_step
+from wavetrend.transforms import _analysis_step, _synthesis_step, _whole_rows, _window_reads
 from wavetrend.wavelets import discrete_wavelets
 
 EP4 = wavelet_filter(EXTREMAL_PHASE, 4)
@@ -202,28 +204,66 @@ def test_extend_adjoint_matches_scatter_oracle(n):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+# (n, policy, mode, filter length, levels, invert, lost, span): span is the
+# (extended length, offset) of a _window_reads span, or the length of the
+# whole rows when the transform runs on the whole extension
+WINDOW_SPANS = {
+    # the EP4 trend fit at depth 7, and the periodogram at lost 0, 1 and 2
+    "fit_ep4_1024": (1024, SYMMETRIC_TRIPLE, NONDECIMATED, 8, 7, True, 0, (2802, 889)),
+    "pgram_ep4_1024": (1024, TREND_REFLECT, NONDECIMATED, 8, 7, False, 0, (1913, 445)),
+    "pgram_ep4_1024_lost1": (1024, TREND_REFLECT, NONDECIMATED, 8, 7, False, 1, (1914, 445)),
+    "pgram_ep4_1024_lost2": (1024, TREND_REFLECT, NONDECIMATED, 8, 7, False, 2, (1915, 446)),
+    # short series, where the first level's reads reach the pads
+    "fit_haar_5": (5, SYMMETRIC_TRIPLE, NONDECIMATED, 2, 1, True, 0, (7, 1)),
+    "fit_ep2_100": (100, SYMMETRIC_TRIPLE, NONDECIMATED, 4, 2, True, 0, (118, 9)),
+    "pgram_ep2_257_lost3": (257, TREND_REFLECT, NONDECIMATED, 4, 3, False, 3, (281, 12)),
+    # a span that fills the extension exactly is still a span
+    "pgram_haar_16_lost1": (16, TREND_REFLECT, NONDECIMATED, 2, 4, False, 1, (32, 8)),
+    # spans longer than the extension fall back to whole rows, less lost
+    "fit_ep4_64": (64, SYMMETRIC_TRIPLE, NONDECIMATED, 8, 4, True, 0, 256),
+    "fit_ep10_512": (512, SYMMETRIC_TRIPLE, NONDECIMATED, 20, 6, True, 0, 2048),
+    "pgram_ep10_512_lost1": (512, TREND_REFLECT, NONDECIMATED, 20, 6, False, 1, 1023),
+    # unextended and decimated transforms always run on whole rows
+    "none": (100, NO_EXTENSION, NONDECIMATED, 8, 4, True, 0, 100),
+    "none_lost2": (100, NO_EXTENSION, NONDECIMATED, 8, 4, False, 2, 98),
+    "decimated": (1024, SYMMETRIC_TRIPLE, DECIMATED, 8, 7, True, 0, 4096),
+}
+
+
+@pytest.mark.parametrize("case", WINDOW_SPANS.values(), ids=WINDOW_SPANS.keys())
+def test_window_span(case):
+    n, policy, mode, length, levels, invert, lost, span = case
+    desc, plan = window_span(n, policy, mode, length, levels, invert, lost)
+    if isinstance(span, int):
+        assert desc == extension_descriptor(n, policy)
+        assert plan == _whole_rows(mode, span, levels)
+        return
+    assert (desc.policy, desc.original_length) == (policy, n)
+    assert (desc.extended_length, desc.offset) == span
+    assert plan == _window_reads(length, levels, n, invert)[2]
+    # every level's columns lie in the span, once lost samples are differenced away
+    assert max(cols.stop for level in plan for cols in level) <= desc.extended_length - lost
+
+
 @pytest.mark.parametrize("policy", [TREND_REFLECT, SYMMETRIC_TRIPLE])
 @pytest.mark.parametrize("n", [5, 100, 257])
 def test_cropped_extension_is_a_span_of_the_whole(policy, n):
     whole = extension_descriptor(n, policy)
     x = np.random.default_rng(n).standard_normal((2, n))
     full = extend_rows(x, whole)
-    for before, after in [(0, 0), (1, 3), (whole.offset, 2), (3, whole.extended_length)]:
-        desc = crop_extension(whole, before, after)
-        if before > whole.offset or after > whole.extended_length - whole.offset - n:
-            assert desc == whole  # the span would run past the extension
-            continue
-        lo = whole.offset - before
-        assert (desc.extended_length, desc.offset) == (n + before + after, before)
-        assert np.array_equal(extend_rows(x, desc), full[:, lo : lo + n + before + after])
+    cropped = 0
+    for length, levels, invert, lost in itertools.product((2, 4, 8), (1, 2), (True, False),
+                                                          (0, 1, 2)):
+        desc, _ = window_span(n, policy, NONDECIMATED, length, levels, invert, lost)
+        lo = whole.offset - desc.offset
+        assert np.array_equal(extend_rows(x, desc), full[:, lo : lo + desc.extended_length])
         assert np.array_equal(extend_rows(x, desc)[:, desc.window()], x)
-    with pytest.raises(ValueError, match="whole"):
-        extend_adjoint(full, crop_extension(whole, 1, 1))
-
-
-def test_crop_leaves_no_extension_alone():
-    desc = extension_descriptor(10, NO_EXTENSION)
-    assert crop_extension(desc, 0, 0) == desc
+        if desc != whole:
+            cropped += 1
+            if policy == SYMMETRIC_TRIPLE:
+                with pytest.raises(ValueError, match="whole"):
+                    extend_adjoint(full, desc)
+    assert cropped
 
 
 def test_no_extension_is_the_identity_without_a_copy():
@@ -404,5 +444,8 @@ def test_steps_match_windowed_taps(stride, n, batch, budget, monkeypatch):
 
 def test_average_basis_needs_a_nondecimated_pyramid():
     pyr = dwt_forward(np.ones(16), wavelet_filter(EXTREMAL_PHASE, 2), 2)
-    with pytest.raises(ModeMismatch):
+    with pytest.raises(ModeMismatch, match="not produced by ndwt_forward"):
         ndwt_average_basis(pyr)
+    pyr = ndwt_forward(np.ones(16), wavelet_filter(EXTREMAL_PHASE, 2), 2)
+    with pytest.raises(ModeMismatch, match="not produced by dwt_forward"):
+        dwt_inverse(pyr)

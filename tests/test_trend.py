@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -25,12 +26,16 @@ from wavetrend.simulate import max_scales, tlsw_sim
 from wavetrend.spectrum import default_levels, estimate_spectrum
 from wavetrend.transforms import (
     DECIMATED,
+    NO_EXTENSION,
     NONDECIMATED,
+    SYMMETRIC_TRIPLE,
     CoefficientPyramid,
+    _whole_rows,
     centre_shift,
     detail_support,
     dwt_inverse,
     extend_rows,
+    extension_descriptor,
     ndwt_average_basis,
     ndwt_forward,
 )
@@ -45,9 +50,8 @@ from wavetrend.trend import (
     _block_rows,
     _edit_for,
     _edited_fit,
-    _extension,
+    _layout,
     _operator_factors,
-    _visible_span,
     analytic_ci,
     bootstrap_ci,
     estimate_trend,
@@ -245,9 +249,35 @@ def test_analytic_ci_zero_lacv():
     acw = autocorrelation_wavelets(EP4, 5)
     with pytest.warns(RuntimeWarning):
         lv = lacv_from_spectrum(np.zeros((5, x.size)), acw, lag_max=5)
-    out = analytic_ci(fit, lv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a variance of exactly zero is not negative
+        out = analytic_ci(fit, lv)
     assert np.allclose(out.ci_lo, out.values, atol=1e-12)
     assert np.allclose(out.ci_hi, out.values, atol=1e-12)
+
+
+def test_analytic_ci_warns_once_of_negative_variances():
+    # the unfloored spectrum need not give a positive semi-definite lacv:
+    # here 103 pointwise variances, at t = 950 to 1384, come out negative
+    t = np.arange(2048)
+    x = np.random.default_rng(8).standard_normal(2048) + np.sin(t / 300)
+    fit = estimate_trend(x, EstimatorConfig(transform=DECIMATED))
+    lv = lacv_from_spectrum(estimate_spectrum(x), lag_max=2047)
+    with pytest.warns(RuntimeWarning, match="negative variance at 103 of 2048 points") as caught:
+        out = analytic_ci(fit, lv)
+    assert len(caught) == 1
+    zero = np.flatnonzero(out.ci_lo == out.ci_hi)
+    assert (zero.size, zero[0], zero[-1]) == (103, 950, 1384)
+
+
+def test_analytic_ci_silent_without_negative_variances():
+    x = scenario("x2").simulate(seed=5)
+    fit = estimate_trend(x, EstimatorConfig(transform=DECIMATED))
+    lv = lacv_from_spectrum(estimate_spectrum(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = analytic_ci(fit, lv)
+    assert np.all(out.ci_hi > out.ci_lo)
 
 
 def test_analytic_ci_width_scales_with_quantile():
@@ -281,6 +311,13 @@ def test_analytic_ci_lacv_length_guard():
         analytic_ci(fit, lv)
 
 
+def whole_layout(n, config, levels):
+    """(desc, plan) of a fit over the whole extension on whole rows, which
+    a cropped fit must match."""
+    desc = extension_descriptor(n, SYMMETRIC_TRIPLE if config.boundary else NO_EXTENSION)
+    return desc, _whole_rows(config.transform, desc.extended_length, levels)
+
+
 def _linear_operator(trend):
     """R with trend.values = R @ x for the fit's linear estimator.
 
@@ -289,13 +326,13 @@ def _linear_operator(trend):
     memory beyond R stays fixed.
     """
     n = trend.length
-    desc = _extension(n, trend.config.boundary)
-    edits = _edit_for(trend.config, None, trend.filter, trend.levels, desc)
+    desc, plan = _layout(n, trend.config, trend.filter.length, trend.levels)
+    edits = _edit_for(trend.config, None, trend.filter, desc, plan)
     block = _block_rows(desc, trend.levels, DECIMATED)
     rows = np.empty((n, n))
     for s in range(0, n, block):
         k = min(block, n - s)
-        fits = _edited_fit(np.eye(k, n, s), trend.filter, DECIMATED, desc, edits)
+        fits = _edited_fit(np.eye(k, n, s), trend.filter, DECIMATED, desc, plan, edits)
         rows[:, s : s + k] = fits.T
     return rows
 
@@ -398,15 +435,15 @@ def test_edits_match_geometry_oracles(number, family, depth, n, transform, bound
     levels = default_levels(n) if depth is None else depth
     config = EstimatorConfig(transform=transform, boundary=boundary, levels=levels,
                              filter_number=number, family=family)
-    desc = (_extension(n, boundary) if span == "whole"
-            else _visible_span(n, config, filt.length, levels))
-    masks = _edit_for(config, None, filt, levels, desc)
+    whole = whole_layout(n, config, levels)
+    desc, plan = whole if span == "whole" else _layout(n, config, filt.length, levels)
+    masks = _edit_for(config, None, filt, desc, plan)
     policy = ThresholdPolicy(SOFT)
     nonlinear = replace(config, method=NONLINEAR, policy=policy)
-    lams = _edit_for(nonlinear, sp, filt, levels, desc)
+    lams = _edit_for(nonlinear, sp, filt, desc, plan)
     want = _threshold_rows(sp, filt, levels, policy, transform, desc)
     assert len(masks) == len(lams) == levels
-    cropped = transform == NONDECIMATED and desc != _extension(n, boundary)
+    cropped = plan != whole[1]
     for j in range(1, levels + 1):
         count = desc.extended_length >> j if transform == DECIMATED else desc.extended_length
         # a cropped fit computes the level-j details whose synthesis reaches
@@ -424,7 +461,7 @@ def unit_pyramid_factors(fit):
     """(U, V) from one unit pyramid per kept coefficient, inverted in one
     batch, and the scatter adjoint of the extension."""
     filt, levels = fit.filter, fit.levels
-    desc = _extension(fit.length, fit.config.boundary)
+    desc = _layout(fit.length, fit.config, filt.length, levels)[0]
     total = desc.extended_length
     depths = [*range(1, levels + 1), levels]
     picks = []
@@ -690,8 +727,8 @@ def uncropped_fit(x, config, spectrum=None):
     n = x.shape[-1]
     filt = wavelet_filter(config.family, config.filter_number)
     levels = default_levels(n) if config.levels is None else config.levels
-    desc = _extension(n, config.boundary)
-    edits = _edit_for(config, spectrum, filt, levels, desc)
+    desc, plan = whole_layout(n, config, levels)
+    edits = _edit_for(config, spectrum, filt, desc, plan)
     pyr = ndwt_forward(extend_rows(x, desc), filt, levels)
     details = tuple(edit(pyr.detail(j)) for j, edit in enumerate(edits, start=1))
     return ndwt_average_basis(pyr.with_details(details))[..., desc.window()]
@@ -736,25 +773,24 @@ def test_cropped_block_of_rows_matches_uncropped(name, crop_spectra):
     n, config = 1000, CROP_METHODS[name]
     rows = np.stack([crop_series(n) * scale for scale in (0.5, 1.0, 2.0, -1.0, 3.0)])
     sp, filt, levels = crop_spectra[n], EP4, default_levels(n)
-    desc = _visible_span(n, config, filt.length, levels)
-    assert desc.extended_length < _extension(n, True).extended_length
-    edits = _edit_for(config, sp, filt, levels, desc)
-    fits = _edited_fit(rows, filt, NONDECIMATED, desc, edits)
+    desc, plan = _layout(n, config, filt.length, levels)
+    assert desc.extended_length < whole_layout(n, config, levels)[0].extended_length
+    edits = _edit_for(config, sp, filt, desc, plan)
+    fits = _edited_fit(rows, filt, NONDECIMATED, desc, plan, edits)
     assert np.array_equal(fits, uncropped_fit(rows, replace(config, levels=levels), sp))
 
 
 def test_cropped_span_sizes(monkeypatch):
     # EP4 at the default depth; a silent fallback to whole rows fails
     config = EstimatorConfig()
-    assert _visible_span(65536, config, 8, 11).extended_length == 94_194
-    assert _visible_span(16384, config, 8, 9).extended_length == 23_538
-    span = _visible_span(1024, config, 8, 7)
+    assert _layout(65536, config, 8, 11)[0].extended_length == 94_194
+    assert _layout(16384, config, 8, 9)[0].extended_length == 23_538
+    span = _layout(1024, config, 8, 7)[0]
     assert (span.extended_length, span.offset) == (2_802, 889)
     assert _block_rows(span, 7, NONDECIMATED) == 5
-    assert _visible_span(64, config, 8, 4) == _extension(64, True)
-    assert _visible_span(1024, replace(config, boundary=False), 8, 7) == _extension(1024, False)
-    decimated = replace(config, transform=DECIMATED)
-    assert _visible_span(1024, decimated, 8, 7) == _extension(1024, True)
+    for whole in (replace(config, boundary=False), replace(config, transform=DECIMATED)):
+        assert _layout(1024, whole, 8, 7) == whole_layout(1024, whole, 7)
+    assert _layout(64, config, 8, 4) == whole_layout(64, config, 4)
     # every level computes only the columns the window reads: the level-j
     # details n + 7 (2**j - 1), each smooth the span less 7 (2**j - 1), and
     # each inverse step what the step above reads, down to the n outputs
@@ -794,8 +830,8 @@ def test_cropped_bootstrap_matches_uncropped(n, config):
     x = crop_series(n)
     sp = estimate_spectrum(x)
     fit = estimate_trend(x, config, spectrum=sp)
-    desc = _visible_span(n, fit.config, fit.filter.length, fit.levels)
-    assert desc.extended_length < _extension(n, True).extended_length
+    desc = _layout(n, fit.config, fit.filter.length, fit.levels)[0]
+    assert desc.extended_length < whole_layout(n, fit.config, fit.levels)[0].extended_length
     assert _block_rows(desc, fit.levels, NONDECIMATED) == (5 if n == 1024 else 1)
     reps = 41 if n == 1024 else 21
     out = bootstrap_ci(fit, sp, reps=reps, alpha=0.1, ci_type=BOOT_NORMAL, seed=4)
